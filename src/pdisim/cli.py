@@ -6,10 +6,9 @@ stderr. Exit codes: 0 success, 2 config error, 1 runtime failure.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
-
-import numpy as np
 
 from . import io as pio
 from .config import RunConfig, parse_config, serialize_config
@@ -32,14 +31,10 @@ def _load_config(args) -> RunConfig:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     if args.seed is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(
             cfg, noise=dataclasses.replace(cfg.noise, seed=args.seed)
         )
     if args.out is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, output_directory=args.out)
     if cfg.output_directory is None:
         raise ConfigError("no output directory: set [output] directory or --out")
@@ -47,8 +42,6 @@ def _load_config(args) -> RunConfig:
 
 
 def _write_run_manifest(outdir, cfg: RunConfig, subcommand: str):
-    import dataclasses
-
     os.makedirs(outdir, exist_ok=True)
     # Omit the output path so reruns into different directories stay
     # byte-identical.
@@ -58,12 +51,6 @@ def _write_run_manifest(outdir, cfg: RunConfig, subcommand: str):
     with open(os.path.join(outdir, "manifest.txt"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(text)
-
-
-def _noise_label(cfg):
-    if cfg.sweep.nsamps is not None:
-        return [(s, n) for s, n in zip(cfg.sweep.sigmas, cfg.sweep.nsamps)]
-    return [(s, None) for s in cfg.sweep.sigmas]
 
 
 def cmd_simulate(args) -> int:
@@ -119,7 +106,8 @@ def cmd_qudit_experiment(args) -> int:
     outdir = cfg.output_directory
     _write_run_manifest(outdir, cfg, "qudit-experiment")
     results = fidelity_sweep(cfg.scene, cfg.sweep, seed=cfg.noise.seed,
-                             jobs=args.jobs, quantize=cfg.noise.quantize)
+                             jobs=args.jobs, quantize=cfg.noise.quantize,
+                             psi=cfg.psi)
     rows = []
     for cell in results:
         noise_val = cell.nsamp if cell.nsamp is not None else cell.sigma
@@ -147,7 +135,8 @@ def cmd_sweep_map(args) -> int:
     _write_run_manifest(outdir, cfg, "sweep-map")
     fmap = fidelity_map(cfg.scene, cfg.sweep.illuminations, cfg.sweep.sigmas,
                         cfg.sweep.repetitions, seed=cfg.noise.seed,
-                        n_bin=cfg.sweep.n_bins[0], jobs=args.jobs)
+                        n_bin=cfg.sweep.n_bins[0], jobs=args.jobs,
+                        quantize=cfg.noise.quantize, psi=cfg.psi)
     rows = []
     for i, illum in enumerate(fmap.illuminations):
         for j, sigma in enumerate(fmap.sigmas):
@@ -172,7 +161,7 @@ def cmd_continuous(args) -> int:
     ref_phase, cases = continuous_experiment(
         cfg.scene, cfg.sweep.illuminations, sigma_pair=sigma_pair,
         reference_illumination=cfg.reference_illumination,
-        seed=cfg.noise.seed, quantize=cfg.noise.quantize,
+        seed=cfg.noise.seed, quantize=cfg.noise.quantize, psi=cfg.psi,
     )
     pio.write_phase_map(os.path.join(outdir, "reference.phmap"), ref_phase)
     stat_rows = []

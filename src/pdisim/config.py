@@ -31,7 +31,7 @@ _SECTIONS = {
     "noise": {"readout_sigma", "nsamp", "quantize", "seed"},
     "sweep": {
         "illuminations", "sigmas", "nsamps", "n_bins", "repetitions",
-        "n_states", "n_runs", "reference_illumination",
+        "reference_illumination",
     },
     "output": {"directory"},
 }
@@ -68,8 +68,6 @@ class RunConfig:
     noise: NoiseParams
     noise_enabled: bool
     sweep: SweepGrid
-    n_states: int
-    n_runs: int
     reference_illumination: float
     output_directory: str | None
 
@@ -131,11 +129,14 @@ def _bool(text):
     raise ValueError("expected true/false")
 
 
-def _float_list(text):
+def _nonnegative_float_list(text):
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
         raise ValueError("empty list")
-    return tuple(float(t) for t in items)
+    values = tuple(float(t) for t in items)
+    if not all(v >= 0 for v in values):
+        raise ValueError("values must be >= 0")
+    return values
 
 
 def _int_list(text):
@@ -238,22 +239,19 @@ def parse_config(text: str) -> RunConfig:
     default_illums = (1.9, 4.0, 12.7) if scene_type == "lens" else (1.7, 3.0, 11.3)
     try:
         sweep = SweepGrid(
-            illuminations=_get(sweep_sec, "illuminations", _float_list,
-                               default_illums),
-            sigmas=_get(sweep_sec, "sigmas", _float_list, (3.0, 1.0, 0.5, 0.2)),
+            illuminations=_get(sweep_sec, "illuminations",
+                               _nonnegative_float_list, default_illums),
+            sigmas=_get(sweep_sec, "sigmas", _nonnegative_float_list,
+                        (3.0, 1.0, 0.5, 0.2)),
             nsamps=_get(sweep_sec, "nsamps", _int_list, None),
             n_bins=_get(sweep_sec, "n_bins", _int_list, (1, 2, 4, 8)),
             repetitions=_get(sweep_sec, "repetitions", int, 2000),
         )
+    except ConfigError:
+        raise
     except PdisimError as exc:
         raise ConfigError(f"invalid [sweep]: {exc}") from exc
-    n_states = _get(sweep_sec, "n_states", int, 81)
-    n_runs = _get(sweep_sec, "n_runs", int, 64)
     reference_illumination = _get(sweep_sec, "reference_illumination", float, 500.0)
-    if n_states < 1:
-        _fail(sweep_sec, "n_states", "n_states must be >= 1")
-    if n_runs < 1:
-        _fail(sweep_sec, "n_runs", "n_runs must be >= 1")
     if reference_illumination < max(sweep.illuminations):
         _fail(sweep_sec, "reference_illumination",
               "reference illumination must be at least the largest sweep illumination")
@@ -274,8 +272,6 @@ def parse_config(text: str) -> RunConfig:
         noise=noise,
         noise_enabled="noise" in sections,
         sweep=sweep,
-        n_states=n_states,
-        n_runs=n_runs,
         reference_illumination=reference_illumination,
         output_directory=outdir,
     )
@@ -338,8 +334,6 @@ def serialize_config(cfg: RunConfig) -> str:
     lines += [
         "n_bins = " + ",".join(str(x) for x in cfg.sweep.n_bins),
         f"repetitions = {cfg.sweep.repetitions}",
-        f"n_states = {cfg.n_states}",
-        f"n_runs = {cfg.n_runs}",
         f"reference_illumination = {f(cfg.reference_illumination)}",
     ]
     if cfg.output_directory is not None:

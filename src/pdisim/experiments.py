@@ -19,9 +19,9 @@ from .circular import circ_dist, circ_std
 from .errors import DomainError, PdisimError, ShapeError
 from .field import (ComplexField, GridSpec, QuditState, SlitLayout,
                     equal_step_state, make_lens_phase, make_slit_mask)
-from .forward import PsiConfig, simulate_interferograms
-from .qudit import FidelityStats
-from .reconstruct import _harmonic_weights, extract_phase
+from .forward import PsiConfig, frame_rates, simulate_interferograms
+from .qudit import FidelityStats, sample_fidelity
+from .reconstruct import c0_analytic, extract_phase, unwrapped_phase
 from .sensor import apply_noise, NoiseParams, rng_stream, sample_noise, sigma_from_nsamp
 
 #: Fixed vectorization chunk (repetitions per RNG block). Part of the
@@ -88,6 +88,8 @@ class SweepGrid:
             object.__setattr__(self, "sigmas", sigmas)
         if not self.illuminations or not self.sigmas or not self.n_bins:
             raise DomainError("sweep grid lists must be non-empty")
+        if not all(v >= 0 for v in self.illuminations + self.sigmas):
+            raise DomainError("illuminations and sigmas must be >= 0")
         if self.repetitions < 1:
             raise DomainError("repetitions must be >= 1")
 
@@ -133,58 +135,37 @@ class ContinuousCase:
     phase_map: np.ndarray
 
 
-def _scene_data(scene: QuditScene):
-    """Precompute the per-slit complex amplitudes and the reference."""
-    fld = scene.field()
-    indices = scene.layout.slit_indices(scene.grid)
-    slit_values = np.stack([fld.values[rows, cols] for rows, cols in indices])
-    reference = complex(fld.values.mean())
-    mean_i0 = float(np.mean(np.abs(slit_values) ** 2))
-    target = scene.state.coeffs
-    return slit_values, reference, mean_i0, target
-
-
 def _qudit_cell(task):
     """Monte-Carlo fidelity of one sweep cell.
 
-    Per repetition: draw a noisy realization of the slit-region frames,
-    invert to a phase map, sample one n_bin pixel tuple per slit and score
-    the fidelity against the target. Restricting the noise draw to slit
-    pixels is exact: the inversion is per pixel and only slit pixels are
-    ever sampled.
+    Per repetition: draw a noisy realization of the slit-pixel frames,
+    invert to phases, sample one n_bin pixel tuple per slit and score the
+    fidelity against the target. Restricting the noise draw to slit pixels
+    is exact: the inversion is per pixel and only slit pixels are ever
+    sampled.
     """
-    (cell_index, seed, slit_values, reference, mean_i0, target,
-     n_steps, illumination, sigma, n_bin, repetitions, quantize) = task
+    (cell_index, seed, slit_values, reference, psi, target,
+     illumination, sigma, n_bin, repetitions, quantize) = task
 
     d, n_px = slit_values.shape
     if n_bin > n_px:
         raise DomainError(f"n_bin={n_bin} exceeds {n_px} pixels per slit")
-    if reference == 0:
-        raise DomainError("degenerate reference (mean field is zero)")
-    root_scale = np.sqrt(illumination / mean_i0)
-    scaled = slit_values * root_scale
-    ref = reference * root_scale
-    alphas = 2.0 * np.pi * np.arange(n_steps) / n_steps
-    lam = np.abs(scaled[None] + (ref * (np.exp(1j * alphas) - 1.0))[:, None, None]) ** 2
-    c0 = -n_steps * abs(ref) ** 2
-    mu = np.angle(ref)
-    cos_a, sin_a = _harmonic_weights(alphas)
-    target_conj = np.conj(target) / np.sqrt(d)
+    # mean frame 0 over the stacked slit pixels sets the illumination scale
+    rates, ref = frame_rates(slit_values, reference, psi.phase_steps,
+                             illumination, slit_values)
+    c0 = c0_analytic(ref, psi.n_steps)
+    mu = float(np.angle(ref))
 
     rng = rng_stream(seed, cell_index)
     fids = np.empty(repetitions)
     for start in range(0, repetitions, _CHUNK):
         m = min(_CHUNK, repetitions - start)
-        noisy = sample_noise(np.broadcast_to(lam, (m,) + lam.shape), sigma, rng,
-                             quantize=quantize)
-        c = np.einsum("n,mndp->mdp", cos_a, noisy)
-        s = np.einsum("n,mndp->mdp", sin_a, noisy)
-        phase = np.arctan2(s, c - c0) + mu
+        noisy = sample_noise(np.broadcast_to(rates, (m,) + rates.shape), sigma,
+                             rng, quantize=quantize)
+        phase = unwrapped_phase(noisy, psi.phase_steps, c0, mu)
         order = np.argsort(rng.random((m, d, n_px)), axis=-1)[..., :n_bin]
         sampled = np.take_along_axis(phase, order, axis=-1)
-        slit_phase = np.angle(np.exp(1j * sampled).sum(axis=-1))
-        overlap = np.abs((target_conj[None] * np.exp(1j * slit_phase)).sum(axis=-1))
-        fids[start:start + m] = overlap
+        fids[start:start + m] = sample_fidelity(target, sampled)
     std = float(fids.std(ddof=1)) if repetitions > 1 else 0.0
     return FidelityStats(
         mean=float(fids.mean()),
@@ -210,13 +191,15 @@ def _map_tasks(fn, tasks, jobs):
 
 
 def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
-                   jobs: int = 1, quantize: bool = False) -> list[CellResult]:
+                   jobs: int = 1, quantize: bool = False,
+                   psi: PsiConfig = PsiConfig()) -> list[CellResult]:
     """Run the full sweep; failed cells are recorded, not fatal."""
-    slit_values, reference, mean_i0, target = _scene_data(scene)
-    n_steps = 4
+    fld = scene.field()
+    slit_values = fld.values[scene.layout.slit_pixels(scene.grid)]
+    reference = psi.reference_for(fld)
     cells = list(grid.cells())
     tasks = [
-        (index, seed, slit_values, reference, mean_i0, target, n_steps,
+        (index, seed, slit_values, reference, psi, scene.state,
          illum, sigma, n_bin, grid.repetitions, quantize)
         for index, (illum, sigma, _nsamp, n_bin) in enumerate(cells)
     ]
@@ -239,11 +222,14 @@ class FidelityMap:
 
 
 def fidelity_map(scene: QuditScene, illuminations, sigmas, repetitions: int,
-                 seed: int = 0, n_bin: int = 1, jobs: int = 1) -> FidelityMap:
+                 seed: int = 0, n_bin: int = 1, jobs: int = 1,
+                 quantize: bool = False,
+                 psi: PsiConfig = PsiConfig()) -> FidelityMap:
     """2D mean-fidelity map, each cell averaged over `repetitions` pipelines."""
     grid = SweepGrid(illuminations=tuple(illuminations), sigmas=tuple(sigmas),
                      n_bins=(n_bin,), repetitions=repetitions)
-    results = fidelity_sweep(scene, grid, seed=seed, jobs=jobs)
+    results = fidelity_sweep(scene, grid, seed=seed, jobs=jobs,
+                             quantize=quantize, psi=psi)
     shape = (len(grid.illuminations), len(grid.sigmas))
     mean = np.full(shape, np.nan)
     stderr = np.full(shape, np.nan)
@@ -255,10 +241,9 @@ def fidelity_map(scene: QuditScene, illuminations, sigmas, repetitions: int,
     return FidelityMap(grid.illuminations, grid.sigmas, mean, stderr)
 
 
-def _reconstruct_noisy(fld: ComplexField, region, illumination, sigma, rng,
-                       quantize=False):
-    config = PsiConfig(n_steps=4)
-    clean = simulate_interferograms(fld, config, illumination, region=region)
+def _reconstruct_noisy(fld: ComplexField, region, psi, illumination, sigma,
+                       rng, quantize=False):
+    clean = simulate_interferograms(fld, psi, illumination, region=region)
     params = NoiseParams(readout_sigma=sigma, quantize=quantize)
     noisy = apply_noise(clean, params, rng=rng)
     return extract_phase(noisy)
@@ -288,7 +273,8 @@ def continuous_experiment(scene: LensScene, illuminations,
                           sigma_pair: tuple[float, float] = (3.0, 0.2),
                           reference_illumination: float = 500.0,
                           seed: int = 0, n_hist_bins: int = 64,
-                          quantize: bool = False):
+                          quantize: bool = False,
+                          psi: PsiConfig = PsiConfig()):
     """Continuous-phase study against a high-flux reference map.
 
     Builds the reference reconstruction at `reference_illumination` (readout
@@ -303,14 +289,14 @@ def continuous_experiment(scene: LensScene, illuminations,
         )
     fld = scene.field()
     region = scene.region()
-    ref_result = _reconstruct_noisy(fld, region, reference_illumination,
+    ref_result = _reconstruct_noisy(fld, region, psi, reference_illumination,
                                     _REFERENCE_SIGMA, rng_stream(seed, 0))
     support = fld.amplitude > 0
     cases = []
     stream = 1
     for illum in illuminations:
         for sigma in sigma_pair:
-            result = _reconstruct_noisy(fld, region, illum, sigma,
+            result = _reconstruct_noisy(fld, region, psi, illum, sigma,
                                         rng_stream(seed, stream),
                                         quantize=quantize)
             stream += 1

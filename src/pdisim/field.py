@@ -106,8 +106,9 @@ class SlitLayout:
             (grid.height - self.slit_length_px) // 2,
         )
 
-    def slit_indices(self, grid: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-slit (rows, cols) index arrays, validated against the grid."""
+    def slit_pixels(self, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) indices, shape (d, pixels_per_slit), of every slit;
+        validated against the grid."""
         x0, y0 = self.anchor(grid)
         if x0 < 0 or y0 < 0 or x0 + self.bounding_width > grid.width \
                 or y0 + self.slit_length_px > grid.height:
@@ -115,18 +116,18 @@ class SlitLayout:
                 f"slit layout (box {self.bounding_width}x{self.slit_length_px} "
                 f"at {x0},{y0}) exceeds grid {grid.width}x{grid.height}"
             )
-        out = []
-        for k in range(self.d):
-            xk = x0 + k * (self.slit_width_px + self.slit_gap_px)
-            rows, cols = np.mgrid[y0:y0 + self.slit_length_px, xk:xk + self.slit_width_px]
-            out.append((rows.ravel(), cols.ravel()))
-        return out
+        rows, cols = np.mgrid[y0:y0 + self.slit_length_px, x0:x0 + self.slit_width_px]
+        offsets = (self.slit_width_px + self.slit_gap_px) * np.arange(self.d)[:, None]
+        return np.tile(rows.ravel(), (self.d, 1)), cols.ravel() + offsets
+
+    def slit_indices(self, grid: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-slit (rows, cols) index arrays, validated against the grid."""
+        return list(zip(*self.slit_pixels(grid)))
 
     def region_mask(self, grid: GridSpec) -> np.ndarray:
         """Boolean mask of all slit pixels."""
         mask = np.zeros(grid.shape, dtype=bool)
-        for rows, cols in self.slit_indices(grid):
-            mask[rows, cols] = True
+        mask[self.slit_pixels(grid)] = True
         return mask
 
 
@@ -188,13 +189,12 @@ def make_slit_mask(layout: SlitLayout, state: QuditState,
     """
     if state.dim != layout.d:
         raise ShapeError(f"state dimension {state.dim} != layout slit count {layout.d}")
-    indices = layout.slit_indices(grid)
+    pixels = layout.slit_pixels(grid)
     values = np.full(grid.shape, background_amplitude * np.exp(1j * background_phase),
                      dtype=complex)
     amps = np.abs(state.coeffs)
     amps = amps / amps.max()
-    for k, (rows, cols) in enumerate(indices):
-        values[rows, cols] = amps[k] * np.exp(1j * np.angle(state.coeffs[k]))
+    values[pixels] = (amps * np.exp(1j * np.angle(state.coeffs)))[:, None]
     return ComplexField(grid, values)
 
 

@@ -43,6 +43,12 @@ class PsiConfig:
                 raise DomainError("phase steps must be strictly increasing in [0, 2 pi)")
         object.__setattr__(self, "phase_steps", steps)
 
+    def reference_for(self, field: ComplexField) -> complex:
+        """The override if set, else the spatial mean of `field`."""
+        if self.reference_override is not None:
+            return complex(self.reference_override)
+        return mean_field(field)
+
 
 @dataclass(frozen=True)
 class InterferogramSet:
@@ -68,45 +74,46 @@ class InterferogramSet:
         return self.psi_config.n_steps
 
 
-def simulate_interferograms(field: ComplexField, config: PsiConfig,
-                            illumination: float,
-                            region: np.ndarray | None = None) -> InterferogramSet:
-    """Noiseless forward simulation.
-
-    `region` is the analysis region over which frame 0 averages to
-    `illumination` (default: the support |U| > 0).
+def frame_rates(values: np.ndarray, reference: complex, phase_steps,
+                illumination: float,
+                region_values: np.ndarray) -> tuple[np.ndarray, complex]:
+    """Noiseless frames (N, rows, cols) of a 2D pixel set `values` (a full
+    grid, or d slits x n_px pixels), scaled so that frame 0 averages
+    `illumination` over `region_values`; also returns the scaled reference.
     """
     if illumination < 0:
         raise DomainError(f"illumination must be >= 0, got {illumination}")
-    values = field.values
-    if region is None:
-        region = np.abs(values) > 0
-    else:
-        region = np.asarray(region, dtype=bool)
-        if region.shape != values.shape:
-            raise ShapeError("region mask shape does not match the field")
-    if not region.any():
-        raise ShapeError("analysis region is empty")
-
-    reference = config.reference_override
-    if reference is None:
-        reference = mean_field(field)
     reference = complex(reference)
     if reference == 0:
         raise DegenerateReferenceError(
             "reference amplitude is zero; all frames would coincide"
         )
-
-    mean_i0 = float(np.mean(np.abs(values[region]) ** 2))
+    mean_i0 = float(np.mean(np.abs(region_values) ** 2))
     if mean_i0 == 0.0:
         raise DegenerateReferenceError("field is zero over the analysis region")
     root_scale = np.sqrt(illumination / mean_i0)
-    scaled = values * root_scale
     scaled_ref = reference * root_scale
+    shifts = scaled_ref * (np.exp(1j * np.asarray(phase_steps)) - 1.0)
+    return np.abs((values * root_scale)[None] + shifts[:, None, None]) ** 2, scaled_ref
 
-    alphas = np.asarray(config.phase_steps)
-    shifts = scaled_ref * (np.exp(1j * alphas) - 1.0)
-    frames = np.abs(scaled[None, :, :] + shifts[:, None, None]) ** 2
+
+def simulate_interferograms(field: ComplexField, config: PsiConfig,
+                            illumination: float,
+                            region: np.ndarray | None = None) -> InterferogramSet:
+    """Noiseless forward simulation of the full grid.
+
+    `region` is the analysis region over which frame 0 averages to
+    `illumination` (default: the support |U| > 0).
+    """
+    values = field.values
+    region = np.abs(values) > 0 if region is None else np.asarray(region, dtype=bool)
+    if region.shape != values.shape:
+        raise ShapeError("region mask shape does not match the field")
+    if not region.any():
+        raise ShapeError("analysis region is empty")
+    frames, scaled_ref = frame_rates(values, config.reference_for(field),
+                                     config.phase_steps, illumination,
+                                     values[region])
     return InterferogramSet(
         grid=field.grid,
         frames=frames,

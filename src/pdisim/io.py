@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .field import GridSpec
+from .forward import InterferogramSet, PsiConfig
 
 _MAP_MAGIC = {"PHMAP", "AMMAP"}
 
@@ -32,11 +33,13 @@ def write_map(path, data: np.ndarray, kind: str):
 def read_map(path, kind: str | None = None) -> np.ndarray:
     """Read a PHMAP/AMMAP file. If kind is given, enforce it."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
+        header = fh.readline().decode("ascii", errors="replace").split()
         if len(header) != 3 or header[0] not in _MAP_MAGIC:
             raise ShapeError(f"{path}: not a PHMAP/AMMAP file")
         if kind is not None and header[0] != kind:
             raise ShapeError(f"{path}: expected {kind}, found {header[0]}")
+        if not (header[1].isdigit() and header[2].isdigit()):
+            raise ShapeError(f"{path}: bad map size {header[1]} x {header[2]}")
         width, height = int(header[1]), int(header[2])
         raw = fh.read(4 * width * height)
         if len(raw) != 4 * width * height:
@@ -82,12 +85,10 @@ def write_interferogram_set(directory, iset, prefix="frame"):
 
 def read_interferogram_set(manifest_path):
     """Load an InterferogramSet from its manifest file."""
-    from .forward import InterferogramSet, PsiConfig
-
     directory = os.path.dirname(os.path.abspath(manifest_path))
     keys = {}
     frames = []
-    with open(manifest_path, "r", encoding="utf-8") as fh:
+    with open(manifest_path, "r", encoding="utf-8", errors="replace") as fh:
         magic = fh.readline().strip()
         if not magic.startswith("INTERFEROGRAMS"):
             raise ShapeError(f"{manifest_path}: not an interferogram manifest")
@@ -101,16 +102,21 @@ def read_interferogram_set(manifest_path):
                 frames.append(read_map(os.path.join(directory, value), "AMMAP"))
             else:
                 keys[key] = value
-    n_steps = int(keys["n_steps"])
-    alphas = [float(v) for v in keys["alphas"].split(",")]
-    reference = complex(float(keys["reference_re"]), float(keys["reference_im"]))
-    illumination = float(keys["illumination"]) if keys.get("illumination") else None
+    try:
+        n_steps = int(keys["n_steps"])
+        alphas = tuple(float(v) for v in keys["alphas"].split(","))
+        config = PsiConfig(n_steps=n_steps, phase_steps=alphas)
+        reference = complex(float(keys["reference_re"]), float(keys["reference_im"]))
+        illumination = float(keys["illumination"]) if keys.get("illumination") else None
+    except KeyError as exc:
+        raise ShapeError(f"{manifest_path}: missing key {exc.args[0]!r}") from None
+    except ValueError as exc:  # also the DomainError/ShapeError of PsiConfig
+        raise ShapeError(f"{manifest_path}: {exc}") from None
     if len(frames) != n_steps:
         raise ShapeError(
             f"{manifest_path}: manifest lists {len(frames)} frames, n_steps={n_steps}"
         )
     height, width = frames[0].shape
-    config = PsiConfig(n_steps=n_steps, phase_steps=tuple(alphas))
     return InterferogramSet(
         grid=GridSpec(width=width, height=height),
         frames=np.stack(frames),

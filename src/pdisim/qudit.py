@@ -11,8 +11,9 @@ import numpy as np
 
 from .circular import circ_mean
 from .errors import DomainError, SamplingError, ShapeError
-from .field import QuditState, SlitLayout
+from .field import GridSpec, QuditState, SlitLayout
 from .reconstruct import ReconstructionResult
+from .sensor import rng_stream
 
 
 @dataclass(frozen=True)
@@ -47,47 +48,55 @@ def fidelity(target: QuditState, reconstructed: QuditState) -> float:
     return float(abs(np.vdot(target.coeffs, reconstructed.coeffs)))
 
 
-def _slit_phases(result: ReconstructionResult, layout: SlitLayout):
-    """Per-slit arrays of (phase, amplitude) samples from the maps."""
-    from .field import GridSpec
-
+def _slit_samples(result: ReconstructionResult, layout: SlitLayout,
+                  picks: np.ndarray):
+    """Phase and amplitude at positions `picks` (..., d, n_bin) of each slit."""
     height, width = result.phase.shape
-    grid = GridSpec(width=width, height=height)
-    phases, amps = [], []
-    for rows, cols in layout.slit_indices(grid):
-        phases.append(result.phase[rows, cols])
-        amps.append(result.amplitude[rows, cols])
-    return phases, amps
+    rows, cols = layout.slit_pixels(GridSpec(width=width, height=height))
+    slits = np.arange(layout.d)[:, None]
+    pixels = rows[slits, picks], cols[slits, picks]
+    return result.phase[pixels], result.amplitude[pixels]
 
 
-def _state_from_samples(phase_samples, amp_samples, use_measured_amplitude):
-    d = len(phase_samples)
-    slit_phases = np.array([circ_mean(p) for p in phase_samples])
-    if use_measured_amplitude:
-        amps = np.array([a.mean() for a in amp_samples])
-        if not amps.any():
-            amps = np.ones(d)
+def _slit_amplitudes(amp_samples: np.ndarray) -> np.ndarray:
+    """Per-slit means of samples (..., d, n_bin); all-zero states -> 1."""
+    amps = amp_samples.mean(axis=-1)
+    return np.where(amps.any(axis=-1, keepdims=True), amps, 1.0)
+
+
+def sample_fidelity(target: QuditState, phase_samples: np.ndarray,
+                    amp_samples: np.ndarray | None = None) -> np.ndarray:
+    """|<target|state>| for the states read from samples (..., d, n_bin):
+    slit k's phase is the circular mean of its samples; amplitudes are
+    uniform unless `amp_samples` gives them (per-slit means)."""
+    d = phase_samples.shape[-2]
+    if target.dim != d:
+        raise ShapeError(f"dimension mismatch: {target.dim} vs {d}")
+    phasors = np.exp(1j * circ_mean(phase_samples, axis=-1))
+    if amp_samples is None:
+        weights = np.conj(target.coeffs) / np.sqrt(d)
     else:
-        amps = np.ones(d)
-    return QuditState.from_coeffs(amps * np.exp(1j * slit_phases))
+        amps = _slit_amplitudes(amp_samples)
+        weights = (np.conj(target.coeffs) * amps
+                   / np.linalg.norm(amps, axis=-1, keepdims=True))
+    return np.abs((weights * phasors).sum(axis=-1))
 
 
 def extract_state(result: ReconstructionResult, layout: SlitLayout,
                   policy: BinningPolicy,
                   rng: np.random.Generator) -> QuditState:
     """Sample n_bin pixels per slit and build the reconstructed state."""
-    phases, amps = _slit_phases(result, layout)
     n_px = layout.pixels_per_slit
     if policy.n_bin > n_px:
         raise SamplingError(
             f"n_bin={policy.n_bin} exceeds {n_px} pixels per slit"
         )
-    sel_phases, sel_amps = [], []
-    for p, a in zip(phases, amps):
-        idx = rng.choice(n_px, size=policy.n_bin, replace=False)
-        sel_phases.append(p[idx])
-        sel_amps.append(a[idx])
-    return _state_from_samples(sel_phases, sel_amps, policy.use_measured_amplitude)
+    picks = np.stack([rng.choice(n_px, size=policy.n_bin, replace=False)
+                      for _ in range(layout.d)])
+    phases, amps = _slit_samples(result, layout, picks)
+    slit_amps = (_slit_amplitudes(amps) if policy.use_measured_amplitude
+                 else np.ones(layout.d))
+    return QuditState.from_coeffs(slit_amps * np.exp(1j * circ_mean(phases, axis=-1)))
 
 
 def bootstrap_fidelity(result: ReconstructionResult, target: QuditState,
@@ -99,8 +108,6 @@ def bootstrap_fidelity(result: ReconstructionResult, target: QuditState,
     disjoint within each slit, average their fidelities; report mean, std and
     stderr over n_runs."""
     if rng is None:
-        from .sensor import rng_stream
-
         rng = rng_stream(seed)
     n_px = layout.pixels_per_slit
     if n_states * policy.n_bin > n_px:
@@ -108,18 +115,15 @@ def bootstrap_fidelity(result: ReconstructionResult, target: QuditState,
             f"{n_states} states x {policy.n_bin} pixels > {n_px} pixels per slit; "
             "without-replacement draw infeasible"
         )
-    phases, amps = _slit_phases(result, layout)
-    run_means = np.empty(n_runs)
-    for run in range(n_runs):
-        perms = [rng.permutation(n_px) for _ in range(layout.d)]
-        fids = np.empty(n_states)
-        for j in range(n_states):
-            lo, hi = j * policy.n_bin, (j + 1) * policy.n_bin
-            sel_p = [p[perm[lo:hi]] for p, perm in zip(phases, perms)]
-            sel_a = [a[perm[lo:hi]] for a, perm in zip(amps, perms)]
-            state = _state_from_samples(sel_p, sel_a, policy.use_measured_amplitude)
-            fids[j] = fidelity(target, state)
-        run_means[run] = fids.mean()
+    # one permutation per (run, slit), drawn run-major; state j of a run
+    # takes positions [j * n_bin, (j + 1) * n_bin) of each slit's permutation
+    perms = np.array([[rng.permutation(n_px) for _ in range(layout.d)]
+                      for _ in range(n_runs)]).reshape(n_runs, layout.d, n_px)
+    picks = perms[..., :n_states * policy.n_bin].reshape(
+        n_runs, layout.d, n_states, policy.n_bin).swapaxes(1, 2)
+    phases, amps = _slit_samples(result, layout, picks)
+    run_means = sample_fidelity(
+        target, phases, amps if policy.use_measured_amplitude else None).mean(axis=-1)
     std = float(run_means.std(ddof=1)) if n_runs > 1 else 0.0
     return FidelityStats(
         mean=float(run_means.mean()),

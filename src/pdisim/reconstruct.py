@@ -43,14 +43,26 @@ def _harmonic_weights(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos_w, sin_w
 
 
+def harmonic_sums(frames: np.ndarray, phase_steps) -> tuple[np.ndarray, np.ndarray]:
+    """Harmonic sums C, S of frames shaped (..., N, rows, cols): any batch
+    axes, the N steps, a 2D pixel set (full grid, or d slits x n_px)."""
+    cos_w, sin_w = _harmonic_weights(np.asarray(phase_steps))
+    c = np.einsum("n,...nij->...ij", cos_w, frames)
+    s = np.einsum("n,...nij->...ij", sin_w, frames)
+    return c, s
+
+
 def combine(frames: InterferogramSet) -> tuple[np.ndarray, np.ndarray]:
     """Cosine and sine harmonic combinations C(x, y), S(x, y)."""
-    alphas = np.asarray(frames.psi_config.phase_steps)
-    cos_w, sin_w = _harmonic_weights(alphas)
-    stack = frames.frames
-    c = np.tensordot(cos_w, stack, axes=1)
-    s = np.tensordot(sin_w, stack, axes=1)
-    return c, s
+    return harmonic_sums(frames.frames, frames.psi_config.phase_steps)
+
+
+def unwrapped_phase(frames: np.ndarray, phase_steps, c0: float,
+                    mu: float) -> np.ndarray:
+    """arctan2(S, C - c0) + mu per pixel, in [mu - pi, mu + pi] (not
+    wrapped); `frames` is shaped as for `harmonic_sums`."""
+    c, s = harmonic_sums(frames, phase_steps)
+    return np.arctan2(s, c - c0) + mu
 
 
 def c0_analytic(reference: complex, n_steps: int) -> float:
@@ -84,8 +96,8 @@ def extract_phase(frames: InterferogramSet, c0: float | None = None,
         c0 = c0_analytic(frames.reference, frames.n_steps)
     if mu is None:
         mu = float(np.angle(frames.reference))
-    c, s = combine(frames)
-    phase = wrap(np.arctan2(s, c - c0) + mu_sign * mu)
+    phase = wrap(unwrapped_phase(frames.frames, frames.psi_config.phase_steps,
+                                 c0, mu_sign * mu))
     amplitude = np.sqrt(np.clip(frames.frames[0], 0.0, None))
     return ReconstructionResult(phase=phase, amplitude=amplitude,
                                 c0_used=float(c0), mu_used=float(mu))

@@ -20,7 +20,6 @@ def test_minimal_config_resolves_full_defaults():
     assert cfg.sweep.illuminations == (1.7, 3.0, 11.3)
     assert 3.0 in cfg.sweep.sigmas and 0.2 in cfg.sweep.sigmas
     assert cfg.sweep.repetitions == 2000
-    assert cfg.n_states == 81 and cfg.n_runs == 64
     assert cfg.reference_illumination == 500.0
     assert cfg.noise_enabled is False
 
@@ -215,3 +214,97 @@ def test_cli_writes_only_under_out(tmp_path, monkeypatch):
     assert main(["simulate", "--config", cfg, "--out", str(out),
                  "--quiet"]) == 0
     assert list(cwd.iterdir()) == []
+
+
+SMALL_SWEEP = ("[sweep]\nilluminations = 3.0\nsigmas = 0.5\nn_bins = 1\n"
+               "repetitions = 20\n")
+
+
+def cli_output(tmp_path, subcommand, text, name, output):
+    cfg = write_cfg(tmp_path, text, name=f"{name}.cfg")
+    out = tmp_path / name
+    rc = main([subcommand, "--config", cfg, "--seed", "3", "--out", str(out),
+               "--jobs", "1", "--quiet"])
+    assert rc == 0
+    return (out / output).read_bytes()
+
+
+def test_cli_psi_section_reaches_every_experiment(tmp_path):
+    def sweep(name, psi):
+        return cli_output(tmp_path, "qudit-experiment", MINIMAL + psi + SMALL_SWEEP,
+                          name, "fidelity.csv")
+
+    def continuous(name, n_steps):
+        text = ("[scene]\ntype = lens\n"
+                f"[psi]\nn_steps = {n_steps}\n"
+                "[sweep]\nilluminations = 4.0\nsigmas = 3.0,0.2\n"
+                "reference_illumination = 100\n")
+        return cli_output(tmp_path, "continuous-experiment", text, name,
+                          "phase_error.csv")
+
+    assert sweep("n3", "[psi]\nn_steps = 3\n") != sweep("n7", "[psi]\nn_steps = 7\n")
+    assert sweep("ref", "[psi]\nreference_re = 0.3\nreference_im = 0.1\n") != \
+        sweep("default", "")
+    assert continuous("c3", 3) != continuous("c4", 4)
+
+
+def test_cli_sweep_map_honours_quantize(tmp_path):
+    def fidelity_map(name, quantize):
+        text = MINIMAL + SMALL_SWEEP + f"[noise]\nquantize = {quantize}\n"
+        return cli_output(tmp_path, "sweep-map", text, name, "fidelity_map.csv")
+
+    assert fidelity_map("plain", "false") != fidelity_map("rounded", "true")
+
+
+@pytest.mark.parametrize("key", ["n_states", "n_runs"])
+def test_unused_sweep_keys_rejected(tmp_path, key):
+    text = MINIMAL + f"[sweep]\n{key} = 10\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key == key
+    cfg = write_cfg(tmp_path, text)
+    assert main(["qudit-experiment", "--config", cfg,
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("key", ["illuminations", "sigmas"])
+def test_negative_sweep_values_rejected(tmp_path, key):
+    text = MINIMAL + f"[sweep]\n{key} = -1.0,3.0\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert (err.value.key, err.value.line) == (key, 4)
+    cfg = write_cfg(tmp_path, text)
+    assert main(["qudit-experiment", "--config", cfg,
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_cli_manifest_without_alphas_is_an_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    manifest = out / "frames" / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines
+                                if not line.startswith("alphas")))
+    capsys.readouterr()
+    rc = main(["reconstruct", str(manifest), "--out", str(tmp_path / "rec"),
+               "--quiet"])
+    assert rc == 1
+    assert_one_line_error(capsys, str(manifest), "alphas")
+
+
+def test_cli_bad_map_header_is_an_error(tmp_path, capsys):
+    path = tmp_path / "bad.phmap"
+    path.write_bytes(b"PHMAP x 3\n" + bytes(12))
+    cfg = write_cfg(tmp_path, f"[scene]\ntype = phmap\nphase_map = {path}\n")
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 1
+    assert_one_line_error(capsys, str(path))

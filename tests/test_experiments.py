@@ -15,6 +15,10 @@ def test_sweep_grid_validation():
         SweepGrid(illuminations=())
     with pytest.raises(DomainError):
         SweepGrid(repetitions=0)
+    with pytest.raises(DomainError):
+        SweepGrid(illuminations=(-1.0, 3.0))
+    with pytest.raises(DomainError):
+        SweepGrid(sigmas=(0.2, -0.5))
 
 
 def test_sweep_grid_nsamp_conversion():
