@@ -19,9 +19,9 @@ from .reconstruct import (ReconstructionResult, c0_analytic, c0_empirical,
                           combine, extract_phase)
 from .qudit import (BinningPolicy, FidelityStats, bootstrap_fidelity,
                     extract_state, fidelity)
-from .experiments import (CellResult, ContinuousCase, FidelityMap, LensScene,
+from .experiments import (CellResult, ContinuousCase, LensScene,
                           PhaseErrorStats, QuditScene, SweepGrid,
-                          continuous_experiment, fidelity_map, fidelity_sweep,
+                          continuous_experiment, fidelity_sweep,
                           phase_error_stats)
 from .config import PhmapScene, RunConfig, parse_config, serialize_config
 

@@ -13,8 +13,7 @@ import sys
 from . import io as pio
 from .config import RunConfig, parse_config, serialize_config
 from .errors import ConfigError, PdisimError
-from .experiments import (LensScene, QuditScene, continuous_experiment,
-                          fidelity_map, fidelity_sweep)
+from .experiments import LensScene, QuditScene, continuous_experiment, fidelity_sweep
 from .reconstruct import c0_analytic, c0_empirical, combine, extract_phase
 from .sensor import apply_noise
 from .forward import simulate_interferograms
@@ -100,24 +99,30 @@ def _require_qudit(cfg):
         raise ConfigError("this subcommand requires a qudit scene")
 
 
+def _run_sweep(args, cfg, grid):
+    """Sweep `grid`; yields each cell with its (mean, std, stderr), NaN when
+    the cell failed."""
+    results = fidelity_sweep(cfg.scene, grid, seed=cfg.noise.seed,
+                             jobs=args.jobs, quantize=cfg.noise.quantize,
+                             psi=cfg.psi)
+    for cell in results:
+        if cell.stats is None:
+            _progress(args, f"cell failed: {cell.error}")
+            yield cell, (float("nan"),) * 3
+        else:
+            yield cell, (cell.stats.mean, cell.stats.std, cell.stats.stderr)
+
+
 def cmd_qudit_experiment(args) -> int:
     cfg = _load_config(args)
     _require_qudit(cfg)
     outdir = cfg.output_directory
     _write_run_manifest(outdir, cfg, "qudit-experiment")
-    results = fidelity_sweep(cfg.scene, cfg.sweep, seed=cfg.noise.seed,
-                             jobs=args.jobs, quantize=cfg.noise.quantize,
-                             psi=cfg.psi)
-    rows = []
-    for cell in results:
-        noise_val = cell.nsamp if cell.nsamp is not None else cell.sigma
-        if cell.stats is None:
-            rows.append((cell.illumination, noise_val, cell.n_bin,
-                         float("nan"), float("nan"), float("nan")))
-            _progress(args, f"cell failed: {cell.error}")
-        else:
-            rows.append((cell.illumination, noise_val, cell.n_bin,
-                         cell.stats.mean, cell.stats.std, cell.stats.stderr))
+    rows = [
+        (cell.illumination, cell.nsamp if cell.nsamp is not None else cell.sigma,
+         cell.n_bin, *stats)
+        for cell, stats in _run_sweep(args, cfg, cfg.sweep)
+    ]
     pio.write_csv(
         os.path.join(outdir, "fidelity.csv"),
         ["illumination", "readout_sigma_or_nsamp", "n_bin",
@@ -133,15 +138,9 @@ def cmd_sweep_map(args) -> int:
     _require_qudit(cfg)
     outdir = cfg.output_directory
     _write_run_manifest(outdir, cfg, "sweep-map")
-    fmap = fidelity_map(cfg.scene, cfg.sweep.illuminations, cfg.sweep.sigmas,
-                        cfg.sweep.repetitions, seed=cfg.noise.seed,
-                        n_bin=cfg.sweep.n_bins[0], jobs=args.jobs,
-                        quantize=cfg.noise.quantize, psi=cfg.psi)
-    rows = []
-    for i, illum in enumerate(fmap.illuminations):
-        for j, sigma in enumerate(fmap.sigmas):
-            rows.append((illum, sigma, float(fmap.mean[i, j]),
-                         float(fmap.stderr[i, j])))
+    grid = dataclasses.replace(cfg.sweep, n_bins=cfg.sweep.n_bins[:1])
+    rows = [(cell.illumination, cell.sigma, mean, stderr)
+            for cell, (mean, _std, stderr) in _run_sweep(args, cfg, grid)]
     pio.write_csv(
         os.path.join(outdir, "fidelity_map.csv"),
         ["illumination", "readout_sigma_or_nsamp", "mean_fidelity", "stderr"],
@@ -197,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the RNG seed")
         p.add_argument("--out", help="output directory")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker parallelism (results are jobs-independent)")
+                       help="sweep worker threads, >= 1 (results do not "
+                            "depend on it)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress output")
 
@@ -237,6 +237,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,7 +7,10 @@ and line number. A hand-rolled parser (rather than configparser) is used so
 diagnostics can carry line numbers.
 """
 
+import functools
+import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +49,17 @@ class PhmapScene:
     phase_path: str
     amplitude_path: str | None = None
 
-    def field(self) -> ComplexField:
+    @functools.cached_property
+    def _maps(self):
+        """The phase and amplitude maps, read on first use only."""
         phase = pio.read_map(self.phase_path, "PHMAP")
         amplitude = 1.0
         if self.amplitude_path is not None:
             amplitude = pio.read_map(self.amplitude_path, "AMMAP")
-        return field_from_phase_map(phase, amplitude)
+        return phase, amplitude
+
+    def field(self) -> ComplexField:
+        return field_from_phase_map(*self._maps)
 
     def region(self) -> np.ndarray:
         return self.field().amplitude > 0
@@ -129,27 +137,53 @@ def _bool(text):
     raise ValueError("expected true/false")
 
 
-def _nonnegative_float_list(text):
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    if not items:
-        raise ValueError("empty list")
-    values = tuple(float(t) for t in items)
-    if not all(v >= 0 for v in values):
-        raise ValueError("values must be >= 0")
-    return values
+def _float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
 
 
-def _int_list(text):
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    if not items:
-        raise ValueError("empty list")
-    return tuple(int(t) for t in items)
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
+def _list_of(convert, minimum):
+    """Converter for a non-empty comma-separated list of values >= minimum."""
+    def parse(text):
+        items = [t.strip() for t in text.split(",") if t.strip()]
+        if not items:
+            raise ValueError("empty list")
+        values = tuple(convert(t) for t in items)
+        if not all(v >= minimum for v in values):
+            raise ValueError(f"values must be >= {minimum}")
+        return values
+    return parse
+
+
+_nonnegative_float_list = _list_of(_float, 0)
+_positive_int_list = _list_of(int, 1)
 
 
 def _fail(section, key, message):
     entry = section.get(key)
     raise ConfigError(message, key=key,
                       line=entry.line if entry is not None else None)
+
+
+@contextmanager
+def _translated(label, section=None, key=None):
+    """Report a model error raised in the block as a ConfigError, blamed on
+    `key` of `section` when given; a ConfigError passes through as is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except PdisimError as exc:
+        _fail(section or {}, key, f"invalid {label}: {exc}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -165,7 +199,7 @@ def parse_config(text: str) -> RunConfig:
         height=_get(scene_sec, "grid_height", int, 128),
     )
     pixels_per_slit = None
-    try:
+    with _translated("scene"):
         if scene_type == "eq6_qudit":
             layout = SlitLayout(
                 d=_get(scene_sec, "d", int, 6),
@@ -174,22 +208,22 @@ def parse_config(text: str) -> RunConfig:
                 slit_length_px=_get(scene_sec, "slit_length_px", int, 10),
             )
             layout.slit_indices(grid)  # bounds check up front
-            step = _get(scene_sec, "state_step", float, 2.0 * np.pi / 5.0)
+            step = _get(scene_sec, "state_step", _float, 2.0 * np.pi / 5.0)
             state = QuditState.from_coeffs(np.exp(1j * step * np.arange(layout.d)))
             scene = QuditScene(
                 grid=grid,
                 layout=layout,
                 state=state,
                 background_amplitude=_get(scene_sec, "background_amplitude",
-                                          float, 1.0),
-                background_phase=_get(scene_sec, "background_phase", float, 0.0),
+                                          _float, 1.0),
+                background_phase=_get(scene_sec, "background_phase", _float, 0.0),
             )
             pixels_per_slit = layout.pixels_per_slit
         elif scene_type == "lens":
             scene = LensScene(
                 grid=grid,
-                curvature=_get(scene_sec, "curvature", float, np.pi / 2048.0),
-                amplitude=_get(scene_sec, "amplitude", float, 1.0),
+                curvature=_get(scene_sec, "curvature", _float, np.pi / 2048.0),
+                amplitude=_get(scene_sec, "amplitude", _float, 1.0),
             )
         else:
             phase_path = _get(scene_sec, "phase_map", str, None)
@@ -201,29 +235,23 @@ def parse_config(text: str) -> RunConfig:
             if amp_path is not None and not os.path.exists(amp_path):
                 _fail(scene_sec, "amplitude_map", f"file not found: {amp_path}")
             scene = PhmapScene(phase_path=phase_path, amplitude_path=amp_path)
-    except ConfigError:
-        raise
-    except PdisimError as exc:
-        raise ConfigError(f"invalid scene: {exc}") from exc
 
     psi_sec = sections.get("psi", {})
-    try:
+    with _translated("[psi]"):
         psi = PsiConfig(n_steps=_get(psi_sec, "n_steps", int, 4))
-        ref_re = _get(psi_sec, "reference_re", float, None)
-        ref_im = _get(psi_sec, "reference_im", float, None)
+        ref_re = _get(psi_sec, "reference_re", _float, None)
+        ref_im = _get(psi_sec, "reference_im", _float, None)
         if ref_re is not None or ref_im is not None:
             psi = PsiConfig(n_steps=psi.n_steps,
                             reference_override=complex(ref_re or 0.0, ref_im or 0.0))
-    except PdisimError as exc:
-        raise ConfigError(f"invalid [psi]: {exc}") from exc
-    illumination = _get(psi_sec, "illumination", float, 3.0)
+    illumination = _get(psi_sec, "illumination", _float, 3.0)
     if illumination < 0:
         _fail(psi_sec, "illumination", "illumination must be >= 0")
 
     noise_sec = sections.get("noise", {})
-    try:
+    with _translated("[noise]"):
         nsamp = _get(noise_sec, "nsamp", int, None)
-        sigma = _get(noise_sec, "readout_sigma", float, None)
+        sigma = _get(noise_sec, "readout_sigma", _float, None)
         if sigma is None and nsamp is None:
             sigma = 0.2
         noise = NoiseParams(
@@ -232,26 +260,21 @@ def parse_config(text: str) -> RunConfig:
             quantize=_get(noise_sec, "quantize", _bool, False),
             seed=_get(noise_sec, "seed", int, 0),
         )
-    except PdisimError as exc:
-        raise ConfigError(f"invalid [noise]: {exc}") from exc
 
     sweep_sec = sections.get("sweep", {})
     default_illums = (1.9, 4.0, 12.7) if scene_type == "lens" else (1.7, 3.0, 11.3)
-    try:
+    # The converters check each key on its own, so all SweepGrid has left
+    # to reject is sigmas that disagree with nsamps.
+    with _translated("[sweep]", sweep_sec, "sigmas"):
         sweep = SweepGrid(
             illuminations=_get(sweep_sec, "illuminations",
                                _nonnegative_float_list, default_illums),
-            sigmas=_get(sweep_sec, "sigmas", _nonnegative_float_list,
-                        (3.0, 1.0, 0.5, 0.2)),
-            nsamps=_get(sweep_sec, "nsamps", _int_list, None),
-            n_bins=_get(sweep_sec, "n_bins", _int_list, (1, 2, 4, 8)),
-            repetitions=_get(sweep_sec, "repetitions", int, 2000),
+            sigmas=_get(sweep_sec, "sigmas", _nonnegative_float_list, None),
+            nsamps=_get(sweep_sec, "nsamps", _positive_int_list, None),
+            n_bins=_get(sweep_sec, "n_bins", _positive_int_list, (1, 2, 4, 8)),
+            repetitions=_get(sweep_sec, "repetitions", _positive_int, 2000),
         )
-    except ConfigError:
-        raise
-    except PdisimError as exc:
-        raise ConfigError(f"invalid [sweep]: {exc}") from exc
-    reference_illumination = _get(sweep_sec, "reference_illumination", float, 500.0)
+    reference_illumination = _get(sweep_sec, "reference_illumination", _float, 500.0)
     if reference_illumination < max(sweep.illuminations):
         _fail(sweep_sec, "reference_illumination",
               "reference illumination must be at least the largest sweep illumination")

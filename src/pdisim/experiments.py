@@ -11,6 +11,7 @@ of worker count or scheduling order.
 """
 
 import concurrent.futures
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -73,23 +74,36 @@ class SweepGrid:
     """Cartesian sweep over illumination, readout noise and binning.
 
     Noise may be given as sigmas (e-) or as Skipper sample counts (nsamps);
-    nsamps are converted through sigma_from_nsamp.
+    nsamps are converted through sigma_from_nsamp. Giving both is rejected
+    unless they agree, as in NoiseParams. Without either, the sigmas are
+    3.0, 1.0, 0.5 and 0.2 e-.
     """
 
     illuminations: tuple[float, ...] = (1.7, 3.0, 11.3)
-    sigmas: tuple[float, ...] | None = (3.0, 1.0, 0.5, 0.2)
+    sigmas: tuple[float, ...] | None = None
     nsamps: tuple[int, ...] | None = None
     n_bins: tuple[int, ...] = (1, 2, 4, 8)
     repetitions: int = 2000
 
     def __post_init__(self):
+        sigmas = self.sigmas
         if self.nsamps is not None:
-            sigmas = tuple(sigma_from_nsamp(n) for n in self.nsamps)
-            object.__setattr__(self, "sigmas", sigmas)
+            derived = tuple(sigma_from_nsamp(n) for n in self.nsamps)
+            if sigmas is not None and (
+                    len(sigmas) != len(derived)
+                    or any(abs(a - b) > 1e-12 for a, b in zip(sigmas, derived))):
+                raise DomainError(f"sigmas={sigmas} inconsistent with "
+                                  f"nsamps={self.nsamps} (imply {derived})")
+            sigmas = derived
+        elif sigmas is None:
+            sigmas = (3.0, 1.0, 0.5, 0.2)
+        object.__setattr__(self, "sigmas", sigmas)
         if not self.illuminations or not self.sigmas or not self.n_bins:
             raise DomainError("sweep grid lists must be non-empty")
         if not all(v >= 0 for v in self.illuminations + self.sigmas):
             raise DomainError("illuminations and sigmas must be >= 0")
+        if not all(n >= 1 for n in self.n_bins):
+            raise DomainError("n_bins must be >= 1")
         if self.repetitions < 1:
             raise DomainError("repetitions must be >= 1")
 
@@ -135,7 +149,8 @@ class ContinuousCase:
     phase_map: np.ndarray
 
 
-def _qudit_cell(task):
+def _qudit_cell(cell_index, illumination, sigma, n_bin, *, seed, slit_values,
+                reference, psi, target, repetitions, quantize):
     """Monte-Carlo fidelity of one sweep cell.
 
     Per repetition: draw a noisy realization of the slit-pixel frames,
@@ -144,9 +159,6 @@ def _qudit_cell(task):
     is exact: the inversion is per pixel and only slit pixels are ever
     sampled.
     """
-    (cell_index, seed, slit_values, reference, psi, target,
-     illumination, sigma, n_bin, repetitions, quantize) = task
-
     d, n_px = slit_values.shape
     if n_bin > n_px:
         raise DomainError(f"n_bin={n_bin} exceeds {n_px} pixels per slit")
@@ -176,69 +188,47 @@ def _qudit_cell(task):
     )
 
 
-def _run_cell(task):
+def _run_cell(*cell, **sweep):
     try:
-        return _qudit_cell(task), None
+        return _qudit_cell(*cell, **sweep), None
     except (PdisimError, ValueError) as exc:
         return None, str(exc)
-
-
-def _map_tasks(fn, tasks, jobs):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
                    jobs: int = 1, quantize: bool = False,
                    psi: PsiConfig = PsiConfig()) -> list[CellResult]:
-    """Run the full sweep; failed cells are recorded, not fatal."""
+    """Run the full sweep on `jobs` threads; failed cells are recorded, not
+    fatal.
+
+    numpy's random draws and ufuncs release the GIL, so threads run cells
+    in parallel. Any other exception, or an interrupt, cancels the cells
+    still queued and propagates.
+    """
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     fld = scene.field()
-    slit_values = fld.values[scene.layout.slit_pixels(scene.grid)]
-    reference = psi.reference_for(fld)
+    # bound per call, not at import, so that a wrapper put on
+    # experiments._run_cell (perfbench's tracer) is the one that runs
+    run = functools.partial(
+        _run_cell, seed=seed,
+        slit_values=fld.values[scene.layout.slit_pixels(scene.grid)],
+        reference=psi.reference_for(fld), psi=psi, target=scene.state,
+        repetitions=grid.repetitions, quantize=quantize)
     cells = list(grid.cells())
-    tasks = [
-        (index, seed, slit_values, reference, psi, scene.state,
-         illum, sigma, n_bin, grid.repetitions, quantize)
-        for index, (illum, sigma, _nsamp, n_bin) in enumerate(cells)
-    ]
-    outcomes = _map_tasks(_run_cell, tasks, jobs)
+    illums, sigmas, _nsamps, n_bins = zip(*cells)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        try:
+            outcomes = list(pool.map(run, range(len(cells)), illums, sigmas,
+                                     n_bins))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return [
         CellResult(illumination=illum, sigma=sigma, nsamp=nsamp, n_bin=n_bin,
                    stats=stats, error=error)
         for (illum, sigma, nsamp, n_bin), (stats, error) in zip(cells, outcomes)
     ]
-
-
-@dataclass(frozen=True)
-class FidelityMap:
-    """Mean-fidelity matrix over (illumination, sigma)."""
-
-    illuminations: tuple[float, ...]
-    sigmas: tuple[float, ...]
-    mean: np.ndarray
-    stderr: np.ndarray
-
-
-def fidelity_map(scene: QuditScene, illuminations, sigmas, repetitions: int,
-                 seed: int = 0, n_bin: int = 1, jobs: int = 1,
-                 quantize: bool = False,
-                 psi: PsiConfig = PsiConfig()) -> FidelityMap:
-    """2D mean-fidelity map, each cell averaged over `repetitions` pipelines."""
-    grid = SweepGrid(illuminations=tuple(illuminations), sigmas=tuple(sigmas),
-                     n_bins=(n_bin,), repetitions=repetitions)
-    results = fidelity_sweep(scene, grid, seed=seed, jobs=jobs,
-                             quantize=quantize, psi=psi)
-    shape = (len(grid.illuminations), len(grid.sigmas))
-    mean = np.full(shape, np.nan)
-    stderr = np.full(shape, np.nan)
-    for idx, cell in enumerate(results):
-        i, j = divmod(idx, shape[1])
-        if cell.stats is not None:
-            mean[i, j] = cell.stats.mean
-            stderr[i, j] = cell.stats.stderr
-    return FidelityMap(grid.illuminations, grid.sigmas, mean, stderr)
 
 
 def _reconstruct_noisy(fld: ComplexField, region, psi, illumination, sigma,

@@ -59,7 +59,7 @@ class NoiseParams:
             sigma = derived
         elif sigma is None:
             sigma = 0.0
-        if sigma < 0:
+        if not sigma >= 0:
             raise DomainError(f"readout_sigma must be >= 0, got {sigma}")
         object.__setattr__(self, "readout_sigma", float(sigma))
 
@@ -71,6 +71,8 @@ def sample_noise(frames: np.ndarray, sigma: float, rng: np.random.Generator,
     Each value lambda is replaced by Poisson(lambda) + Normal(0, sigma^2),
     optionally rounded to integer electrons.
     """
+    if not 0 <= sigma < np.inf:
+        raise DomainError(f"readout sigma must be finite and >= 0, got {sigma}")
     frames = np.asarray(frames, dtype=float)
     if np.any(frames < 0):
         raise DomainError("Poisson rates must be non-negative")

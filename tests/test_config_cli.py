@@ -267,15 +267,100 @@ def test_unused_sweep_keys_rejected(tmp_path, key):
                  "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
 
-@pytest.mark.parametrize("key", ["illuminations", "sigmas"])
-def test_negative_sweep_values_rejected(tmp_path, key):
-    text = MINIMAL + f"[sweep]\n{key} = -1.0,3.0\n"
+@pytest.mark.parametrize("key, values", [
+    pytest.param("illuminations", "-1.0,3.0", id="illuminations"),
+    pytest.param("sigmas", "-1.0,3.0", id="sigmas"),
+    pytest.param("n_bins", "0", id="n_bins-0"),
+    pytest.param("n_bins", "-3", id="n_bins-negative"),
+    pytest.param("sigmas", "0.2,0.5\nnsamps = 9", id="sigmas-with-nsamps"),
+])
+def test_negative_sweep_values_rejected(tmp_path, key, values):
+    text = MINIMAL + f"[sweep]\n{key} = {values}\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert (err.value.key, err.value.line) == (key, 4)
     cfg = write_cfg(tmp_path, text)
     assert main(["qudit-experiment", "--config", cfg,
                  "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
+def test_sweep_nsamps_with_matching_sigmas_accepted():
+    cfg = parse_config(MINIMAL + "[sweep]\nnsamps = 1,9\n")
+    assert cfg.sweep.sigmas == (3.0, 1.0)
+    assert parse_config(serialize_config(cfg)).sweep == cfg.sweep
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("psi", "n_steps", "abc"),
+    ("noise", "seed", "x"),
+])
+def test_psi_and_noise_value_errors_keep_key_and_line(section, key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"[{section}]\n{key} = {value}\n")
+    assert (err.value.key, err.value.line) == (key, 4)
+
+
+@pytest.mark.parametrize("text, key", [
+    pytest.param(MINIMAL + "[noise]\nreadout_sigma = nan\n", "readout_sigma",
+                 id="readout_sigma"),
+    pytest.param(MINIMAL + "[psi]\nillumination = inf\n", "illumination",
+                 id="illumination"),
+    pytest.param(MINIMAL + "[sweep]\nilluminations = 3.0,inf\n",
+                 "illuminations", id="illuminations"),
+    pytest.param("[scene]\ntype = lens\n[sweep]\nreference_illumination = nan\n",
+                 "reference_illumination", id="reference_illumination"),
+    pytest.param(MINIMAL + "background_amplitude = -inf\n",
+                 "background_amplitude", id="background_amplitude"),
+])
+def test_non_finite_numbers_rejected(tmp_path, text, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key == key
+    assert err.value.line == text.count("\n")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    cfg = write_cfg(tmp_path, MINIMAL + SMALL_SWEEP)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["qudit-experiment", "--config", cfg, "--out", str(out),
+                 "--jobs", jobs, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--jobs" in err
+    assert not out.exists()
+
+
+def test_sweep_map_matches_qudit_experiment(tmp_path):
+    text = MINIMAL + ("[sweep]\nilluminations = 1.7,3.0,11.3\n"
+                      "sigmas = 3.0,0.2\nn_bins = 1\nrepetitions = 40\n")
+    sweep = cli_output(tmp_path, "qudit-experiment", text, "sweep",
+                       "fidelity.csv").decode().splitlines()
+    fmap = cli_output(tmp_path, "sweep-map", text, "map",
+                      "fidelity_map.csv").decode().splitlines()
+    assert len(fmap) == len(sweep) == 1 + 3 * 2
+    for s_row, m_row in zip(sweep[1:], fmap[1:]):
+        illum, noise, n_bin, mean, _std, stderr = s_row.split(",")
+        assert n_bin == "1"
+        assert m_row.split(",") == [illum, noise, mean, stderr]
+
+
+def test_phmap_scene_reads_its_files_once(tmp_path, monkeypatch):
+    phase, amplitude = tmp_path / "p.phmap", tmp_path / "a.ammap"
+    pio.write_phase_map(phase, np.zeros((8, 8)))
+    pio.write_amplitude_map(amplitude, np.ones((8, 8)))
+    reads = []
+    read_map = pio.read_map
+    monkeypatch.setattr(pio, "read_map",
+                        lambda *args: reads.append(args) or read_map(*args))
+    scene = PhmapScene(str(phase), str(amplitude))
+    for _ in range(3):
+        scene.field()
+        scene.region()
+    assert len(reads) == 2
 
 
 def assert_one_line_error(capsys, *fragments):

@@ -1,11 +1,16 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from pdisim import (BinningPolicy, DomainError, LensScene, NoiseParams,
                     PsiConfig, QuditScene, SweepGrid, apply_noise,
                     continuous_experiment, extract_phase, extract_state,
-                    fidelity, fidelity_map, fidelity_sweep, phase_error_stats,
+                    fidelity, fidelity_sweep, phase_error_stats,
                     rng_stream, simulate_interferograms)
+from pdisim import experiments
 
 SCENE = QuditScene()
 
@@ -19,11 +24,18 @@ def test_sweep_grid_validation():
         SweepGrid(illuminations=(-1.0, 3.0))
     with pytest.raises(DomainError):
         SweepGrid(sigmas=(0.2, -0.5))
+    with pytest.raises(DomainError):
+        SweepGrid(n_bins=(1, 0))
+    with pytest.raises(DomainError):
+        SweepGrid(n_bins=(-3,))
+    with pytest.raises(DomainError):
+        SweepGrid(sigmas=(0.2, 0.5), nsamps=(9,))
 
 
 def test_sweep_grid_nsamp_conversion():
     grid = SweepGrid(nsamps=(1, 144))
     assert grid.sigmas == pytest.approx((3.0, 0.25))
+    assert SweepGrid(sigmas=grid.sigmas, nsamps=(1, 144)) == grid
 
 
 def test_sweep_cell_count_and_order():
@@ -83,20 +95,74 @@ def test_sweep_failed_cell_is_recorded_not_fatal():
     assert "n_bin" in bad.error
 
 
+def test_sweep_rejects_fewer_than_one_job():
+    grid = SweepGrid(illuminations=(3.0,), sigmas=(0.2,), n_bins=(1,),
+                     repetitions=1)
+    for jobs in (0, -3):
+        with pytest.raises(DomainError):
+            fidelity_sweep(SCENE, grid, jobs=jobs)
+
+
+def test_sweep_threads_under_fast_switching_match_serial():
+    # 8 threads on a small grid, with the interpreter switching threads as
+    # often as it can: cells must not interfere through shared state.
+    grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=(0.2, 3.0),
+                     n_bins=(1, 4), repetitions=300)
+    serial = fidelity_sweep(SCENE, grid, seed=5, jobs=1)
+    threaded = []
+    sweep = threading.Thread(
+        target=lambda: threaded.append(fidelity_sweep(SCENE, grid, seed=5, jobs=8)),
+        daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sweep.start()
+        sweep.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not sweep.is_alive()
+    assert threaded == [serial]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
+def test_uncaught_cell_error_cancels_queued_cells(monkeypatch, exc_type, jobs):
+    started = []
+
+    def cell(cell_index, *args, **kwargs):
+        started.append(cell_index)
+        if cell_index == 0:
+            raise exc_type("stop")
+        time.sleep(0.2)  # time for the sweep to cancel the queue
+
+    monkeypatch.setattr(experiments, "_qudit_cell", cell)
+    grid = SweepGrid(illuminations=(1.0, 2.0, 3.0, 4.0), sigmas=(0.2, 0.5),
+                     n_bins=(1, 2), repetitions=1)
+    with pytest.raises(exc_type):
+        fidelity_sweep(SCENE, grid, jobs=jobs)
+    # cell 0, the cells running beside it, and at most one cell that its
+    # worker took up before the cancel; none of the 16 queued after them
+    assert started[0] == 0 and len(started) <= 1 + jobs
+
+
 def test_fidelity_map_shape_and_corner():
-    fmap = fidelity_map(SCENE, (1.7, 3.0, 11.3), (3.0, 0.5, 0.2),
-                        repetitions=300, seed=2)
-    assert fmap.mean.shape == (3, 3)
-    best = fmap.mean[-1, -1]  # highest illumination, lowest sigma
-    margin = 2 * fmap.stderr
-    assert np.all(best >= fmap.mean[-1, :] - margin[-1, :])
-    assert np.all(best >= fmap.mean[:, -1] - margin[:, -1])
+    grid = SweepGrid(illuminations=(1.7, 3.0, 11.3), sigmas=(3.0, 0.5, 0.2),
+                     n_bins=(1,), repetitions=300)
+    cells = fidelity_sweep(SCENE, grid, seed=2)
+    mean = np.array([c.stats.mean for c in cells]).reshape(3, 3)
+    stderr = np.array([c.stats.stderr for c in cells]).reshape(3, 3)
+    best = mean[-1, -1]  # highest illumination, lowest sigma
+    margin = 2 * stderr
+    assert np.all(best >= mean[-1, :] - margin[-1, :])
+    assert np.all(best >= mean[:, -1] - margin[:, -1])
 
 
 def test_fidelity_map_reproducible():
-    a = fidelity_map(SCENE, (3.0,), (0.2,), repetitions=1, seed=7)
-    b = fidelity_map(SCENE, (3.0,), (0.2,), repetitions=1, seed=7)
-    assert np.array_equal(a.mean, b.mean)
+    grid = SweepGrid(illuminations=(3.0,), sigmas=(0.2,), n_bins=(1,),
+                     repetitions=1)
+    a = fidelity_sweep(SCENE, grid, seed=7)
+    b = fidelity_sweep(SCENE, grid, seed=7)
+    assert a == b
 
 
 def test_phase_error_stats_counts_and_range():

@@ -55,6 +55,12 @@ def test_negative_rate_rejected():
         sample_noise(bad, 0.0, rng_stream(0))
 
 
+@pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
+def test_bad_readout_sigma_rejected(sigma):
+    with pytest.raises(DomainError):
+        sample_noise(np.full(4, 3.0), sigma, rng_stream(0))
+
+
 def test_poisson_moments_lambda_3():
     rng = rng_stream(42)
     draws = sample_noise(np.full(10**6, 3.0), 0.0, rng)
