@@ -216,11 +216,15 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
         reference=psi.reference_for(fld), psi=psi, target=scene.state,
         repetitions=grid.repetitions, quantize=quantize)
     cells = list(grid.cells())
-    illums, sigmas, _nsamps, n_bins = zip(*cells)
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         try:
-            outcomes = list(pool.map(run, range(len(cells)), illums, sigmas,
-                                     n_bins))
+            futures = [pool.submit(run, index, illum, sigma, n_bin)
+                       for index, (illum, sigma, _, n_bin) in enumerate(cells)]
+            # one wake-up per sweep, not one per cell taking the GIL from a
+            # worker; cells start in order, so a failed one is reached below
+            concurrent.futures.wait(
+                futures, return_when=concurrent.futures.FIRST_EXCEPTION)
+            outcomes = [f.result() for f in futures]
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdisim import ConfigError, LensScene, QuditScene, parse_config
-from pdisim import io as pio
+from pdisim import cli, io as pio
 from pdisim.cli import main
 from pdisim.config import PhmapScene, serialize_config
 
@@ -332,6 +332,23 @@ def test_cli_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--jobs" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("libc", [OSError("no C library"), object()],
+                         ids=["no-library", "no-mallopt"])
+def test_cli_runs_without_mallopt(tmp_path, monkeypatch, libc):
+    text = MINIMAL + SMALL_SWEEP
+    expected = cli_output(tmp_path, "qudit-experiment", text, "with",
+                          "fidelity.csv")
+
+    def cdll(_name):
+        if isinstance(libc, Exception):
+            raise libc
+        return libc
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli_output(tmp_path, "qudit-experiment", text, "without",
+                      "fidelity.csv") == expected
 
 
 def test_sweep_map_matches_qudit_experiment(tmp_path):
