@@ -8,6 +8,7 @@ stderr. Exit codes: 0 success, 2 config error, 1 runtime failure.
 import argparse
 import ctypes
 import dataclasses
+import functools
 import os
 import sys
 
@@ -44,6 +45,8 @@ def _load_config(args) -> RunConfig:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = dataclasses.replace(
             cfg, noise=dataclasses.replace(cfg.noise, seed=args.seed)
         )
@@ -108,59 +111,32 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _require_qudit(cfg):
+def cmd_sweep(args, subcommand: str, csv_name: str) -> int:
+    """Sweep the configured grid into `csv_name`, one row per cell; a failed
+    cell is a row of NaNs."""
+    cfg = _load_config(args)
     if not isinstance(cfg.scene, QuditScene):
         raise ConfigError("this subcommand requires a qudit scene")
-
-
-def _run_sweep(args, cfg, grid):
-    """Sweep `grid`; yields each cell with its (mean, std, stderr), NaN when
-    the cell failed."""
-    results = fidelity_sweep(cfg.scene, grid, seed=cfg.noise.seed,
-                             jobs=args.jobs, quantize=cfg.noise.quantize,
-                             psi=cfg.psi)
-    for cell in results:
+    outdir = cfg.output_directory
+    _write_run_manifest(outdir, cfg, subcommand)
+    rows = []
+    for cell in fidelity_sweep(cfg.scene, cfg.sweep, seed=cfg.noise.seed,
+                               jobs=args.jobs, quantize=cfg.noise.quantize,
+                               psi=cfg.psi):
         if cell.stats is None:
             _progress(args, f"cell failed: {cell.error}")
-            yield cell, (float("nan"),) * 3
+            stats = (float("nan"),) * 3
         else:
-            yield cell, (cell.stats.mean, cell.stats.std, cell.stats.stderr)
-
-
-def cmd_qudit_experiment(args) -> int:
-    cfg = _load_config(args)
-    _require_qudit(cfg)
-    outdir = cfg.output_directory
-    _write_run_manifest(outdir, cfg, "qudit-experiment")
-    rows = [
-        (cell.illumination, cell.nsamp if cell.nsamp is not None else cell.sigma,
-         cell.n_bin, *stats)
-        for cell, stats in _run_sweep(args, cfg, cfg.sweep)
-    ]
+            stats = (cell.stats.mean, cell.stats.std, cell.stats.stderr)
+        noise = cell.nsamp if cell.nsamp is not None else cell.sigma
+        rows.append((cell.illumination, noise, cell.n_bin, *stats))
     pio.write_csv(
-        os.path.join(outdir, "fidelity.csv"),
+        os.path.join(outdir, csv_name),
         ["illumination", "readout_sigma_or_nsamp", "n_bin",
          "mean_fidelity", "std", "stderr"],
         rows,
     )
     _progress(args, f"wrote {len(rows)} cells")
-    return 0
-
-
-def cmd_sweep_map(args) -> int:
-    cfg = _load_config(args)
-    _require_qudit(cfg)
-    outdir = cfg.output_directory
-    _write_run_manifest(outdir, cfg, "sweep-map")
-    grid = dataclasses.replace(cfg.sweep, n_bins=cfg.sweep.n_bins[:1])
-    rows = [(cell.illumination, cell.sigma, mean, stderr)
-            for cell, (mean, _std, stderr) in _run_sweep(args, cfg, grid)]
-    pio.write_csv(
-        os.path.join(outdir, "fidelity_map.csv"),
-        ["illumination", "readout_sigma_or_nsamp", "mean_fidelity", "stderr"],
-        rows,
-    )
-    _progress(args, f"wrote {len(rows)} map cells")
     return 0
 
 
@@ -170,9 +146,8 @@ def cmd_continuous(args) -> int:
         raise ConfigError("continuous-experiment requires a lens scene")
     outdir = cfg.output_directory
     _write_run_manifest(outdir, cfg, "continuous-experiment")
-    sigma_pair = (max(cfg.sweep.sigmas), min(cfg.sweep.sigmas))
     ref_phase, cases = continuous_experiment(
-        cfg.scene, cfg.sweep.illuminations, sigma_pair=sigma_pair,
+        cfg.scene, cfg.sweep.illuminations, sigmas=cfg.sweep.sigmas,
         reference_illumination=cfg.reference_illumination,
         seed=cfg.noise.seed, quantize=cfg.noise.quantize, psi=cfg.psi,
     )
@@ -230,15 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("qudit-experiment",
-                       help="fidelity sweep over the configured grid")
-    common(p)
-    p.set_defaults(func=cmd_qudit_experiment)
-
-    p = sub.add_parser("sweep-map",
-                       help="2D mean-fidelity map over illumination x noise")
-    common(p)
-    p.set_defaults(func=cmd_sweep_map)
+    for name, csv_name, help_text in (
+            ("qudit-experiment", "fidelity.csv",
+             "fidelity sweep over the configured grid"),
+            ("sweep-map", "fidelity_map.csv",
+             "the same sweep, written as fidelity_map.csv")):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.set_defaults(func=functools.partial(cmd_sweep, subcommand=name,
+                                              csv_name=csv_name))
 
     p = sub.add_parser("continuous-experiment",
                        help="lens-phase error statistics vs a high-flux reference")

@@ -23,13 +23,19 @@ from .field import (ComplexField, GridSpec, QuditState, SlitLayout,
 from .forward import PsiConfig
 from .sensor import NoiseParams
 
-_SECTIONS = {
-    "scene": {
-        "type", "d", "slit_width_px", "slit_gap_px", "slit_length_px",
-        "grid_width", "grid_height", "background_amplitude",
-        "background_phase", "state_step", "curvature", "amplitude",
-        "phase_map", "amplitude_map",
+#: The [scene] keys each scene type reads, besides `type`.
+_SCENE_KEYS = {
+    "eq6_qudit": {
+        "d", "slit_width_px", "slit_gap_px", "slit_length_px", "grid_width",
+        "grid_height", "background_amplitude", "background_phase",
+        "state_step",
     },
+    "lens": {"grid_width", "grid_height", "curvature", "amplitude"},
+    "phmap": {"phase_map", "amplitude_map"},
+}
+
+_SECTIONS = {
+    "scene": {"type"}.union(*_SCENE_KEYS.values()),
     "psi": {"n_steps", "illumination", "reference_re", "reference_im"},
     "noise": {"readout_sigma", "nsamp", "quantize", "seed"},
     "sweep": {
@@ -39,7 +45,7 @@ _SECTIONS = {
     "output": {"directory"},
 }
 
-_SCENE_TYPES = ("eq6_qudit", "lens", "phmap")
+_SCENE_TYPES = tuple(_SCENE_KEYS)
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,6 @@ class PhmapScene:
 class RunConfig:
     """Fully resolved run settings."""
 
-    scene_type: str
     scene: object
     psi: PsiConfig
     illumination: float
@@ -144,11 +149,22 @@ def _float(text):
     return value
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be >= 1")
-    return value
+def _int_at_least(minimum):
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _existing_path(text):
+    if not os.path.exists(text):
+        raise ValueError("file not found")
+    return text
 
 
 def _list_of(convert, minimum):
@@ -190,51 +206,58 @@ def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a config; every default is resolved."""
     sections = _tokenize(text)
     scene_sec = sections.get("scene", {})
-    scene_type = _get(scene_sec, "type", str, "eq6_qudit")
-    if scene_type not in _SCENE_TYPES:
+    kind = _get(scene_sec, "type", str, "eq6_qudit")
+    if kind not in _SCENE_TYPES:
         _fail(scene_sec, "type", f"scene type must be one of {_SCENE_TYPES}")
+    for key in scene_sec:
+        if key != "type" and key not in _SCENE_KEYS[kind]:
+            _fail(scene_sec, key, f"not a key of scene type {kind}")
 
     grid = GridSpec(
-        width=_get(scene_sec, "grid_width", int, 128),
-        height=_get(scene_sec, "grid_height", int, 128),
+        width=_get(scene_sec, "grid_width", _positive_int, 128),
+        height=_get(scene_sec, "grid_height", _positive_int, 128),
     )
     pixels_per_slit = None
-    with _translated("scene"):
-        if scene_type == "eq6_qudit":
+    if kind == "eq6_qudit":
+        # the converters check each key on its own; SlitLayout has left to
+        # reject a slit shorter than it is wide
+        with _translated("slit layout", scene_sec, "slit_length_px"):
             layout = SlitLayout(
-                d=_get(scene_sec, "d", int, 6),
-                slit_width_px=_get(scene_sec, "slit_width_px", int, 10),
-                slit_gap_px=_get(scene_sec, "slit_gap_px", int, 4),
-                slit_length_px=_get(scene_sec, "slit_length_px", int, 10),
+                d=_get(scene_sec, "d", _positive_int, 6),
+                slit_width_px=_get(scene_sec, "slit_width_px", _positive_int, 10),
+                slit_gap_px=_get(scene_sec, "slit_gap_px", _int_at_least(0), 4),
+                slit_length_px=_get(scene_sec, "slit_length_px", _positive_int, 10),
             )
-            layout.slit_indices(grid)  # bounds check up front
-            step = _get(scene_sec, "state_step", _float, 2.0 * np.pi / 5.0)
-            state = QuditState.from_coeffs(np.exp(1j * step * np.arange(layout.d)))
-            scene = QuditScene(
-                grid=grid,
-                layout=layout,
-                state=state,
-                background_amplitude=_get(scene_sec, "background_amplitude",
-                                          _float, 1.0),
-                background_phase=_get(scene_sec, "background_phase", _float, 0.0),
-            )
-            pixels_per_slit = layout.pixels_per_slit
-        elif scene_type == "lens":
-            scene = LensScene(
-                grid=grid,
-                curvature=_get(scene_sec, "curvature", _float, np.pi / 2048.0),
-                amplitude=_get(scene_sec, "amplitude", _float, 1.0),
-            )
-        else:
-            phase_path = _get(scene_sec, "phase_map", str, None)
-            if phase_path is None:
-                _fail(scene_sec, "type", "phmap scene requires a phase_map path")
-            if not os.path.exists(phase_path):
-                _fail(scene_sec, "phase_map", f"file not found: {phase_path}")
-            amp_path = _get(scene_sec, "amplitude_map", str, None)
-            if amp_path is not None and not os.path.exists(amp_path):
-                _fail(scene_sec, "amplitude_map", f"file not found: {amp_path}")
-            scene = PhmapScene(phase_path=phase_path, amplitude_path=amp_path)
+        for key, needed, size in (("grid_width", layout.bounding_width, grid.width),
+                                  ("grid_height", layout.slit_length_px, grid.height)):
+            if needed > size:
+                _fail(scene_sec, key, f"the slits need {needed} pixels, the grid "
+                                      f"has {size}")
+        step = _get(scene_sec, "state_step", _float, 2.0 * np.pi / 5.0)
+        state = QuditState.from_coeffs(np.exp(1j * step * np.arange(layout.d)))
+        scene = QuditScene(
+            grid=grid,
+            layout=layout,
+            state=state,
+            background_amplitude=_get(scene_sec, "background_amplitude",
+                                      _float, 1.0),
+            background_phase=_get(scene_sec, "background_phase", _float, 0.0),
+        )
+        pixels_per_slit = layout.pixels_per_slit
+    elif kind == "lens":
+        scene = LensScene(
+            grid=grid,
+            curvature=_get(scene_sec, "curvature", _float, np.pi / 2048.0),
+            amplitude=_get(scene_sec, "amplitude", _float, 1.0),
+        )
+    else:
+        phase_path = _get(scene_sec, "phase_map", _existing_path, None)
+        if phase_path is None:
+            _fail(scene_sec, "type", "phmap scene requires a phase_map path")
+        scene = PhmapScene(
+            phase_path=phase_path,
+            amplitude_path=_get(scene_sec, "amplitude_map", _existing_path, None),
+        )
 
     psi_sec = sections.get("psi", {})
     with _translated("[psi]"):
@@ -258,18 +281,22 @@ def parse_config(text: str) -> RunConfig:
             readout_sigma=sigma,
             nsamp=nsamp,
             quantize=_get(noise_sec, "quantize", _bool, False),
-            seed=_get(noise_sec, "seed", int, 0),
+            seed=_get(noise_sec, "seed", _int_at_least(0), 0),
         )
 
     sweep_sec = sections.get("sweep", {})
-    default_illums = (1.9, 4.0, 12.7) if scene_type == "lens" else (1.7, 3.0, 11.3)
+    lens = kind == "lens"
+    default_illums = (1.9, 4.0, 12.7) if lens else (1.7, 3.0, 11.3)
+    # continuous-experiment compares the worst and the best readout
+    default_sigmas = (3.0, 0.2) if lens and "nsamps" not in sweep_sec else None
     # The converters check each key on its own, so all SweepGrid has left
     # to reject is sigmas that disagree with nsamps.
     with _translated("[sweep]", sweep_sec, "sigmas"):
         sweep = SweepGrid(
             illuminations=_get(sweep_sec, "illuminations",
                                _nonnegative_float_list, default_illums),
-            sigmas=_get(sweep_sec, "sigmas", _nonnegative_float_list, None),
+            sigmas=_get(sweep_sec, "sigmas", _nonnegative_float_list,
+                        default_sigmas),
             nsamps=_get(sweep_sec, "nsamps", _positive_int_list, None),
             n_bins=_get(sweep_sec, "n_bins", _positive_int_list, (1, 2, 4, 8)),
             repetitions=_get(sweep_sec, "repetitions", _positive_int, 2000),
@@ -288,7 +315,6 @@ def parse_config(text: str) -> RunConfig:
     outdir = _get(output_sec, "directory", str, None)
 
     return RunConfig(
-        scene_type=scene_type,
         scene=scene,
         psi=psi,
         illumination=illumination,
@@ -303,8 +329,10 @@ def parse_config(text: str) -> RunConfig:
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(parse(x))) == parse(x)."""
     f = pio.fmt_float
-    lines = ["[scene]", f"type = {cfg.scene_type}"]
-    if cfg.scene_type == "eq6_qudit":
+    kind = {QuditScene: "eq6_qudit", LensScene: "lens",
+            PhmapScene: "phmap"}[type(cfg.scene)]
+    lines = ["[scene]", f"type = {kind}"]
+    if kind == "eq6_qudit":
         layout = cfg.scene.layout
         step = float(np.angle(cfg.scene.state.coeffs[1] /
                               cfg.scene.state.coeffs[0])) if layout.d > 1 else 0.0
@@ -321,7 +349,7 @@ def serialize_config(cfg: RunConfig) -> str:
             f"background_phase = {f(cfg.scene.background_phase)}",
             f"state_step = {f(step)}",
         ]
-    elif cfg.scene_type == "lens":
+    elif kind == "lens":
         lines += [
             f"curvature = {f(cfg.scene.curvature)}",
             f"amplitude = {f(cfg.scene.amplitude)}",

@@ -1,9 +1,8 @@
 """Monte-Carlo sweep engine.
 
 Covers the standard studies: mean reconstruction fidelity of the slit
-qudit versus readout noise, illumination and pixel binning; a 2D fidelity map
-over (illumination x readout noise); and continuous-phase error statistics of
-a lens wavefront against a high-flux reference.
+qudit over illumination x readout noise x pixel binning, and continuous-phase
+error statistics of a lens wavefront against a high-flux reference.
 
 Every cell of a sweep is an independent task fed by its own random stream
 (seed, cell index), so results are bit-identical for a fixed seed regardless
@@ -33,6 +32,9 @@ _CHUNK = 256
 #: Readout noise used when building the high-flux reference map.
 _REFERENCE_SIGMA = 0.2
 
+#: Histogram bins of the per-pixel phase error over [-pi, pi].
+_HIST_BINS = 64
+
 
 @dataclass(frozen=True)
 class QuditScene:
@@ -59,11 +61,10 @@ class LensScene:
     grid: GridSpec = GridSpec(128, 128)
     curvature: float = np.pi / 2048.0
     amplitude: float = 1.0
-    center: tuple[float, float] | None = None
 
     def field(self) -> ComplexField:
-        return make_lens_phase(self.grid, self.curvature, self.center,
-                               self.amplitude)
+        return make_lens_phase(self.grid, self.curvature,
+                               amplitude=self.amplitude)
 
     def region(self) -> np.ndarray:
         return np.ones(self.grid.shape, dtype=bool)
@@ -144,7 +145,6 @@ class ContinuousCase:
 
     illumination: float
     sigma: float
-    nsamp: int | None
     stats: PhaseErrorStats
     phase_map: np.ndarray
 
@@ -178,14 +178,7 @@ def _qudit_cell(cell_index, illumination, sigma, n_bin, *, seed, slit_values,
         order = np.argsort(rng.random((m, d, n_px)), axis=-1)[..., :n_bin]
         sampled = np.take_along_axis(phase, order, axis=-1)
         fids[start:start + m] = sample_fidelity(target, sampled)
-    std = float(fids.std(ddof=1)) if repetitions > 1 else 0.0
-    return FidelityStats(
-        mean=float(fids.mean()),
-        std=std,
-        stderr=std / float(np.sqrt(repetitions)),
-        n_states_per_run=1,
-        n_runs=repetitions,
-    )
+    return FidelityStats.from_runs(fids, n_states_per_run=1)
 
 
 def _run_cell(*cell, **sweep):
@@ -244,8 +237,7 @@ def _reconstruct_noisy(fld: ComplexField, region, psi, illumination, sigma,
 
 
 def phase_error_stats(phase: np.ndarray, reference_phase: np.ndarray,
-                      support: np.ndarray | None = None,
-                      n_bins: int = 64) -> PhaseErrorStats:
+                      support: np.ndarray | None = None) -> PhaseErrorStats:
     """Histogram + circular std of the wrapped per-pixel phase difference."""
     if phase.shape != reference_phase.shape:
         raise ShapeError("phase maps differ in shape")
@@ -253,7 +245,7 @@ def phase_error_stats(phase: np.ndarray, reference_phase: np.ndarray,
     if support is not None:
         diff = diff[np.asarray(support, dtype=bool)]
     diff = diff.ravel()
-    edges = np.linspace(-np.pi, np.pi, n_bins + 1)
+    edges = np.linspace(-np.pi, np.pi, _HIST_BINS + 1)
     counts, _ = np.histogram(diff, bins=edges)
     return PhaseErrorStats(
         bin_edges=edges,
@@ -264,17 +256,16 @@ def phase_error_stats(phase: np.ndarray, reference_phase: np.ndarray,
 
 
 def continuous_experiment(scene: LensScene, illuminations,
-                          sigma_pair: tuple[float, float] = (3.0, 0.2),
+                          sigmas=(3.0, 0.2),
                           reference_illumination: float = 500.0,
-                          seed: int = 0, n_hist_bins: int = 64,
-                          quantize: bool = False,
+                          seed: int = 0, quantize: bool = False,
                           psi: PsiConfig = PsiConfig()):
     """Continuous-phase study against a high-flux reference map.
 
     Builds the reference reconstruction at `reference_illumination` (readout
-    noise 0.2 e-), then for each (illumination, sigma) pair records the
-    per-pixel wrapped phase difference. Returns (reference phase map, list of
-    ContinuousCase in deterministic order).
+    noise 0.2 e-), then for each illumination and each of `sigmas` records
+    the per-pixel wrapped phase difference. Returns (reference phase map,
+    list of ContinuousCase, illumination-major).
     """
     illuminations = tuple(illuminations)
     if reference_illumination < max(illuminations):
@@ -289,14 +280,13 @@ def continuous_experiment(scene: LensScene, illuminations,
     cases = []
     stream = 1
     for illum in illuminations:
-        for sigma in sigma_pair:
+        for sigma in sigmas:
             result = _reconstruct_noisy(fld, region, psi, illum, sigma,
                                         rng_stream(seed, stream),
                                         quantize=quantize)
             stream += 1
             stats = phase_error_stats(result.phase, ref_result.phase,
-                                      support=support, n_bins=n_hist_bins)
+                                      support=support)
             cases.append(ContinuousCase(illumination=illum, sigma=sigma,
-                                        nsamp=None, stats=stats,
-                                        phase_map=result.phase))
+                                        stats=stats, phase_map=result.phase))
     return ref_result.phase, cases

@@ -70,14 +70,13 @@ class SlitLayout:
     """Geometry of d rectangular slits laid out side by side.
 
     Slits are slit_width_px wide (horizontal), slit_length_px tall, separated
-    by slit_gap_px, with the bounding box anchored at `origin` = (col, row).
+    by slit_gap_px, with the bounding box centred on the grid.
     """
 
     d: int
     slit_width_px: int = 10
     slit_gap_px: int = 4
     slit_length_px: int = 10
-    origin: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -97,32 +96,19 @@ class SlitLayout:
     def pixels_per_slit(self):
         return self.slit_width_px * self.slit_length_px
 
-    def anchor(self, grid: GridSpec) -> tuple[int, int]:
-        """Top-left (col, row) of the slit bounding box; centered if unset."""
-        if self.origin is not None:
-            return self.origin
-        return (
-            (grid.width - self.bounding_width) // 2,
-            (grid.height - self.slit_length_px) // 2,
-        )
-
     def slit_pixels(self, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols) indices, shape (d, pixels_per_slit), of every slit;
         validated against the grid."""
-        x0, y0 = self.anchor(grid)
-        if x0 < 0 or y0 < 0 or x0 + self.bounding_width > grid.width \
-                or y0 + self.slit_length_px > grid.height:
+        if self.bounding_width > grid.width or self.slit_length_px > grid.height:
             raise ShapeError(
-                f"slit layout (box {self.bounding_width}x{self.slit_length_px} "
-                f"at {x0},{y0}) exceeds grid {grid.width}x{grid.height}"
+                f"slit layout (box {self.bounding_width}x{self.slit_length_px}) "
+                f"exceeds grid {grid.width}x{grid.height}"
             )
+        x0 = (grid.width - self.bounding_width) // 2
+        y0 = (grid.height - self.slit_length_px) // 2
         rows, cols = np.mgrid[y0:y0 + self.slit_length_px, x0:x0 + self.slit_width_px]
         offsets = (self.slit_width_px + self.slit_gap_px) * np.arange(self.d)[:, None]
         return np.tile(rows.ravel(), (self.d, 1)), cols.ravel() + offsets
-
-    def slit_indices(self, grid: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-slit (rows, cols) index arrays, validated against the grid."""
-        return list(zip(*self.slit_pixels(grid)))
 
     def region_mask(self, grid: GridSpec) -> np.ndarray:
         """Boolean mask of all slit pixels."""

@@ -38,12 +38,18 @@ def read_map(path, kind: str | None = None) -> np.ndarray:
             raise ShapeError(f"{path}: not a PHMAP/AMMAP file")
         if kind is not None and header[0] != kind:
             raise ShapeError(f"{path}: expected {kind}, found {header[0]}")
-        if not (header[1].isdigit() and header[2].isdigit()):
+        try:
+            width, height = int(header[1]), int(header[2])
+        except ValueError:  # not a number, or more digits than int() takes
+            width = height = 0
+        if width < 1 or height < 1:
             raise ShapeError(f"{path}: bad map size {header[1]} x {header[2]}")
-        width, height = int(header[1]), int(header[2])
-        raw = fh.read(4 * width * height)
-        if len(raw) != 4 * width * height:
-            raise ShapeError(f"{path}: truncated map payload")
+        # checked before reading, so a bogus header allocates nothing
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != 4 * width * height:
+            raise ShapeError(f"{path}: header says {width} x {height} float32, "
+                             f"payload has {payload} bytes")
+        raw = fh.read(payload)
         return np.frombuffer(raw, dtype="<f4").astype(float).reshape(height, width)
 
 
@@ -116,6 +122,8 @@ def read_interferogram_set(manifest_path):
         raise ShapeError(
             f"{manifest_path}: manifest lists {len(frames)} frames, n_steps={n_steps}"
         )
+    if any(frame.shape != frames[0].shape for frame in frames):
+        raise ShapeError(f"{manifest_path}: frames differ in shape")
     height, width = frames[0].shape
     return InterferogramSet(
         grid=GridSpec(width=width, height=height),

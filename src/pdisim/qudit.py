@@ -38,6 +38,19 @@ class FidelityStats:
     n_states_per_run: int
     n_runs: int
 
+    @classmethod
+    def from_runs(cls, runs: np.ndarray, n_states_per_run: int) -> "FidelityStats":
+        """Mean, sample std (0 for a single run) and standard error of the
+        per-run fidelities `runs`."""
+        std = float(runs.std(ddof=1)) if runs.size > 1 else 0.0
+        return cls(
+            mean=float(runs.mean()),
+            std=std,
+            stderr=std / float(np.sqrt(runs.size)),
+            n_states_per_run=n_states_per_run,
+            n_runs=runs.size,
+        )
+
 
 def fidelity(target: QuditState, reconstructed: QuditState) -> float:
     """|<target|reconstructed>|, invariant under global phase."""
@@ -124,11 +137,4 @@ def bootstrap_fidelity(result: ReconstructionResult, target: QuditState,
     phases, amps = _slit_samples(result, layout, picks)
     run_means = sample_fidelity(
         target, phases, amps if policy.use_measured_amplitude else None).mean(axis=-1)
-    std = float(run_means.std(ddof=1)) if n_runs > 1 else 0.0
-    return FidelityStats(
-        mean=float(run_means.mean()),
-        std=std,
-        stderr=std / float(np.sqrt(n_runs)),
-        n_states_per_run=n_states,
-        n_runs=n_runs,
-    )
+    return FidelityStats.from_runs(run_means, n_states_per_run=n_states)

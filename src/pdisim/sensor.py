@@ -1,7 +1,7 @@
 """Detector model: Poisson shot noise plus Gaussian readout noise.
 
-Readout noise follows the multi-sample averaging law sigma = sigma1 /
-sqrt(NSAMP) with sigma1 = 3.0 e- by default (single-sample readout). Optional
+Readout noise follows the multi-sample averaging law sigma =
+DEFAULT_SIGMA1 / sqrt(NSAMP), with 3.0 e- at a single sample. Optional
 integer-electron quantization models the photon-counting regime. Randomness
 comes from splittable seeded streams so parallel sweeps are reproducible
 independent of scheduling.
@@ -18,11 +18,11 @@ from .forward import InterferogramSet
 DEFAULT_SIGMA1 = 3.0
 
 
-def sigma_from_nsamp(nsamp: int, sigma1: float = DEFAULT_SIGMA1) -> float:
+def sigma_from_nsamp(nsamp: int) -> float:
     """Readout noise after nsamp non-destructive charge samples."""
     if nsamp < 1:
         raise DomainError(f"nsamp must be >= 1, got {nsamp}")
-    return sigma1 / np.sqrt(nsamp)
+    return DEFAULT_SIGMA1 / np.sqrt(nsamp)
 
 
 def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -38,19 +38,19 @@ class NoiseParams:
     """Sensor noise settings.
 
     Either give readout_sigma directly or set nsamp, in which case sigma is
-    derived as sigma1/sqrt(nsamp). Setting both is rejected unless consistent.
+    derived as DEFAULT_SIGMA1/sqrt(nsamp). Setting both is rejected unless
+    consistent.
     """
 
     readout_sigma: float | None = None
     nsamp: int | None = None
     quantize: bool = False
     seed: int = 0
-    sigma1: float = DEFAULT_SIGMA1
 
     def __post_init__(self):
         sigma = self.readout_sigma
         if self.nsamp is not None:
-            derived = sigma_from_nsamp(self.nsamp, self.sigma1)
+            derived = sigma_from_nsamp(self.nsamp)
             if sigma is not None and abs(sigma - derived) > 1e-12:
                 raise DomainError(
                     f"readout_sigma={sigma} inconsistent with nsamp={self.nsamp} "

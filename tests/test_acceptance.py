@@ -92,7 +92,7 @@ def test_criterion_4_fidelity_floor_at_1p7_photons():
 
 def _continuous_ratios():
     _, cases = continuous_experiment(LensScene(), (1.9, 4.0),
-                                     sigma_pair=(3.0, 0.2), seed=0)
+                                     sigmas=(3.0, 0.2), seed=0)
     by_illum = {}
     for case in cases:
         by_illum.setdefault(case.illumination, {})[case.sigma] = case.stats.circ_std

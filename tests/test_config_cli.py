@@ -352,17 +352,14 @@ def test_cli_runs_without_mallopt(tmp_path, monkeypatch, libc):
 
 
 def test_sweep_map_matches_qudit_experiment(tmp_path):
+    # every n_bin, and nsamps labelled as nsamps, in both tables
     text = MINIMAL + ("[sweep]\nilluminations = 1.7,3.0,11.3\n"
-                      "sigmas = 3.0,0.2\nn_bins = 1\nrepetitions = 40\n")
+                      "nsamps = 1,144\nn_bins = 1,4\nrepetitions = 40\n")
     sweep = cli_output(tmp_path, "qudit-experiment", text, "sweep",
-                       "fidelity.csv").decode().splitlines()
-    fmap = cli_output(tmp_path, "sweep-map", text, "map",
-                      "fidelity_map.csv").decode().splitlines()
-    assert len(fmap) == len(sweep) == 1 + 3 * 2
-    for s_row, m_row in zip(sweep[1:], fmap[1:]):
-        illum, noise, n_bin, mean, _std, stderr = s_row.split(",")
-        assert n_bin == "1"
-        assert m_row.split(",") == [illum, noise, mean, stderr]
+                       "fidelity.csv")
+    fmap = cli_output(tmp_path, "sweep-map", text, "map", "fidelity_map.csv")
+    assert fmap == sweep
+    assert len(sweep.decode().splitlines()) == 1 + 3 * 2 * 2
 
 
 def test_phmap_scene_reads_its_files_once(tmp_path, monkeypatch):
@@ -410,3 +407,68 @@ def test_cli_bad_map_header_is_an_error(tmp_path, capsys):
                "--quiet"])
     assert rc == 1
     assert_one_line_error(capsys, str(path))
+
+
+@pytest.mark.parametrize("lines, key", [
+    pytest.param("type = eq6_qudit\ngrid_width = 0", "grid_width", id="grid_width-0"),
+    pytest.param("type = eq6_qudit\nd = 0", "d", id="d-0"),
+    pytest.param("type = eq6_qudit\nslit_gap_px = -1", "slit_gap_px", id="gap"),
+    pytest.param("type = eq6_qudit\nslit_length_px = 5", "slit_length_px",
+                 id="slit-shorter-than-wide"),
+    pytest.param("type = eq6_qudit\ngrid_width = 40", "grid_width",
+                 id="slits-wider-than-grid"),
+    pytest.param("type = eq6_qudit\ngrid_height = 8", "grid_height",
+                 id="slits-taller-than-grid"),
+    pytest.param("type = lens\nd = 7", "d", id="lens-d"),
+    pytest.param("type = phmap\ngrid_width = 64", "grid_width", id="phmap-grid"),
+    pytest.param("type = eq6_qudit\nphase_map = /nonexistent", "phase_map",
+                 id="qudit-phase_map"),
+    pytest.param("type = phmap\nphase_map = /nonexistent", "phase_map",
+                 id="phmap-missing-file"),
+])
+def test_scene_errors_name_key_and_line(tmp_path, lines, key):
+    text = f"[scene]\n{lines}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert (err.value.key, err.value.line) == (key, 3)
+    cfg = write_cfg(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2
+
+
+def test_cli_oversized_map_header_is_an_error(tmp_path, capsys):
+    path = tmp_path / "huge.phmap"
+    path.write_bytes(b"PHMAP 1000000000000 1000000000000\n" + bytes(16))
+    cfg = write_cfg(tmp_path, f"[scene]\ntype = phmap\nphase_map = {path}\n")
+    capsys.readouterr()
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 1
+    assert_one_line_error(capsys, str(path))
+
+
+def test_lens_default_sigmas_are_the_continuous_pair():
+    cfg = parse_config("[scene]\ntype = lens\n")
+    assert cfg.sweep.sigmas == (3.0, 0.2)
+    nsamps = parse_config("[scene]\ntype = lens\n[sweep]\nnsamps = 1,9\n")
+    assert nsamps.sweep.sigmas == (3.0, 1.0)
+
+
+def test_cli_continuous_runs_every_sigma(tmp_path):
+    text = ("[scene]\ntype = lens\n[sweep]\nilluminations = 4.0\n"
+            "sigmas = 1.0,0.5,0.3\nreference_illumination = 100\n")
+    table = cli_output(tmp_path, "continuous-experiment", text, "three",
+                       "phase_error.csv").decode().splitlines()
+    assert [row.split(",")[:2] for row in table[1:]] == [
+        ["4.0", "1.0"], ["4.0", "0.5"], ["4.0", "0.3"]]
+
+
+def test_negative_seed_rejected(tmp_path):
+    text = MINIMAL + "[noise]\nseed = -1\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert (err.value.key, err.value.line) == ("seed", 4)
+    for cfg, seed in ((write_cfg(tmp_path, text, "neg.cfg"), []),
+                      (write_cfg(tmp_path, MINIMAL), ["--seed", "-1"])):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"] + seed) == 2

@@ -178,7 +178,7 @@ def test_phase_error_stats_counts_and_range():
 def test_continuous_self_comparison_residual_small():
     # matched high flux: residual is pure Monte-Carlo noise
     scene = LensScene(curvature=np.pi / 40000)
-    _, cases = continuous_experiment(scene, (500.0,), sigma_pair=(0.2, 0.2),
+    _, cases = continuous_experiment(scene, (500.0,), sigmas=(0.2, 0.2),
                                      reference_illumination=500.0, seed=3)
     for case in cases:
         assert case.stats.circ_std < 0.05
@@ -187,7 +187,7 @@ def test_continuous_self_comparison_residual_small():
 def test_continuous_case_layout():
     scene = LensScene()
     ref, cases = continuous_experiment(scene, (1.9, 4.0),
-                                       sigma_pair=(3.0, 0.2), seed=1)
+                                       sigmas=(3.0, 0.2), seed=1)
     assert ref.shape == scene.grid.shape
     assert [(c.illumination, c.sigma) for c in cases] == [
         (1.9, 3.0), (1.9, 0.2), (4.0, 3.0), (4.0, 0.2)]

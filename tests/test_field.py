@@ -71,7 +71,7 @@ def test_slit_mask_phase_difference_pair():
     layout = SlitLayout(d=2)
     state = QuditState.from_coeffs([1.0, 1.0j])
     fld = make_slit_mask(layout, state, GRID)
-    idx0, idx1 = layout.slit_indices(GRID)
+    idx0, idx1 = zip(*layout.slit_pixels(GRID))
     diff = circ_dist(fld.phase[idx1], fld.phase[idx0])
     assert np.allclose(diff, np.pi / 2, atol=1e-12)
 
@@ -80,7 +80,7 @@ def test_slit_mask_eq6_phases_and_support():
     layout = SlitLayout(d=6)
     fld = make_slit_mask(layout, equal_step_state(), GRID,
                          background_amplitude=0.7, background_phase=0.3)
-    for k, (rows, cols) in enumerate(layout.slit_indices(GRID)):
+    for k, (rows, cols) in enumerate(zip(*layout.slit_pixels(GRID))):
         assert np.allclose(np.abs(fld.values[rows, cols]), 1.0)
         assert np.allclose(
             circ_dist(fld.phase[rows, cols], wrap(2 * np.pi * k / 5)), 0,
@@ -95,7 +95,7 @@ def test_slit_mask_brightest_slit_normalized():
     layout = SlitLayout(d=2)
     state = QuditState.from_coeffs([1.0, 2.0])
     fld = make_slit_mask(layout, state, GRID, background_amplitude=0.0)
-    idx0, idx1 = layout.slit_indices(GRID)
+    idx0, idx1 = zip(*layout.slit_pixels(GRID))
     assert np.allclose(np.abs(fld.values[idx1]), 1.0)
     assert np.allclose(np.abs(fld.values[idx0]), 0.5)
 

@@ -99,8 +99,7 @@ def test_binning_policy_validation():
 def test_circular_mean_straddles_branch_cut():
     # slit pixels at theta - delta and theta + delta average to theta even
     # across the +-pi cut
-    layout = SlitLayout(d=1, slit_width_px=1, slit_gap_px=0, slit_length_px=2,
-                        origin=(0, 0))
+    layout = SlitLayout(d=1, slit_width_px=1, slit_gap_px=0, slit_length_px=2)
     theta, delta = np.pi - 0.05, 0.3
     phase = np.zeros((2, 1))
     phase[0, 0] = theta - delta
