@@ -111,6 +111,12 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
+def _noise_labels(grid) -> dict:
+    """The readout_sigma_or_nsamp entry of each sigma of a sweep grid: its
+    nsamp when the grid lists nsamps, else the sigma itself."""
+    return dict(zip(grid.sigmas, grid.nsamps or grid.sigmas))
+
+
 def cmd_sweep(args, subcommand: str, csv_name: str) -> int:
     """Sweep the configured grid into `csv_name`, one row per cell; a failed
     cell is a row of NaNs."""
@@ -119,6 +125,7 @@ def cmd_sweep(args, subcommand: str, csv_name: str) -> int:
         raise ConfigError("this subcommand requires a qudit scene")
     outdir = cfg.output_directory
     _write_run_manifest(outdir, cfg, subcommand)
+    labels = _noise_labels(cfg.sweep)
     rows = []
     for cell in fidelity_sweep(cfg.scene, cfg.sweep, seed=cfg.noise.seed,
                                jobs=args.jobs, quantize=cfg.noise.quantize,
@@ -128,8 +135,7 @@ def cmd_sweep(args, subcommand: str, csv_name: str) -> int:
             stats = (float("nan"),) * 3
         else:
             stats = (cell.stats.mean, cell.stats.std, cell.stats.stderr)
-        noise = cell.nsamp if cell.nsamp is not None else cell.sigma
-        rows.append((cell.illumination, noise, cell.n_bin, *stats))
+        rows.append((cell.illumination, labels[cell.sigma], cell.n_bin, *stats))
     pio.write_csv(
         os.path.join(outdir, csv_name),
         ["illumination", "readout_sigma_or_nsamp", "n_bin",
@@ -152,6 +158,7 @@ def cmd_continuous(args) -> int:
         seed=cfg.noise.seed, quantize=cfg.noise.quantize, psi=cfg.psi,
     )
     pio.write_phase_map(os.path.join(outdir, "reference.phmap"), ref_phase)
+    labels = _noise_labels(cfg.sweep)
     stat_rows = []
     for idx, case in enumerate(cases):
         tag = f"case_{idx}"
@@ -163,7 +170,7 @@ def cmd_continuous(args) -> int:
         ]
         pio.write_csv(os.path.join(outdir, f"{tag}_hist.csv"),
                       ["bin_lo", "bin_hi", "count"], hist_rows)
-        stat_rows.append((case.illumination, case.sigma,
+        stat_rows.append((case.illumination, labels[case.sigma],
                           case.stats.circ_std, case.stats.n_pixels))
     pio.write_csv(os.path.join(outdir, "phase_error.csv"),
                   ["illumination", "readout_sigma_or_nsamp", "circ_std",

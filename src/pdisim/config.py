@@ -21,7 +21,7 @@ from .experiments import LensScene, QuditScene, SweepGrid
 from .field import (ComplexField, GridSpec, QuditState, SlitLayout,
                     field_from_phase_map)
 from .forward import PsiConfig
-from .sensor import NoiseParams
+from .sensor import MAX_NSAMP, NoiseParams
 
 #: The [scene] keys each scene type reads, besides `type`.
 _SCENE_KEYS = {
@@ -46,6 +46,15 @@ _SECTIONS = {
 }
 
 _SCENE_TYPES = tuple(_SCENE_KEYS)
+
+#: Caps on the sizes and rates a config can ask for, far above any run of
+#: the paper: grid sides and slit count (pixels), phase steps, repetitions
+#: per cell, and photons per pixel (which keeps frame rates below numpy's
+#: Poisson limit unless the reference is made huge).
+MAX_GRID = 4096
+MAX_STEPS = 64
+MAX_REPETITIONS = 10**6
+MAX_ILLUMINATION = 1e12
 
 
 @dataclass(frozen=True)
@@ -149,16 +158,23 @@ def _float(text):
     return value
 
 
-def _int_at_least(minimum):
+def _bounded(convert, minimum, maximum=math.inf):
+    """Converter for a value of `convert` in [minimum, maximum]."""
     def parse(text):
-        value = int(text)
+        value = convert(text)
         if value < minimum:
             raise ValueError(f"must be >= {minimum}")
+        if value > maximum:
+            raise ValueError(f"must be <= {maximum:g}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1)
+_positive_int = _bounded(int, 1)
+_nonnegative_float = _bounded(_float, 0)
+_grid_size = _bounded(int, 1, MAX_GRID)
+_illumination = _bounded(_float, 0, MAX_ILLUMINATION)
+_nsamp = _bounded(int, 1, MAX_NSAMP)
 
 
 def _existing_path(text):
@@ -167,21 +183,14 @@ def _existing_path(text):
     return text
 
 
-def _list_of(convert, minimum):
-    """Converter for a non-empty comma-separated list of values >= minimum."""
+def _list_of(convert):
+    """Converter for a non-empty comma-separated list of `convert` values."""
     def parse(text):
         items = [t.strip() for t in text.split(",") if t.strip()]
         if not items:
             raise ValueError("empty list")
-        values = tuple(convert(t) for t in items)
-        if not all(v >= minimum for v in values):
-            raise ValueError(f"values must be >= {minimum}")
-        return values
+        return tuple(convert(t) for t in items)
     return parse
-
-
-_nonnegative_float_list = _list_of(_float, 0)
-_positive_int_list = _list_of(int, 1)
 
 
 def _fail(section, key, message):
@@ -214,8 +223,8 @@ def parse_config(text: str) -> RunConfig:
             _fail(scene_sec, key, f"not a key of scene type {kind}")
 
     grid = GridSpec(
-        width=_get(scene_sec, "grid_width", _positive_int, 128),
-        height=_get(scene_sec, "grid_height", _positive_int, 128),
+        width=_get(scene_sec, "grid_width", _grid_size, 128),
+        height=_get(scene_sec, "grid_height", _grid_size, 128),
     )
     pixels_per_slit = None
     if kind == "eq6_qudit":
@@ -223,9 +232,9 @@ def parse_config(text: str) -> RunConfig:
         # reject a slit shorter than it is wide
         with _translated("slit layout", scene_sec, "slit_length_px"):
             layout = SlitLayout(
-                d=_get(scene_sec, "d", _positive_int, 6),
+                d=_get(scene_sec, "d", _grid_size, 6),
                 slit_width_px=_get(scene_sec, "slit_width_px", _positive_int, 10),
-                slit_gap_px=_get(scene_sec, "slit_gap_px", _int_at_least(0), 4),
+                slit_gap_px=_get(scene_sec, "slit_gap_px", _bounded(int, 0), 4),
                 slit_length_px=_get(scene_sec, "slit_length_px", _positive_int, 10),
             )
         for key, needed, size in (("grid_width", layout.bounding_width, grid.width),
@@ -260,28 +269,29 @@ def parse_config(text: str) -> RunConfig:
         )
 
     psi_sec = sections.get("psi", {})
-    with _translated("[psi]"):
-        psi = PsiConfig(n_steps=_get(psi_sec, "n_steps", int, 4))
-        ref_re = _get(psi_sec, "reference_re", _float, None)
-        ref_im = _get(psi_sec, "reference_im", _float, None)
-        if ref_re is not None or ref_im is not None:
-            psi = PsiConfig(n_steps=psi.n_steps,
-                            reference_override=complex(ref_re or 0.0, ref_im or 0.0))
-    illumination = _get(psi_sec, "illumination", _float, 3.0)
-    if illumination < 0:
-        _fail(psi_sec, "illumination", "illumination must be >= 0")
+    psi = PsiConfig(n_steps=_get(psi_sec, "n_steps", _bounded(int, 3, MAX_STEPS), 4))
+    ref_re = _get(psi_sec, "reference_re", _float, None)
+    ref_im = _get(psi_sec, "reference_im", _float, None)
+    if ref_re is not None or ref_im is not None:
+        reference = complex(ref_re or 0.0, ref_im or 0.0)
+        if reference == 0:
+            _fail(psi_sec, "reference_re" if ref_re is not None else "reference_im",
+                  "the reference amplitude must not be zero")
+        psi = PsiConfig(n_steps=psi.n_steps, reference_override=reference)
+    illumination = _get(psi_sec, "illumination", _illumination, 3.0)
 
     noise_sec = sections.get("noise", {})
-    with _translated("[noise]"):
-        nsamp = _get(noise_sec, "nsamp", int, None)
-        sigma = _get(noise_sec, "readout_sigma", _float, None)
-        if sigma is None and nsamp is None:
-            sigma = 0.2
+    nsamp = _get(noise_sec, "nsamp", _nsamp, None)
+    sigma = _get(noise_sec, "readout_sigma", _nonnegative_float, None)
+    if sigma is None and nsamp is None:
+        sigma = 0.2
+    # all NoiseParams has left to reject is a sigma that disagrees with nsamp
+    with _translated("[noise]", noise_sec, "readout_sigma"):
         noise = NoiseParams(
             readout_sigma=sigma,
             nsamp=nsamp,
             quantize=_get(noise_sec, "quantize", _bool, False),
-            seed=_get(noise_sec, "seed", _int_at_least(0), 0),
+            seed=_get(noise_sec, "seed", _bounded(int, 0), 0),
         )
 
     sweep_sec = sections.get("sweep", {})
@@ -294,14 +304,16 @@ def parse_config(text: str) -> RunConfig:
     with _translated("[sweep]", sweep_sec, "sigmas"):
         sweep = SweepGrid(
             illuminations=_get(sweep_sec, "illuminations",
-                               _nonnegative_float_list, default_illums),
-            sigmas=_get(sweep_sec, "sigmas", _nonnegative_float_list,
+                               _list_of(_illumination), default_illums),
+            sigmas=_get(sweep_sec, "sigmas", _list_of(_nonnegative_float),
                         default_sigmas),
-            nsamps=_get(sweep_sec, "nsamps", _positive_int_list, None),
-            n_bins=_get(sweep_sec, "n_bins", _positive_int_list, (1, 2, 4, 8)),
-            repetitions=_get(sweep_sec, "repetitions", _positive_int, 2000),
+            nsamps=_get(sweep_sec, "nsamps", _list_of(_nsamp), None),
+            n_bins=_get(sweep_sec, "n_bins", _list_of(_positive_int), (1, 2, 4, 8)),
+            repetitions=_get(sweep_sec, "repetitions",
+                             _bounded(int, 1, MAX_REPETITIONS), 2000),
         )
-    reference_illumination = _get(sweep_sec, "reference_illumination", _float, 500.0)
+    reference_illumination = _get(sweep_sec, "reference_illumination",
+                                  _illumination, 500.0)
     if reference_illumination < max(sweep.illuminations):
         _fail(sweep_sec, "reference_illumination",
               "reference illumination must be at least the largest sweep illumination")

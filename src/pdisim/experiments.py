@@ -20,7 +20,7 @@ from .errors import DomainError, PdisimError, ShapeError
 from .field import (ComplexField, GridSpec, QuditState, SlitLayout,
                     equal_step_state, make_lens_phase, make_slit_mask)
 from .forward import PsiConfig, frame_rates, simulate_interferograms
-from .qudit import FidelityStats, sample_fidelity
+from .qudit import FidelityStats, draw_pixel_positions, sample_fidelity
 from .reconstruct import c0_analytic, extract_phase, unwrapped_phase
 from .sensor import apply_noise, NoiseParams, rng_stream, sample_noise, sigma_from_nsamp
 
@@ -123,7 +123,6 @@ class CellResult:
 
     illumination: float
     sigma: float
-    nsamp: int | None
     n_bin: int
     stats: FidelityStats | None
     error: str | None = None
@@ -160,8 +159,6 @@ def _qudit_cell(cell_index, illumination, sigma, n_bin, *, seed, slit_values,
     sampled.
     """
     d, n_px = slit_values.shape
-    if n_bin > n_px:
-        raise DomainError(f"n_bin={n_bin} exceeds {n_px} pixels per slit")
     # mean frame 0 over the stacked slit pixels sets the illumination scale
     rates, ref = frame_rates(slit_values, reference, psi.phase_steps,
                              illumination, slit_values)
@@ -175,7 +172,7 @@ def _qudit_cell(cell_index, illumination, sigma, n_bin, *, seed, slit_values,
         noisy = sample_noise(np.broadcast_to(rates, (m,) + rates.shape), sigma,
                              rng, quantize=quantize)
         phase = unwrapped_phase(noisy, psi.phase_steps, c0, mu)
-        order = np.argsort(rng.random((m, d, n_px)), axis=-1)[..., :n_bin]
+        order = draw_pixel_positions(rng, (m, d), n_px, n_bin)
         sampled = np.take_along_axis(phase, order, axis=-1)
         fids[start:start + m] = sample_fidelity(target, sampled)
     return FidelityStats.from_runs(fids, n_states_per_run=1)
@@ -222,9 +219,9 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
             pool.shutdown(cancel_futures=True)
             raise
     return [
-        CellResult(illumination=illum, sigma=sigma, nsamp=nsamp, n_bin=n_bin,
-                   stats=stats, error=error)
-        for (illum, sigma, nsamp, n_bin), (stats, error) in zip(cells, outcomes)
+        CellResult(illumination=illum, sigma=sigma, n_bin=n_bin, stats=stats,
+                   error=error)
+        for (illum, sigma, _, n_bin), (stats, error) in zip(cells, outcomes)
     ]
 
 

@@ -61,13 +61,20 @@ def fidelity(target: QuditState, reconstructed: QuditState) -> float:
     return float(abs(np.vdot(target.coeffs, reconstructed.coeffs)))
 
 
-def _slit_samples(result: ReconstructionResult, layout: SlitLayout,
-                  picks: np.ndarray):
-    """Phase and amplitude at positions `picks` (..., d, n_bin) of each slit."""
+def draw_pixel_positions(rng: np.random.Generator, shape: tuple[int, ...],
+                         n_px: int, k: int) -> np.ndarray:
+    """Positions (*shape, k) of k of n_px pixels, drawn uniformly without
+    replacement along the last axis: the first k of a uniform argsort."""
+    if k > n_px:
+        raise SamplingError(f"n_bin x states = {k} exceeds the {n_px} pixels "
+                            "per slit")
+    return np.argsort(rng.random(shape + (n_px,)), axis=-1)[..., :k]
+
+
+def _slit_maps(result: ReconstructionResult, layout: SlitLayout):
+    """Phase and amplitude of every slit pixel, each (d, n_px)."""
     height, width = result.phase.shape
-    rows, cols = layout.slit_pixels(GridSpec(width=width, height=height))
-    slits = np.arange(layout.d)[:, None]
-    pixels = rows[slits, picks], cols[slits, picks]
+    pixels = layout.slit_pixels(GridSpec(width=width, height=height))
     return result.phase[pixels], result.amplitude[pixels]
 
 
@@ -106,7 +113,8 @@ def extract_state(result: ReconstructionResult, layout: SlitLayout,
         )
     picks = np.stack([rng.choice(n_px, size=policy.n_bin, replace=False)
                       for _ in range(layout.d)])
-    phases, amps = _slit_samples(result, layout, picks)
+    phases, amps = (np.take_along_axis(m, picks, axis=-1)
+                    for m in _slit_maps(result, layout))
     slit_amps = (_slit_amplitudes(amps) if policy.use_measured_amplitude
                  else np.ones(layout.d))
     return QuditState.from_coeffs(slit_amps * np.exp(1j * circ_mean(phases, axis=-1)))
@@ -115,26 +123,17 @@ def extract_state(result: ReconstructionResult, layout: SlitLayout,
 def bootstrap_fidelity(result: ReconstructionResult, target: QuditState,
                        layout: SlitLayout, policy: BinningPolicy,
                        n_states: int = 81, n_runs: int = 64,
-                       rng: np.random.Generator | None = None,
                        seed: int = 0) -> FidelityStats:
     """Bootstrap protocol: per run, draw n_states pixel-tuples that are
     disjoint within each slit, average their fidelities; report mean, std and
     stderr over n_runs."""
-    if rng is None:
-        rng = rng_stream(seed)
-    n_px = layout.pixels_per_slit
-    if n_states * policy.n_bin > n_px:
-        raise SamplingError(
-            f"{n_states} states x {policy.n_bin} pixels > {n_px} pixels per slit; "
-            "without-replacement draw infeasible"
-        )
-    # one permutation per (run, slit), drawn run-major; state j of a run
-    # takes positions [j * n_bin, (j + 1) * n_bin) of each slit's permutation
-    perms = np.array([[rng.permutation(n_px) for _ in range(layout.d)]
-                      for _ in range(n_runs)]).reshape(n_runs, layout.d, n_px)
-    picks = perms[..., :n_states * policy.n_bin].reshape(
-        n_runs, layout.d, n_states, policy.n_bin).swapaxes(1, 2)
-    phases, amps = _slit_samples(result, layout, picks)
+    positions = draw_pixel_positions(rng_stream(seed), (n_runs, layout.d),
+                                     layout.pixels_per_slit,
+                                     n_states * policy.n_bin)
+    # state j of a run takes positions [j * n_bin, (j + 1) * n_bin) of each slit
+    phases, amps = (np.take_along_axis(m[None], positions, axis=-1)
+                    .reshape(n_runs, layout.d, n_states, policy.n_bin)
+                    .swapaxes(1, 2) for m in _slit_maps(result, layout))
     run_means = sample_fidelity(
         target, phases, amps if policy.use_measured_amplitude else None).mean(axis=-1)
     return FidelityStats.from_runs(run_means, n_states_per_run=n_states)

@@ -17,11 +17,17 @@ from .forward import InterferogramSet
 #: Readout noise at NSAMP = 1, in electrons.
 DEFAULT_SIGMA1 = 3.0
 
+#: Most non-destructive samples per pixel (sigma 0.003 e-).
+MAX_NSAMP = 10**6
+
+#: Largest rate numpy's Poisson sampler accepts: its int64 limit.
+MAX_POISSON_RATE = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+
 
 def sigma_from_nsamp(nsamp: int) -> float:
     """Readout noise after nsamp non-destructive charge samples."""
-    if nsamp < 1:
-        raise DomainError(f"nsamp must be >= 1, got {nsamp}")
+    if not 1 <= nsamp <= MAX_NSAMP:
+        raise DomainError(f"nsamp must be in [1, {MAX_NSAMP}], got {nsamp}")
     return DEFAULT_SIGMA1 / np.sqrt(nsamp)
 
 
@@ -74,8 +80,8 @@ def sample_noise(frames: np.ndarray, sigma: float, rng: np.random.Generator,
     if not 0 <= sigma < np.inf:
         raise DomainError(f"readout sigma must be finite and >= 0, got {sigma}")
     frames = np.asarray(frames, dtype=float)
-    if np.any(frames < 0):
-        raise DomainError("Poisson rates must be non-negative")
+    if frames.size and not 0 <= frames.min() <= frames.max() <= MAX_POISSON_RATE:
+        raise DomainError(f"Poisson rates must be in [0, {MAX_POISSON_RATE:.6g}]")
     noisy = rng.poisson(frames).astype(float)
     if sigma > 0:
         noisy += rng.normal(0.0, sigma, size=frames.shape)

@@ -273,6 +273,12 @@ def test_unused_sweep_keys_rejected(tmp_path, key):
     pytest.param("n_bins", "0", id="n_bins-0"),
     pytest.param("n_bins", "-3", id="n_bins-negative"),
     pytest.param("sigmas", "0.2,0.5\nnsamps = 9", id="sigmas-with-nsamps"),
+    pytest.param("reference_illumination", "5.0",
+                 id="reference-below-largest-illumination"),
+    pytest.param("illuminations", "3.0,1e20", id="illuminations-above-cap"),
+    pytest.param("reference_illumination", "1e20", id="reference-above-cap"),
+    pytest.param("nsamps", "1,100000000000000000000", id="nsamps-above-cap"),
+    pytest.param("repetitions", "10000001", id="repetitions-above-cap"),
 ])
 def test_negative_sweep_values_rejected(tmp_path, key, values):
     text = MINIMAL + f"[sweep]\n{key} = {values}\n"
@@ -293,11 +299,28 @@ def test_sweep_nsamps_with_matching_sigmas_accepted():
 @pytest.mark.parametrize("section, key, value", [
     ("psi", "n_steps", "abc"),
     ("noise", "seed", "x"),
+    ("psi", "n_steps", "2"),
+    ("noise", "nsamp", "0"),
+    ("psi", "reference_re", "0"),
+    ("psi", "n_steps", "100000000000000000000"),
+    ("psi", "illumination", "1e20"),
+    ("noise", "nsamp", "100000000000000000000"),
+    ("noise", "readout_sigma", "-0.5"),
 ])
 def test_psi_and_noise_value_errors_keep_key_and_line(section, key, value):
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + f"[{section}]\n{key} = {value}\n")
     assert (err.value.key, err.value.line) == (key, 4)
+
+
+def test_cli_zero_reference_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL + "[psi]\nreference_re = 0\n" + SMALL_SWEEP)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["qudit-experiment", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 2
+    assert "reference_re" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, key", [
@@ -425,6 +448,10 @@ def test_cli_bad_map_header_is_an_error(tmp_path, capsys):
                  id="qudit-phase_map"),
     pytest.param("type = phmap\nphase_map = /nonexistent", "phase_map",
                  id="phmap-missing-file"),
+    pytest.param("type = lens\ngrid_height = 4097", "grid_height",
+                 id="grid-above-cap"),
+    pytest.param("type = eq6_qudit\nd = 100000000000000000000", "d",
+                 id="d-above-cap"),
 ])
 def test_scene_errors_name_key_and_line(tmp_path, lines, key):
     text = f"[scene]\n{lines}\n"
@@ -472,3 +499,43 @@ def test_negative_seed_rejected(tmp_path):
                       (write_cfg(tmp_path, MINIMAL), ["--seed", "-1"])):
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--quiet"] + seed) == 2
+
+
+@pytest.mark.parametrize("subcommand, scene", [
+    ("qudit-experiment", "lens"),
+    ("sweep-map", "lens"),
+    ("continuous-experiment", "eq6_qudit"),
+])
+def test_cli_subcommand_on_the_wrong_scene_type(tmp_path, subcommand, scene):
+    cfg = write_cfg(tmp_path, f"[scene]\ntype = {scene}\n")
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+
+
+def test_cli_continuous_labels_nsamps_like_the_sweeps(tmp_path):
+    sweep = "[sweep]\nilluminations = 4.0\nnsamps = 1,9\nreference_illumination = 100\n"
+    table = cli_output(tmp_path, "continuous-experiment",
+                       "[scene]\ntype = lens\n" + sweep, "lens",
+                       "phase_error.csv").decode().splitlines()
+    fidelity = cli_output(tmp_path, "qudit-experiment",
+                          MINIMAL + sweep + "n_bins = 1\nrepetitions = 5\n",
+                          "qudit", "fidelity.csv").decode().splitlines()
+    assert [row.split(",")[1] for row in table[1:]] == ["1", "9"]
+    assert [row.split(",")[1] for row in fidelity[1:]] == ["1", "9"]
+
+
+def test_config_roundtrip_of_wrapped_step_and_amplitude_map(tmp_path):
+    phase, amplitude = tmp_path / "p.phmap", tmp_path / "a.ammap"
+    pio.write_phase_map(phase, np.zeros((8, 8)))
+    pio.write_amplitude_map(amplitude, np.ones((8, 8)))
+    for text in (MINIMAL + "state_step = 4.0\n",
+                 f"[scene]\ntype = phmap\nphase_map = {phase}\n"
+                 f"amplitude_map = {amplitude}\n"):
+        cfg = parse_config(text)
+        again = parse_config(serialize_config(cfg))
+        assert serialize_config(again) == serialize_config(cfg)
+        if isinstance(cfg.scene, QuditScene):
+            assert np.allclose(again.scene.state.coeffs, cfg.scene.state.coeffs)
+        else:
+            assert again.scene == cfg.scene

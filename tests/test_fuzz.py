@@ -31,10 +31,11 @@ KEYS = [
 # one line of text: no line breaks, no lone surrogates
 LINE_CHARS = st.characters(blacklist_categories=("Cs",),
                            blacklist_characters="\n\r")
-# Integers stay small: a config asks for arrays of its sizes (a state of d
-# slits, n_steps phase steps), and the parser puts no cap on them.
+# Integers reach far past the caps on sizes and rates, which the parser
+# must reject before it sizes anything by them.
 NUMBERS = st.one_of(
     st.integers(-3, 300).map(str),
+    st.integers(-3, 10 ** 30).map(str),
     st.floats(-1e6, 1e6, allow_nan=False).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "0", "1e-300", "x", ""]),
 )
