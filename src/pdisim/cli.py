@@ -12,7 +12,9 @@ import functools
 import os
 import sys
 
-from . import io as pio
+import numpy as np
+
+from . import __version__, io as pio
 from .config import RunConfig, parse_config, serialize_config
 from .errors import ConfigError, PdisimError
 from .experiments import LensScene, QuditScene, continuous_experiment, fidelity_sweep
@@ -62,7 +64,9 @@ def _write_run_manifest(outdir, cfg: RunConfig, subcommand: str):
     # Omit the output path so reruns into different directories stay
     # byte-identical.
     portable = dataclasses.replace(cfg, output_directory=None)
-    text = (f"# pdisim run manifest\nsubcommand = {subcommand}\n"
+    # numpy's Poisson and normal streams are only fixed within one version
+    text = (f"# pdisim run manifest\n# pdisim version = {__version__}\n"
+            f"# numpy version = {np.__version__}\nsubcommand = {subcommand}\n"
             f"seed = {cfg.noise.seed}\n\n" + serialize_config(portable))
     with open(os.path.join(outdir, "manifest.txt"), "w", encoding="utf-8",
               newline="\n") as fh:

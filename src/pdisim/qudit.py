@@ -53,7 +53,12 @@ class FidelityStats:
 
 
 def fidelity(target: QuditState, reconstructed: QuditState) -> float:
-    """|<target|reconstructed>|, invariant under global phase."""
+    """|<target|reconstructed>|, invariant under global phase.
+
+    With `extract_state`, the one-state-at-a-time reference that the tests
+    hold the batched sweep and bootstrap (`sample_fidelity`) against; no
+    program path calls it, and it is kept for that check.
+    """
     if target.dim != reconstructed.dim:
         raise ShapeError(
             f"dimension mismatch: {target.dim} vs {reconstructed.dim}"
@@ -64,11 +69,31 @@ def fidelity(target: QuditState, reconstructed: QuditState) -> float:
 def draw_pixel_positions(rng: np.random.Generator, shape: tuple[int, ...],
                          n_px: int, k: int) -> np.ndarray:
     """Positions (*shape, k) of k of n_px pixels, drawn uniformly without
-    replacement along the last axis: the first k of a uniform argsort."""
+    replacement along the last axis, in a uniformly random order.
+
+    Two methods, picked by k. A small k (k^2 <= n_px, as the sweep's n_bin)
+    takes k rounds of a uniform index among the n_px - j pixels still free,
+    shifted past the j already chosen (Bentley & Floyd, CACM 30(9), 1987):
+    O(k^2) elementwise steps, against the argsort's O(n_px log n_px) per
+    slit, which was the sweep's top cost. A large k (the bootstrap's 81 of
+    100) keeps the first k of an argsort of n_px uniforms, which is cheaper
+    there and keeps the bootstrap's stream.
+    """
     if k > n_px:
         raise SamplingError(f"n_bin x states = {k} exceeds the {n_px} pixels "
                             "per slit")
-    return np.argsort(rng.random(shape + (n_px,)), axis=-1)[..., :k]
+    if not 0 < k * k <= n_px:
+        return np.argsort(rng.random(shape + (n_px,)), axis=-1)[..., :k]
+    drawn, ascending = [], []
+    for j in range(k):
+        pos = rng.integers(0, n_px - j, size=shape)
+        for taken in ascending:  # in increasing order: the pos-th free pixel
+            pos += pos >= taken
+        drawn.append(pos)
+        for i, taken in enumerate(ascending):  # insert pos, keeping the order
+            ascending[i], pos = np.minimum(taken, pos), np.maximum(taken, pos)
+        ascending.append(pos)
+    return np.stack(drawn, axis=-1)
 
 
 def _slit_maps(result: ReconstructionResult, layout: SlitLayout):
@@ -105,7 +130,13 @@ def sample_fidelity(target: QuditState, phase_samples: np.ndarray,
 def extract_state(result: ReconstructionResult, layout: SlitLayout,
                   policy: BinningPolicy,
                   rng: np.random.Generator) -> QuditState:
-    """Sample n_bin pixels per slit and build the reconstructed state."""
+    """Sample n_bin pixels per slit and build the reconstructed state.
+
+    The sweep's independent reference: it draws with `rng.choice` and scores
+    one state with `fidelity`, sharing no sampling or scoring code with the
+    batched `draw_pixel_positions` and `sample_fidelity`. No program path
+    calls it; the tests compare the sweep against it.
+    """
     n_px = layout.pixels_per_slit
     if policy.n_bin > n_px:
         raise SamplingError(

@@ -9,6 +9,7 @@ C - C0 = N |K| u cos(phi - mu) and S = N |K| u sin(phi - mu) with
 C0 = -N |K|^2, so the wavefront phase follows from arctan2(S, C - C0).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,20 +34,24 @@ class ReconstructionResult:
             raise ShapeError("phase and amplitude maps differ in shape")
 
 
-def _harmonic_weights(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _harmonic_weights(phase_steps: tuple) -> tuple[np.ndarray, np.ndarray]:
+    # cached: the sweep asks for the same steps once per chunk.
     # cos/sin at exact multiples of pi/2 are analytically 0 or +-1; snap the
     # float residue so cancellations (e.g. identical frames) are exact
+    alphas = np.asarray(phase_steps, dtype=float)
     cos_w, sin_w = np.cos(alphas), np.sin(alphas)
     for w in (cos_w, sin_w):
         w[np.abs(w) < 1e-12] = 0.0
         w[np.abs(np.abs(w) - 1.0) < 1e-12] = np.sign(w[np.abs(np.abs(w) - 1.0) < 1e-12])
+        w.setflags(write=False)
     return cos_w, sin_w
 
 
 def harmonic_sums(frames: np.ndarray, phase_steps) -> tuple[np.ndarray, np.ndarray]:
     """Harmonic sums C, S of frames shaped (..., N, rows, cols): any batch
     axes, the N steps, a 2D pixel set (full grid, or d slits x n_px)."""
-    cos_w, sin_w = _harmonic_weights(np.asarray(phase_steps))
+    cos_w, sin_w = _harmonic_weights(tuple(phase_steps))
     c = np.einsum("n,...nij->...ij", cos_w, frames)
     s = np.einsum("n,...nij->...ij", sin_w, frames)
     return c, s

@@ -70,6 +70,12 @@ class NoiseParams:
         object.__setattr__(self, "readout_sigma", float(sigma))
 
 
+def check_poisson_rates(rates: np.ndarray) -> None:
+    """Raise DomainError unless every rate is in [0, MAX_POISSON_RATE]."""
+    if rates.size and not 0 <= rates.min() <= rates.max() <= MAX_POISSON_RATE:
+        raise DomainError(f"Poisson rates must be in [0, {MAX_POISSON_RATE:.6g}]")
+
+
 def sample_noise(frames: np.ndarray, sigma: float, rng: np.random.Generator,
                  quantize: bool = False) -> np.ndarray:
     """Noisy realization of non-negative photon-rate maps.
@@ -80,8 +86,7 @@ def sample_noise(frames: np.ndarray, sigma: float, rng: np.random.Generator,
     if not 0 <= sigma < np.inf:
         raise DomainError(f"readout sigma must be finite and >= 0, got {sigma}")
     frames = np.asarray(frames, dtype=float)
-    if frames.size and not 0 <= frames.min() <= frames.max() <= MAX_POISSON_RATE:
-        raise DomainError(f"Poisson rates must be in [0, {MAX_POISSON_RATE:.6g}]")
+    check_poisson_rates(frames)
     noisy = rng.poisson(frames).astype(float)
     if sigma > 0:
         noisy += rng.normal(0.0, sigma, size=frames.shape)

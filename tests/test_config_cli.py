@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import pdisim
 from pdisim import ConfigError, LensScene, QuditScene, parse_config
 from pdisim import cli, io as pio
 from pdisim.cli import main
@@ -227,6 +228,16 @@ def cli_output(tmp_path, subcommand, text, name, output):
                "--jobs", "1", "--quiet"])
     assert rc == 0
     return (out / output).read_bytes()
+
+
+def test_cli_manifest_records_the_versions(tmp_path):
+    manifest = cli_output(tmp_path, "qudit-experiment", MINIMAL + SMALL_SWEEP,
+                          "versions", "manifest.txt").decode("utf-8")
+    head = manifest.splitlines()[:4]
+    assert head == ["# pdisim run manifest",
+                    f"# pdisim version = {pdisim.__version__}",
+                    f"# numpy version = {np.__version__}",
+                    "subcommand = qudit-experiment"]
 
 
 def test_cli_psi_section_reaches_every_experiment(tmp_path):

@@ -9,8 +9,10 @@ from pdisim import (BinningPolicy, DomainError, LensScene, NoiseParams,
                     PsiConfig, QuditScene, SweepGrid, apply_noise,
                     continuous_experiment, extract_phase, extract_state,
                     fidelity, fidelity_sweep, phase_error_stats,
-                    rng_stream, simulate_interferograms)
+                    rng_stream, sample_noise, simulate_interferograms)
 from pdisim import experiments
+from pdisim.forward import frame_rates
+from pdisim.sensor import MAX_POISSON_RATE
 
 SCENE = QuditScene()
 
@@ -43,8 +45,8 @@ def test_sweep_cell_count_and_order():
                      repetitions=1)
     cells = list(grid.cells())
     assert len(cells) == 4
-    assert cells[0] == (1.0, 0.5, None, 1)
-    assert cells[-1] == (2.0, 0.5, None, 2)
+    assert cells[0] == (1.0, 0.5, 1)
+    assert cells[-1] == (2.0, 0.5, 2)
 
 
 def test_sweep_stats_fields_consistent():
@@ -57,10 +59,12 @@ def test_sweep_stats_fields_consistent():
     assert 0.0 <= st.mean <= 1.0
 
 
-def test_sweep_fast_path_matches_modular_pipeline():
+@pytest.mark.parametrize("n_bin", [1, 4])
+def test_sweep_fast_path_matches_modular_pipeline(n_bin):
+    # n_bin > 1 checks that the sweep gathers the drawn pixels' rates right
     illum, sigma = 3.0, 0.5
     reps = 400
-    grid = SweepGrid(illuminations=(illum,), sigmas=(sigma,), n_bins=(1,),
+    grid = SweepGrid(illuminations=(illum,), sigmas=(sigma,), n_bins=(n_bin,),
                      repetitions=reps)
     (cell,) = fidelity_sweep(SCENE, grid, seed=21)
 
@@ -71,10 +75,57 @@ def test_sweep_fast_path_matches_modular_pipeline():
         noisy = apply_noise(clean, NoiseParams(readout_sigma=sigma),
                             rng=rng_stream(5000, r))
         state = extract_state(extract_phase(noisy), SCENE.layout,
-                              BinningPolicy(1), rng_stream(6000, r))
+                              BinningPolicy(n_bin), rng_stream(6000, r))
         fids[r] = fidelity(SCENE.state, state)
     se = np.hypot(cell.stats.stderr, fids.std(ddof=1) / np.sqrt(reps))
     assert abs(cell.stats.mean - fids.mean()) < 4 * se
+
+
+@pytest.fixture
+def noise_draws(monkeypatch):
+    """Sizes of the rate arrays the sweep passes to sample_noise."""
+    drawn = []
+
+    def counting(frames, *args, **kwargs):
+        drawn.append(frames.size)
+        return sample_noise(frames, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_noise", counting)
+    return drawn
+
+
+def test_sweep_draws_noise_for_the_read_pixels_only(noise_draws):
+    reps, n_bin, psi = experiments._CHUNK + 3, 4, PsiConfig(n_steps=5)
+    grid = SweepGrid(illuminations=(3.0,), sigmas=(0.5,), n_bins=(n_bin,),
+                     repetitions=reps)
+    (cell,) = fidelity_sweep(SCENE, grid, seed=3, psi=psi)
+    assert cell.stats is not None
+    assert sum(noise_draws) == reps * psi.n_steps * SCENE.layout.d * n_bin
+
+
+@pytest.mark.parametrize("seed", [0, 8])
+def test_sweep_poisson_range_fails_every_cell_at_that_illumination(
+        seed, noise_draws):
+    # a reference this large puts the brightest frames of illumination 3
+    # beyond numpy's Poisson limit, and leaves illumination 1 within it
+    psi = PsiConfig(reference_override=1e9)
+    fld = SCENE.field()
+    slit_values = fld.values[SCENE.layout.slit_pixels(SCENE.grid)]
+    for illum, fits in ((1.0, True), (3.0, False)):
+        rates, _ = frame_rates(slit_values, psi.reference_override,
+                               psi.phase_steps, illum, slit_values)
+        assert (rates.max() <= MAX_POISSON_RATE) == fits
+    grid = SweepGrid(illuminations=(1.0, 3.0), sigmas=(0.2, 3.0),
+                     n_bins=(1, 2), repetitions=5)
+    cells = fidelity_sweep(SCENE, grid, seed=seed, psi=psi)
+    for cell in cells:
+        if cell.illumination == 1.0:
+            assert cell.stats is not None
+        else:
+            assert cell.stats is None
+            assert cell.error.startswith("Poisson rates must be in [0, ")
+    # checked once per illumination, before any draw: one draw per good cell
+    assert len(noise_draws) == 4
 
 
 def test_sweep_deterministic_and_jobs_independent():

@@ -7,6 +7,7 @@ from pdisim import (BinningPolicy, DomainError, GridSpec, PsiConfig, QuditScene,
                     bootstrap_fidelity, equal_step_state, extract_phase,
                     extract_state, fidelity, rng_stream,
                     simulate_interferograms)
+from pdisim.qudit import draw_pixel_positions
 from pdisim.reconstruct import ReconstructionResult
 
 
@@ -108,6 +109,43 @@ def test_circular_mean_straddles_branch_cut():
                                c0_used=0.0, mu_used=0.0)
     state = extract_state(res, layout, BinningPolicy(2), rng_stream(0))
     assert np.angle(state.coeffs[0]) == pytest.approx(theta, abs=1e-12)
+
+
+def _uniform_chi_square(counts):
+    """Pearson chi-square of `counts` against equal frequencies, and the
+    bound df + 5 sqrt(2 df): five standard deviations above its mean."""
+    expected = counts.sum() / counts.size
+    df = counts.size - 1
+    return (float(((counts - expected) ** 2 / expected).sum()),
+            df + 5.0 * np.sqrt(2.0 * df))
+
+
+@pytest.mark.parametrize("n_px, k", [(16, 4), (10, 4)],
+                         ids=["sequential", "argsort"])
+def test_draw_pixel_positions_uniform_without_replacement(n_px, k):
+    # k^2 <= n_px takes the sequential draw, k^2 > n_px the argsort
+    positions = draw_pixel_positions(rng_stream(77), (10000, 4), n_px, k)
+    assert positions.shape == (10000, 4, k)
+    positions = positions.reshape(-1, k)
+    assert positions.min() >= 0 and positions.max() < n_px
+    ascending = np.sort(positions, axis=-1)
+    assert (ascending[:, 1:] > ascending[:, :-1]).all()
+    for slot in range(k):  # each slot is uniform over the pixels
+        stat, bound = _uniform_chi_square(
+            np.bincount(positions[:, slot], minlength=n_px))
+        assert stat < bound
+    # the (first, last) slot pairs are uniform over the distinct pairs
+    pairs = np.bincount(positions[:, 0] * n_px + positions[:, -1],
+                        minlength=n_px * n_px).reshape(n_px, n_px)
+    stat, bound = _uniform_chi_square(pairs[~np.eye(n_px, dtype=bool)])
+    assert stat < bound
+
+
+def test_draw_pixel_positions_large_k_keeps_the_argsort_stream():
+    # the bootstrap's 81 of 100 pixels: the first 81 of a uniform argsort
+    expected = np.argsort(rng_stream(3).random((64, 6, 100)), axis=-1)[..., :81]
+    drawn = draw_pixel_positions(rng_stream(3), (64, 6), 100, 81)
+    assert np.array_equal(drawn, expected)
 
 
 def test_bootstrap_noiseless_mean_one_std_zero():
