@@ -4,9 +4,11 @@ Covers the standard studies: mean reconstruction fidelity of the slit
 qudit over illumination x readout noise x pixel binning, and continuous-phase
 error statistics of a lens wavefront against a high-flux reference.
 
-Every cell of a sweep is an independent task fed by its own random stream
-(seed, cell index), so results are bit-identical for a fixed seed regardless
-of worker count or scheduling order.
+Every cell of a sweep is fed by its own random stream (seed, cell index).
+The sweep's tasks are blocks of cells that share an illumination and n_bin;
+a block batches the cells' arithmetic, not their streams, so results are
+bit-identical for a fixed seed regardless of blocking, worker count or
+scheduling order.
 """
 
 import concurrent.futures
@@ -25,11 +27,13 @@ from .reconstruct import c0_analytic, extract_phase, unwrapped_phase
 from .sensor import (apply_noise, check_poisson_rates, NoiseParams, rng_stream,
                      sample_noise, sigma_from_nsamp)
 
-#: Fixed vectorization chunk (repetitions per RNG block). Part of the
-#: determinism contract: results must not depend on worker count, so the
-#: chunking must not either. On the default grid (2 cores), chunks of 128
-#: to 2048 ran within about 10 % of each other; a chunk at n_bin 8 holds
-#: 256 x 4 x 6 x 8 noise values, 0.4 MB.
+#: Fixed vectorization chunk (repetitions per draw from a cell's stream).
+#: Part of the determinism contract: results must not depend on worker
+#: count, so the chunking must not either. On the default grid (2 cores),
+#: chunks of 128 to 2048 ran within about 10 % of each other; a chunk at
+#: n_bin 8 holds 256 x 4 x 6 x 8 noise values, 0.4 MB. It also bounds a
+#: block's rows: a block stacks at most max(1, _CHUNK // repetitions)
+#: cells, so its chunk is never larger than one cell's.
 _CHUNK = 256
 
 #: Readout noise used when building the high-flux reference map.
@@ -176,35 +180,66 @@ def _illuminate(slit_values, reference, psi, illumination):
                         float(np.angle(ref)))
 
 
-def _qudit_cell(cell_index, lit, sigma, n_bin, *, seed, phase_steps, target,
-                repetitions, quantize):
-    """Monte-Carlo fidelity of one sweep cell at the illumination `lit`.
+def _qudit_block(indices, lit, sigmas, n_bin, *, seed, phase_steps, target,
+                 repetitions, quantize):
+    """Monte-Carlo fidelity of the sweep cells `indices`, one per readout
+    sigma in `sigmas`, at the illumination `lit` and `n_bin`: one
+    (FidelityStats, None) or (None, error) per cell.
 
     Per repetition: draw n_bin pixel positions per slit, draw the noisy
     frames of those pixels only, invert them to phases and score the state
     they give against the target. Drawing noise for the read pixels only is
     exact: the inversion is per pixel and no other pixel enters the state.
+    Each cell draws from its own stream, chunk by chunk, in the order
+    positions, Poisson, normal, so it gets the numbers it would get alone;
+    the gather, the inversion and the scoring run once over the stacked
+    cells. An error in one cell's draw fails that cell only.
     """
     _, d, n_px = lit.rates.shape
-    rng = rng_stream(seed, cell_index)
-    fids = np.empty(repetitions)
+    rngs = [rng_stream(seed, index) for index in indices]
+    fids = np.empty((len(indices), repetitions))
+    errors = [None] * len(indices)
+
+    def each(cells, draw):
+        # draw(c) for each cell c; an error is recorded against c alone
+        done = {}
+        for c in cells:
+            try:
+                done[c] = draw(c)
+            except (PdisimError, ValueError) as exc:
+                errors[c] = str(exc)
+        return done
+
     for start in range(0, repetitions, _CHUNK):
         m = min(_CHUNK, repetitions - start)
-        positions = draw_pixel_positions(rng, (m, d), n_px, n_bin)
-        rates = np.take_along_axis(lit.rates[None], positions[:, None], axis=-1)
-        noisy = sample_noise(rates, sigma, rng, quantize=quantize)
-        phase = unwrapped_phase(noisy, phase_steps, lit.c0, lit.mu)
-        fids[start:start + m] = sample_fidelity(target, phase)
-    return FidelityStats.from_runs(fids, n_states_per_run=1)
+        positions = each(
+            [c for c, error in enumerate(errors) if error is None],
+            lambda c: draw_pixel_positions(rngs[c], (m, d), n_px, n_bin))
+        if not positions:
+            break
+        rates = dict(zip(positions, np.take_along_axis(
+            lit.rates[None, None], np.stack(list(positions.values()))[:, :, None],
+            axis=-1)))
+        noisy = each(rates, lambda c: sample_noise(rates[c], sigmas[c], rngs[c],
+                                                   quantize=quantize))
+        if not noisy:
+            break
+        try:
+            phase = unwrapped_phase(np.stack(list(noisy.values())), phase_steps,
+                                    lit.c0, lit.mu)
+            fids[list(noisy), start:start + m] = sample_fidelity(target, phase)
+        except (PdisimError, ValueError) as exc:
+            for c in noisy:
+                errors[c] = str(exc)
+    return [(None, error) if error is not None
+            else (FidelityStats.from_runs(runs, n_states_per_run=1), None)
+            for runs, error in zip(fids, errors)]
 
 
-def _run_cell(cell_index, lit, *cell, **sweep):
+def _run_block(indices, lit, *block, **sweep):
     if isinstance(lit, str):
-        return None, lit
-    try:
-        return _qudit_cell(cell_index, lit, *cell, **sweep), None
-    except (PdisimError, ValueError) as exc:
-        return None, str(exc)
+        return [(None, lit)] * len(indices)
+    return _qudit_block(indices, lit, *block, **sweep)
 
 
 def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
@@ -214,10 +249,13 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
     fatal.
 
     What depends on the illumination only (the slit pixels' frames, C0 and
-    mu) is computed once per illumination, before any cell starts. numpy's
-    random draws and ufuncs release the GIL, so threads run cells in
-    parallel. Any other exception, or an interrupt, cancels the cells still
-    queued and propagates.
+    mu) is computed once per illumination, before any cell starts. Each task
+    is a block of cells that share the illumination and n_bin and differ in
+    sigma, at most as many as fill one chunk of repetitions; every cell keeps
+    its own stream, so the blocking never changes a result. numpy's random
+    draws and ufuncs release the GIL, so threads run blocks in parallel. Any
+    other exception, or an interrupt, cancels the blocks still queued and
+    propagates.
     """
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
@@ -226,29 +264,39 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
     reference = psi.reference_for(fld)
     lit = {illum: _illuminate(slit_values, reference, psi, illum)
            for illum in grid.illuminations}
-    # bound per call, not at import, so that a wrapper put on
-    # experiments._run_cell (perfbench's tracer) is the one that runs
-    run = functools.partial(
-        _run_cell, seed=seed, phase_steps=psi.phase_steps, target=scene.state,
-        repetitions=grid.repetitions, quantize=quantize)
     cells = list(grid.cells())
+    groups = {}
+    for index, (illum, _, n_bin) in enumerate(cells):
+        groups.setdefault((illum, n_bin), []).append(index)
+    # no block's chunk holds more rows than one cell's chunk of _CHUNK
+    per_block = _CHUNK // min(_CHUNK, grid.repetitions)
+    blocks = []
+    for (illum, n_bin), group in groups.items():
+        n = -(-len(group) // per_block)
+        for i in range(n):
+            indices = group[len(group) * i // n:len(group) * (i + 1) // n]
+            blocks.append((indices, lit[illum],
+                           [cells[index][1] for index in indices], n_bin))
+    # bound per call, not at import, so that a wrapper put on
+    # experiments._run_block (a tracer) is the one that runs
+    run = functools.partial(
+        _run_block, seed=seed, phase_steps=psi.phase_steps, target=scene.state,
+        repetitions=grid.repetitions, quantize=quantize)
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         try:
-            futures = [pool.submit(run, index, lit[illum], sigma, n_bin)
-                       for index, (illum, sigma, n_bin) in enumerate(cells)]
-            # one wake-up per sweep, not one per cell taking the GIL from a
-            # worker; cells start in order, so a failed one is reached below
+            futures = [pool.submit(run, *block) for block in blocks]
+            # one wake-up per sweep, not one per block taking the GIL from a
+            # worker; blocks start in order, so a failed one is reached below
             concurrent.futures.wait(
                 futures, return_when=concurrent.futures.FIRST_EXCEPTION)
-            outcomes = [f.result() for f in futures]
+            outcomes = {}
+            for (indices, *_), future in zip(blocks, futures):
+                outcomes.update(zip(indices, future.result()))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    return [
-        CellResult(illumination=illum, sigma=sigma, n_bin=n_bin, stats=stats,
-                   error=error)
-        for (illum, sigma, n_bin), (stats, error) in zip(cells, outcomes)
-    ]
+    return [CellResult(*cell, *outcomes[index])
+            for index, cell in enumerate(cells)]
 
 
 def _reconstruct_noisy(fld: ComplexField, region, psi, illumination, sigma,

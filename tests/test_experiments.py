@@ -5,13 +5,16 @@ import time
 import numpy as np
 import pytest
 
-from pdisim import (BinningPolicy, DomainError, LensScene, NoiseParams,
-                    PsiConfig, QuditScene, SweepGrid, apply_noise,
-                    continuous_experiment, extract_phase, extract_state,
-                    fidelity, fidelity_sweep, phase_error_stats,
-                    rng_stream, sample_noise, simulate_interferograms)
+from pdisim import (BinningPolicy, CellResult, DomainError, FidelityStats,
+                    LensScene, NoiseParams, PsiConfig, QuditScene, SweepGrid,
+                    apply_noise, c0_analytic, continuous_experiment,
+                    extract_phase, extract_state, fidelity, fidelity_sweep,
+                    phase_error_stats, rng_stream, sample_noise,
+                    simulate_interferograms)
 from pdisim import experiments
 from pdisim.forward import frame_rates
+from pdisim.qudit import draw_pixel_positions, sample_fidelity
+from pdisim.reconstruct import unwrapped_phase
 from pdisim.sensor import MAX_POISSON_RATE
 
 SCENE = QuditScene()
@@ -128,6 +131,87 @@ def test_sweep_poisson_range_fails_every_cell_at_that_illumination(
     assert len(noise_draws) == 4
 
 
+def _per_cell_sweep(grid, seed, psi=PsiConfig()):
+    """The sweep one cell at a time, each from its own stream in chunks of
+    _CHUNK repetitions: what the blocked sweep must reproduce exactly."""
+    fld = SCENE.field()
+    slit_values = fld.values[SCENE.layout.slit_pixels(SCENE.grid)]
+    results = []
+    for index, (illum, sigma, n_bin) in enumerate(grid.cells()):
+        rates, ref = frame_rates(slit_values, psi.reference_for(fld),
+                                 psi.phase_steps, illum, slit_values)
+        _, d, n_px = rates.shape
+        rng = rng_stream(seed, index)
+        fids = np.empty(grid.repetitions)
+        for start in range(0, grid.repetitions, experiments._CHUNK):
+            m = min(experiments._CHUNK, grid.repetitions - start)
+            positions = draw_pixel_positions(rng, (m, d), n_px, n_bin)
+            noisy = sample_noise(
+                np.take_along_axis(rates[None], positions[:, None], axis=-1),
+                sigma, rng)
+            phase = unwrapped_phase(noisy, psi.phase_steps,
+                                    c0_analytic(ref, psi.n_steps),
+                                    float(np.angle(ref)))
+            fids[start:start + m] = sample_fidelity(SCENE.state, phase)
+        results.append(CellResult(illum, sigma, n_bin, FidelityStats.from_runs(
+            fids, n_states_per_run=1)))
+    return results
+
+
+SIGMAS_20 = tuple(0.15 * k for k in range(1, 21))
+
+
+@pytest.mark.parametrize("sigmas, n_bins, reps", [
+    (SIGMAS_20, (1,), 16),     # blocks of 10 cells
+    ((0.2, 0.5, 3.0), (1, 4), 300),  # one cell per block, two chunks
+])
+def test_sweep_blocks_equal_the_per_cell_sweep(sigmas, n_bins, reps):
+    grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=sigmas, n_bins=n_bins,
+                     repetitions=reps)
+    assert fidelity_sweep(SCENE, grid, seed=5, jobs=2) == _per_cell_sweep(grid, 5)
+
+
+def test_sweep_block_rows_stay_within_one_chunk(monkeypatch):
+    shapes = []
+
+    def recording(frames, *args):
+        shapes.append(frames.shape[:2])
+        return unwrapped_phase(frames, *args)
+
+    monkeypatch.setattr(experiments, "unwrapped_phase", recording)
+    for reps in (16, 100, 300):
+        grid = SweepGrid(illuminations=(3.0,), sigmas=SIGMAS_20, n_bins=(1,),
+                         repetitions=reps)
+        fidelity_sweep(SCENE, grid, seed=1)
+    # 20 cells split evenly into blocks of at most 256 // 16 = 16, then of
+    # 256 // 100 = 2; at 300 repetitions each cell is its own block
+    assert shapes == ([(10, 16)] * 2 + [(2, 100)] * 10
+                      + [(1, 256), (1, 44)] * 20)
+
+
+def test_sweep_cell_error_fails_that_cell_only():
+    def sweep(sigmas):
+        grid = SweepGrid(illuminations=(3.0,), sigmas=sigmas, n_bins=(1,),
+                         repetitions=16)
+        return fidelity_sweep(SCENE, grid, seed=2)
+
+    with pytest.raises(DomainError) as raised:
+        sample_noise(np.ones(1), np.inf, rng_stream(0))
+    low, bad, high = sweep((0.5, np.inf, 1.0))
+    assert bad.stats is None and bad.error == str(raised.value)
+    finite = sweep((0.5, 0.7, 1.0))
+    assert low == finite[0] and high == finite[2]
+    assert finite[1].stats is not None
+
+
+def test_sweep_jobs_independent_when_blocks_split_unevenly():
+    # 8 blocks of 10 cells on 3 threads
+    grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=SIGMAS_20, n_bins=(1, 2),
+                     repetitions=16)
+    assert (fidelity_sweep(SCENE, grid, seed=6, jobs=1)
+            == fidelity_sweep(SCENE, grid, seed=6, jobs=3))
+
+
 def test_sweep_deterministic_and_jobs_independent():
     grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=(0.2, 3.0),
                      n_bins=(1, 2), repetitions=50)
@@ -180,19 +264,20 @@ def test_sweep_threads_under_fast_switching_match_serial():
 def test_uncaught_cell_error_cancels_queued_cells(monkeypatch, exc_type, jobs):
     started = []
 
-    def cell(cell_index, *args, **kwargs):
-        started.append(cell_index)
-        if cell_index == 0:
+    def block(indices, *args, **kwargs):
+        started.append(indices[0])
+        if indices[0] == 0:
             raise exc_type("stop")
         time.sleep(0.2)  # time for the sweep to cancel the queue
 
-    monkeypatch.setattr(experiments, "_qudit_cell", cell)
+    monkeypatch.setattr(experiments, "_qudit_block", block)
     grid = SweepGrid(illuminations=(1.0, 2.0, 3.0, 4.0), sigmas=(0.2, 0.5),
                      n_bins=(1, 2), repetitions=1)
     with pytest.raises(exc_type):
         fidelity_sweep(SCENE, grid, jobs=jobs)
-    # cell 0, the cells running beside it, and at most one cell that its
-    # worker took up before the cancel; none of the 16 queued after them
+    # of the 8 blocks (one per illumination and n_bin): the block of cell 0,
+    # the blocks running beside it, and at most one block that its worker
+    # took up before the cancel; none of those queued after them
     assert started[0] == 0 and len(started) <= 1 + jobs
 
 
