@@ -45,7 +45,7 @@ def _load_config(args) -> RunConfig:
     if args.config is None:
         raise ConfigError("--config is required for this subcommand")
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
+        cfg = parse_config(fh.read(), args.command)
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
@@ -67,7 +67,7 @@ def _write_run_manifest(outdir, cfg: RunConfig, subcommand: str):
     # numpy's Poisson and normal streams are only fixed within one version
     text = (f"# pdisim run manifest\n# pdisim version = {__version__}\n"
             f"# numpy version = {np.__version__}\nsubcommand = {subcommand}\n"
-            f"seed = {cfg.noise.seed}\n\n" + serialize_config(portable))
+            f"seed = {cfg.noise.seed}\n\n" + serialize_config(portable, subcommand))
     with open(os.path.join(outdir, "manifest.txt"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(text)
@@ -100,7 +100,7 @@ def cmd_reconstruct(args) -> int:
         c0 = c0_empirical(c, dark)
     else:
         c0 = c0_analytic(iset.reference, iset.n_steps)
-    result = extract_phase(iset, c0=c0, mu_sign=args.mu_sign)
+    result = extract_phase(iset, c0=c0)
     os.makedirs(args.out, exist_ok=True)
     pio.write_phase_map(os.path.join(args.out, "phase.phmap"), result.phase)
     pio.write_amplitude_map(os.path.join(args.out, "amplitude.ammap"),
@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dark-threshold", type=float, default=0.0,
                    help="frame-0 level below which pixels count as dark "
                         "(empirical C0 mode)")
-    p.add_argument("--mu-sign", type=int, choices=(1, -1), default=1)
     common(p)
     p.set_defaults(func=cmd_reconstruct)
 

@@ -1,51 +1,30 @@
 """Run configuration: line-oriented ``key = value`` files with sections.
 
 Sections are ``[scene]``, ``[psi]``, ``[noise]``, ``[sweep]``, ``[output]``.
-Only ``[scene]`` is mandatory; every other key has a default. Unknown keys,
-type mismatches and constraint violations raise ConfigError naming the key
-and line number. A hand-rolled parser (rather than configparser) is used so
-diagnostics can carry line numbers.
+Only ``[scene]`` is mandatory; every other key has a default. One table,
+``_KEYS``, says for every key how to parse it, which scene types have it,
+which subcommands read it and where its value sits in a RunConfig. Under a
+subcommand, a key it does not read is rejected and ``serialize_config`` (the
+run manifest) lists exactly the keys it reads. Errors are ConfigErrors that
+name the key and line, which is why the parser is hand-rolled.
 """
 
 import functools
 import math
 import os
-from contextlib import contextmanager
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from . import io as pio
 from .errors import ConfigError, PdisimError
 from .experiments import LensScene, QuditScene, SweepGrid
-from .field import (ComplexField, GridSpec, QuditState, SlitLayout,
+from .field import (ComplexField, GridSpec, SlitLayout, equal_step_state,
                     field_from_phase_map)
 from .forward import PsiConfig
 from .sensor import MAX_NSAMP, NoiseParams
-
-#: The [scene] keys each scene type reads, besides `type`.
-_SCENE_KEYS = {
-    "eq6_qudit": {
-        "d", "slit_width_px", "slit_gap_px", "slit_length_px", "grid_width",
-        "grid_height", "background_amplitude", "background_phase",
-        "state_step",
-    },
-    "lens": {"grid_width", "grid_height", "curvature", "amplitude"},
-    "phmap": {"phase_map", "amplitude_map"},
-}
-
-_SECTIONS = {
-    "scene": {"type"}.union(*_SCENE_KEYS.values()),
-    "psi": {"n_steps", "illumination", "reference_re", "reference_im"},
-    "noise": {"readout_sigma", "nsamp", "quantize", "seed"},
-    "sweep": {
-        "illuminations", "sigmas", "nsamps", "n_bins", "repetitions",
-        "reference_illumination",
-    },
-    "output": {"directory"},
-}
-
-_SCENE_TYPES = tuple(_SCENE_KEYS)
 
 #: Caps on the sizes and rates a config can ask for, far above any run of
 #: the paper: grid sides and slit count (pixels), phase steps, repetitions
@@ -87,59 +66,13 @@ class RunConfig:
     scene: object
     psi: PsiConfig
     illumination: float
+    #: the phase step per slit that a qudit scene's state is built from
+    state_step: float
     noise: NoiseParams
     noise_enabled: bool
     sweep: SweepGrid
     reference_illumination: float
     output_directory: str | None
-
-
-class _Entry:
-    __slots__ = ("value", "line")
-
-    def __init__(self, value, line):
-        self.value = value
-        self.line = line
-
-
-def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
-    sections: dict[str, dict[str, _Entry]] = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                raise ConfigError(f"unknown section [{name}]", line=lineno)
-            current = sections.setdefault(name, {})
-            continue
-        if "=" not in line:
-            raise ConfigError("expected 'key = value'", line=lineno)
-        if current is None:
-            raise ConfigError("key outside any section", line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        section_name = next(n for n, s in sections.items() if s is current)
-        if key not in _SECTIONS[section_name]:
-            raise ConfigError(f"unknown key in [{section_name}]",
-                              key=key, line=lineno)
-        if key in current:
-            raise ConfigError("duplicate key", key=key, line=lineno)
-        current[key] = _Entry(value.strip(), lineno)
-    return sections
-
-
-def _get(section, key, convert, default):
-    entry = section.get(key)
-    if entry is None:
-        return default
-    try:
-        return convert(entry.value)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value {entry.value!r}: {exc}",
-                          key=key, line=entry.line) from None
 
 
 def _bool(text):
@@ -171,6 +104,7 @@ def _bounded(convert, minimum, maximum=math.inf):
 
 
 _positive_int = _bounded(int, 1)
+_nonnegative_int = _bounded(int, 0)
 _nonnegative_float = _bounded(_float, 0)
 _grid_size = _bounded(int, 1, MAX_GRID)
 _illumination = _bounded(_float, 0, MAX_ILLUMINATION)
@@ -193,212 +127,277 @@ def _list_of(convert):
     return parse
 
 
-def _fail(section, key, message):
-    entry = section.get(key)
-    raise ConfigError(message, key=key,
-                      line=entry.line if entry is not None else None)
+def _scene_type(cfg):
+    return {QuditScene: "eq6_qudit", LensScene: "lens",
+            PhmapScene: "phmap"}[type(cfg.scene)]
 
 
-@contextmanager
-def _translated(label, section=None, key=None):
-    """Report a model error raised in the block as a ConfigError, blamed on
-    `key` of `section` when given; a ConfigError passes through as is."""
+def _reference(part):
+    """The `part` of the [psi] reference; None for the default reference,
+    which is None."""
+    return lambda cfg: getattr(cfg.psi.reference_override, part, None)
+
+
+def _noise(name):
+    """A [noise] value; None when the section is absent (noise off)."""
+    return lambda cfg: getattr(cfg.noise, name) if cfg.noise_enabled else None
+
+
+_SCENE_TYPES = ("eq6_qudit", "lens", "phmap")
+_QUDIT, _LENS, _PHMAP = ("eq6_qudit",), ("lens",), ("phmap",)
+_SIMULATE, _CONTINUOUS = ("simulate",), ("continuous-experiment",)
+_SWEEPS = ("qudit-experiment", "sweep-map")
+_EXPERIMENTS = _SWEEPS + _CONTINUOUS
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: `convert` parses its text and checks its range;
+    `value`, a function or an attribute path, reads its resolved value from
+    a RunConfig (None: not written)."""
+
+    convert: Callable
+    value: Callable | str
+    scenes: tuple = _SCENE_TYPES
+    readers: tuple = _SIMULATE + _EXPERIMENTS
+
+    def read_by(self, subcommand) -> bool:
+        """Whether `subcommand` reads the key; every key counts for None."""
+        return subcommand is None or subcommand in self.readers
+
+
+#: Every key, in the order serialize_config writes them.
+_KEYS = {
+    ("scene", "type"): _Key(str, _scene_type),
+    ("scene", "d"): _Key(_grid_size, "scene.layout.d", _QUDIT),
+    ("scene", "slit_width_px"): _Key(_positive_int, "scene.layout.slit_width_px",
+                                     _QUDIT),
+    ("scene", "slit_gap_px"): _Key(_nonnegative_int, "scene.layout.slit_gap_px",
+                                   _QUDIT),
+    ("scene", "slit_length_px"): _Key(_positive_int, "scene.layout.slit_length_px",
+                                      _QUDIT),
+    ("scene", "curvature"): _Key(_float, "scene.curvature", _LENS),
+    ("scene", "amplitude"): _Key(_float, "scene.amplitude", _LENS),
+    ("scene", "grid_width"): _Key(_grid_size, "scene.grid.width", _QUDIT + _LENS),
+    ("scene", "grid_height"): _Key(_grid_size, "scene.grid.height", _QUDIT + _LENS),
+    ("scene", "background_amplitude"): _Key(_float, "scene.background_amplitude",
+                                            _QUDIT),
+    ("scene", "background_phase"): _Key(_float, "scene.background_phase", _QUDIT),
+    ("scene", "state_step"): _Key(_float, "state_step", _QUDIT),
+    ("scene", "phase_map"): _Key(_existing_path, "scene.phase_path", _PHMAP),
+    ("scene", "amplitude_map"): _Key(_existing_path, "scene.amplitude_path", _PHMAP),
+    ("psi", "n_steps"): _Key(_bounded(int, 3, MAX_STEPS), "psi.n_steps"),
+    ("psi", "illumination"): _Key(_illumination, "illumination", readers=_SIMULATE),
+    ("psi", "reference_re"): _Key(_float, _reference("real")),
+    ("psi", "reference_im"): _Key(_float, _reference("imag")),
+    ("noise", "readout_sigma"): _Key(_nonnegative_float, _noise("readout_sigma"),
+                                     readers=_SIMULATE),
+    ("noise", "nsamp"): _Key(_nsamp, _noise("nsamp"), readers=_SIMULATE),
+    ("noise", "quantize"): _Key(_bool, _noise("quantize")),
+    ("noise", "seed"): _Key(_nonnegative_int, _noise("seed")),
+    ("sweep", "illuminations"): _Key(_list_of(_illumination), "sweep.illuminations",
+                                     readers=_EXPERIMENTS),
+    ("sweep", "sigmas"): _Key(_list_of(_nonnegative_float), "sweep.sigmas",
+                              readers=_EXPERIMENTS),
+    ("sweep", "nsamps"): _Key(_list_of(_nsamp), "sweep.nsamps", readers=_EXPERIMENTS),
+    ("sweep", "n_bins"): _Key(_list_of(_positive_int), "sweep.n_bins", readers=_SWEEPS),
+    ("sweep", "repetitions"): _Key(_bounded(int, 1, MAX_REPETITIONS),
+                                   "sweep.repetitions", readers=_SWEEPS),
+    ("sweep", "reference_illumination"): _Key(_illumination, "reference_illumination",
+                                              readers=_CONTINUOUS),
+    ("output", "directory"): _Key(str, "output_directory"),
+}
+
+
+def _tokenize(text: str, subcommand):
+    """The (value text, line number) of each (section, key) in `text`, and
+    the names of its sections."""
+    entries: dict[tuple[str, str], tuple[str, int]] = {}
+    sections = set()
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if not any(section == current for section, _ in _KEYS):
+                raise ConfigError(f"unknown section [{current}]", line=lineno)
+            sections.add(current)
+            continue
+        if "=" not in line:
+            raise ConfigError("expected 'key = value'", line=lineno)
+        if current is None:
+            raise ConfigError("key outside any section", line=lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        row = _KEYS.get((current, key))
+        if row is None:
+            raise ConfigError(f"unknown key in [{current}]", key=key, line=lineno)
+        if not row.read_by(subcommand):
+            raise ConfigError(f"[{current}] {key} is not read by {subcommand}",
+                              key=key, line=lineno)
+        if (current, key) in entries:
+            raise ConfigError("duplicate key", key=key, line=lineno)
+        entries[current, key] = (value.strip(), lineno)
+    return entries, sections
+
+
+def _get(entries, section, key, default):
+    if (section, key) not in entries:
+        return default
+    text, line = entries[section, key]
     try:
-        yield
-    except ConfigError:
-        raise
+        return _KEYS[section, key].convert(text)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad value {text!r}: {exc}", key=key, line=line) from None
+
+
+def _fail(entries, section, key, message):
+    _, line = entries.get((section, key), (None, None))
+    raise ConfigError(message, key=key, line=line)
+
+
+def _build(fail, blame, label, model, **fields):
+    """`model(**fields)`, whose errors become a ConfigError blamed on the
+    (section, key) `blame`: the converters have checked each field on its
+    own, so these are the checks across fields."""
+    try:
+        return model(**fields)
     except PdisimError as exc:
-        _fail(section or {}, key, f"invalid {label}: {exc}")
+        fail(*blame, f"invalid {label}: {exc}")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a config; every default is resolved."""
-    sections = _tokenize(text)
-    scene_sec = sections.get("scene", {})
-    kind = _get(scene_sec, "type", str, "eq6_qudit")
-    if kind not in _SCENE_TYPES:
-        _fail(scene_sec, "type", f"scene type must be one of {_SCENE_TYPES}")
-    for key in scene_sec:
-        if key != "type" and key not in _SCENE_KEYS[kind]:
-            _fail(scene_sec, key, f"not a key of scene type {kind}")
+def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
+    """Parse and fully validate a config; every default is resolved.
+
+    With a subcommand, a key it does not read is a ConfigError, and a check
+    across keys runs only if the subcommand reads the key it blames.
+    """
+    entries, sections = _tokenize(text, subcommand)
+    get = functools.partial(_get, entries)
+    fail = functools.partial(_fail, entries)
+    kind = get("scene", "type", "eq6_qudit")
+    if kind not in _KEYS["scene", "type"].scenes:
+        fail("scene", "type", f"scene type must be one of {_SCENE_TYPES}")
+    for section, key in entries:
+        if kind not in _KEYS[section, key].scenes:
+            fail(section, key, f"not a key of scene type {kind}")
 
     grid = GridSpec(
-        width=_get(scene_sec, "grid_width", _grid_size, 128),
-        height=_get(scene_sec, "grid_height", _grid_size, 128),
+        width=get("scene", "grid_width", 128),
+        height=get("scene", "grid_height", 128),
     )
-    pixels_per_slit = None
+    step = get("scene", "state_step", 2.0 * np.pi / 5.0)
     if kind == "eq6_qudit":
-        # the converters check each key on its own; SlitLayout has left to
-        # reject a slit shorter than it is wide
-        with _translated("slit layout", scene_sec, "slit_length_px"):
-            layout = SlitLayout(
-                d=_get(scene_sec, "d", _grid_size, 6),
-                slit_width_px=_get(scene_sec, "slit_width_px", _positive_int, 10),
-                slit_gap_px=_get(scene_sec, "slit_gap_px", _bounded(int, 0), 4),
-                slit_length_px=_get(scene_sec, "slit_length_px", _positive_int, 10),
-            )
+        # SlitLayout has left to reject a slit shorter than it is wide
+        layout = _build(fail, ("scene", "slit_length_px"), "slit layout", SlitLayout,
+                        d=get("scene", "d", 6),
+                        slit_width_px=get("scene", "slit_width_px", 10),
+                        slit_gap_px=get("scene", "slit_gap_px", 4),
+                        slit_length_px=get("scene", "slit_length_px", 10))
         for key, needed, size in (("grid_width", layout.bounding_width, grid.width),
                                   ("grid_height", layout.slit_length_px, grid.height)):
             if needed > size:
-                _fail(scene_sec, key, f"the slits need {needed} pixels, the grid "
-                                      f"has {size}")
-        step = _get(scene_sec, "state_step", _float, 2.0 * np.pi / 5.0)
-        state = QuditState.from_coeffs(np.exp(1j * step * np.arange(layout.d)))
+                fail("scene", key, f"the slits need {needed} pixels, the grid "
+                                   f"has {size}")
         scene = QuditScene(
             grid=grid,
             layout=layout,
-            state=state,
-            background_amplitude=_get(scene_sec, "background_amplitude",
-                                      _float, 1.0),
-            background_phase=_get(scene_sec, "background_phase", _float, 0.0),
+            state=equal_step_state(layout.d, step),
+            background_amplitude=get("scene", "background_amplitude", 1.0),
+            background_phase=get("scene", "background_phase", 0.0),
         )
-        pixels_per_slit = layout.pixels_per_slit
     elif kind == "lens":
         scene = LensScene(
             grid=grid,
-            curvature=_get(scene_sec, "curvature", _float, np.pi / 2048.0),
-            amplitude=_get(scene_sec, "amplitude", _float, 1.0),
+            curvature=get("scene", "curvature", np.pi / 2048.0),
+            amplitude=get("scene", "amplitude", 1.0),
         )
     else:
-        phase_path = _get(scene_sec, "phase_map", _existing_path, None)
+        phase_path = get("scene", "phase_map", None)
         if phase_path is None:
-            _fail(scene_sec, "type", "phmap scene requires a phase_map path")
+            fail("scene", "type", "phmap scene requires a phase_map path")
         scene = PhmapScene(
             phase_path=phase_path,
-            amplitude_path=_get(scene_sec, "amplitude_map", _existing_path, None),
+            amplitude_path=get("scene", "amplitude_map", None),
         )
 
-    psi_sec = sections.get("psi", {})
-    psi = PsiConfig(n_steps=_get(psi_sec, "n_steps", _bounded(int, 3, MAX_STEPS), 4))
-    ref_re = _get(psi_sec, "reference_re", _float, None)
-    ref_im = _get(psi_sec, "reference_im", _float, None)
+    psi = PsiConfig(n_steps=get("psi", "n_steps", 4))
+    ref_re = get("psi", "reference_re", None)
+    ref_im = get("psi", "reference_im", None)
     if ref_re is not None or ref_im is not None:
         reference = complex(ref_re or 0.0, ref_im or 0.0)
         if reference == 0:
-            _fail(psi_sec, "reference_re" if ref_re is not None else "reference_im",
-                  "the reference amplitude must not be zero")
+            fail("psi", "reference_re" if ref_re is not None else "reference_im",
+                 "the reference amplitude must not be zero")
         psi = PsiConfig(n_steps=psi.n_steps, reference_override=reference)
-    illumination = _get(psi_sec, "illumination", _illumination, 3.0)
+    illumination = get("psi", "illumination", 3.0)
 
-    noise_sec = sections.get("noise", {})
-    nsamp = _get(noise_sec, "nsamp", _nsamp, None)
-    sigma = _get(noise_sec, "readout_sigma", _nonnegative_float, None)
-    if sigma is None and nsamp is None:
-        sigma = 0.2
+    nsamp = get("noise", "nsamp", None)
+    sigma = get("noise", "readout_sigma", 0.2 if nsamp is None else None)
     # all NoiseParams has left to reject is a sigma that disagrees with nsamp
-    with _translated("[noise]", noise_sec, "readout_sigma"):
-        noise = NoiseParams(
-            readout_sigma=sigma,
-            nsamp=nsamp,
-            quantize=_get(noise_sec, "quantize", _bool, False),
-            seed=_get(noise_sec, "seed", _bounded(int, 0), 0),
-        )
+    noise = _build(fail, ("noise", "readout_sigma"), "[noise]", NoiseParams,
+                   readout_sigma=sigma, nsamp=nsamp,
+                   quantize=get("noise", "quantize", False),
+                   seed=get("noise", "seed", 0))
 
-    sweep_sec = sections.get("sweep", {})
     lens = kind == "lens"
     default_illums = (1.9, 4.0, 12.7) if lens else (1.7, 3.0, 11.3)
     # continuous-experiment compares the worst and the best readout
-    default_sigmas = (3.0, 0.2) if lens and "nsamps" not in sweep_sec else None
-    # The converters check each key on its own, so all SweepGrid has left
-    # to reject is sigmas that disagree with nsamps.
-    with _translated("[sweep]", sweep_sec, "sigmas"):
-        sweep = SweepGrid(
-            illuminations=_get(sweep_sec, "illuminations",
-                               _list_of(_illumination), default_illums),
-            sigmas=_get(sweep_sec, "sigmas", _list_of(_nonnegative_float),
-                        default_sigmas),
-            nsamps=_get(sweep_sec, "nsamps", _list_of(_nsamp), None),
-            n_bins=_get(sweep_sec, "n_bins", _list_of(_positive_int), (1, 2, 4, 8)),
-            repetitions=_get(sweep_sec, "repetitions",
-                             _bounded(int, 1, MAX_REPETITIONS), 2000),
-        )
-    reference_illumination = _get(sweep_sec, "reference_illumination",
-                                  _illumination, 500.0)
-    if reference_illumination < max(sweep.illuminations):
-        _fail(sweep_sec, "reference_illumination",
-              "reference illumination must be at least the largest sweep illumination")
-    if pixels_per_slit is not None:
+    default_sigmas = (3.0, 0.2) if lens and ("sweep", "nsamps") not in entries else None
+    # all SweepGrid has left to reject is sigmas that disagree with nsamps
+    sweep = _build(fail, ("sweep", "sigmas"), "[sweep]", SweepGrid,
+                   illuminations=get("sweep", "illuminations", default_illums),
+                   sigmas=get("sweep", "sigmas", default_sigmas),
+                   nsamps=get("sweep", "nsamps", None),
+                   n_bins=get("sweep", "n_bins", (1, 2, 4, 8)),
+                   repetitions=get("sweep", "repetitions", 2000))
+    reference_illumination = get("sweep", "reference_illumination", 500.0)
+    if (_KEYS["sweep", "reference_illumination"].read_by(subcommand)
+            and reference_illumination < max(sweep.illuminations)):
+        fail("sweep", "reference_illumination",
+             "reference illumination must be at least the largest sweep illumination")
+    if kind == "eq6_qudit" and _KEYS["sweep", "n_bins"].read_by(subcommand):
         for n_bin in sweep.n_bins:
-            if n_bin > pixels_per_slit:
-                _fail(sweep_sec, "n_bins",
-                      f"n_bin={n_bin} exceeds {pixels_per_slit} pixels per slit")
-
-    output_sec = sections.get("output", {})
-    outdir = _get(output_sec, "directory", str, None)
+            if n_bin > layout.pixels_per_slit:
+                fail("sweep", "n_bins", f"n_bin={n_bin} exceeds "
+                                        f"{layout.pixels_per_slit} pixels per slit")
 
     return RunConfig(
         scene=scene,
         psi=psi,
         illumination=illumination,
+        state_step=step,
         noise=noise,
         noise_enabled="noise" in sections,
         sweep=sweep,
         reference_illumination=reference_illumination,
-        output_directory=outdir,
+        output_directory=get("output", "directory", None),
     )
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse(serialize(parse(x))) == parse(x)."""
-    f = pio.fmt_float
-    kind = {QuditScene: "eq6_qudit", LensScene: "lens",
-            PhmapScene: "phmap"}[type(cfg.scene)]
-    lines = ["[scene]", f"type = {kind}"]
-    if kind == "eq6_qudit":
-        layout = cfg.scene.layout
-        step = float(np.angle(cfg.scene.state.coeffs[1] /
-                              cfg.scene.state.coeffs[0])) if layout.d > 1 else 0.0
-        if step < 0:
-            step += 2.0 * np.pi
-        lines += [
-            f"d = {layout.d}",
-            f"slit_width_px = {layout.slit_width_px}",
-            f"slit_gap_px = {layout.slit_gap_px}",
-            f"slit_length_px = {layout.slit_length_px}",
-            f"grid_width = {cfg.scene.grid.width}",
-            f"grid_height = {cfg.scene.grid.height}",
-            f"background_amplitude = {f(cfg.scene.background_amplitude)}",
-            f"background_phase = {f(cfg.scene.background_phase)}",
-            f"state_step = {f(step)}",
-        ]
-    elif kind == "lens":
-        lines += [
-            f"curvature = {f(cfg.scene.curvature)}",
-            f"amplitude = {f(cfg.scene.amplitude)}",
-            f"grid_width = {cfg.scene.grid.width}",
-            f"grid_height = {cfg.scene.grid.height}",
-        ]
-    else:
-        lines.append(f"phase_map = {cfg.scene.phase_path}")
-        if cfg.scene.amplitude_path is not None:
-            lines.append(f"amplitude_map = {cfg.scene.amplitude_path}")
+def _text(value) -> str:
+    """A resolved value as config text that parses back to it."""
+    if isinstance(value, tuple):
+        return ",".join(_text(item) for item in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return pio.fmt_float(value)
+    return str(value)
 
-    lines += ["", "[psi]", f"n_steps = {cfg.psi.n_steps}",
-              f"illumination = {f(cfg.illumination)}"]
-    if cfg.psi.reference_override is not None:
-        ref = cfg.psi.reference_override
-        lines += [f"reference_re = {f(ref.real)}", f"reference_im = {f(ref.imag)}"]
 
-    if cfg.noise_enabled:
-        lines += ["", "[noise]",
-                  f"readout_sigma = {f(cfg.noise.readout_sigma)}"]
-        if cfg.noise.nsamp is not None:
-            lines.append(f"nsamp = {cfg.noise.nsamp}")
-        lines += [f"quantize = {'true' if cfg.noise.quantize else 'false'}",
-                  f"seed = {cfg.noise.seed}"]
-
-    lines += [
-        "", "[sweep]",
-        "illuminations = " + ",".join(f(x) for x in cfg.sweep.illuminations),
-        "sigmas = " + ",".join(f(x) for x in cfg.sweep.sigmas),
-    ]
-    if cfg.sweep.nsamps is not None:
-        lines.append("nsamps = " + ",".join(str(x) for x in cfg.sweep.nsamps))
-    lines += [
-        "n_bins = " + ",".join(str(x) for x in cfg.sweep.n_bins),
-        f"repetitions = {cfg.sweep.repetitions}",
-        f"reference_illumination = {f(cfg.reference_illumination)}",
-    ]
-    if cfg.output_directory is not None:
-        lines += ["", "[output]", f"directory = {cfg.output_directory}"]
-    return "\n".join(lines) + "\n"
+def serialize_config(cfg: RunConfig, subcommand: str | None = None) -> str:
+    """Canonical text form; parse(serialize(parse(x))) == parse(x). With a
+    subcommand, it holds only the keys that subcommand reads."""
+    kind = _scene_type(cfg)
+    sections = {}
+    for (section, key), row in _KEYS.items():
+        if kind not in row.scenes or not row.read_by(subcommand):
+            continue
+        value = row.value(cfg) if callable(row.value) else attrgetter(row.value)(cfg)
+        if value is not None:
+            sections.setdefault(section, [f"[{section}]"]).append(
+                f"{key} = {_text(value)}")
+    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"

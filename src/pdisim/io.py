@@ -66,12 +66,12 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
-def write_interferogram_set(directory, iset, prefix="frame"):
+def write_interferogram_set(directory, iset):
     """Write one AMMAP per frame plus `manifest.txt`. Returns manifest path."""
     os.makedirs(directory, exist_ok=True)
     frame_names = []
     for n, frame in enumerate(iset.frames):
-        name = f"{prefix}_{n}.ammap"
+        name = f"frame_{n}.ammap"
         write_map(os.path.join(directory, name), frame, "AMMAP")
         frame_names.append(name)
     lines = ["INTERFEROGRAMS 1"]

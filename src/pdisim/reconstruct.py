@@ -86,23 +86,19 @@ def c0_empirical(c: np.ndarray, dark_region: np.ndarray) -> float:
 
 
 def extract_phase(frames: InterferogramSet, c0: float | None = None,
-                  mu: float | None = None, mu_sign: int = +1) -> ReconstructionResult:
+                  mu: float | None = None) -> ReconstructionResult:
     """Recover the wrapped phase and amplitude maps.
 
-    c0 and mu default to the analytic values from the stored reference.
-    mu_sign selects how the reference phase re-enters the result; +1 is the
-    algebraically consistent choice (arctan2(S, C - C0) = phi - mu), -1 is
-    provided for convention compatibility. Pixels with C - c0 = S = 0 get
-    phase 0 (arctan2(0, 0) convention).
+    c0 and mu default to the analytic values from the stored reference; the
+    reference phase mu is added back, since arctan2(S, C - C0) = phi - mu.
+    Pixels with C - c0 = S = 0 get phase 0 (arctan2(0, 0) convention).
     """
-    if mu_sign not in (+1, -1):
-        raise ValueError("mu_sign must be +1 or -1")
     if c0 is None:
         c0 = c0_analytic(frames.reference, frames.n_steps)
     if mu is None:
         mu = float(np.angle(frames.reference))
     phase = wrap(unwrapped_phase(frames.frames, frames.psi_config.phase_steps,
-                                 c0, mu_sign * mu))
+                                 c0, mu))
     amplitude = np.sqrt(np.clip(frames.frames[0], 0.0, None))
     return ReconstructionResult(phase=phase, amplitude=amplitude,
                                 c0_used=float(c0), mu_used=float(mu))

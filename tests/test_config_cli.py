@@ -525,9 +525,10 @@ def test_cli_subcommand_on_the_wrong_scene_type(tmp_path, subcommand, scene):
 
 
 def test_cli_continuous_labels_nsamps_like_the_sweeps(tmp_path):
-    sweep = "[sweep]\nilluminations = 4.0\nnsamps = 1,9\nreference_illumination = 100\n"
+    sweep = "[sweep]\nilluminations = 4.0\nnsamps = 1,9\n"
     table = cli_output(tmp_path, "continuous-experiment",
-                       "[scene]\ntype = lens\n" + sweep, "lens",
+                       "[scene]\ntype = lens\n" + sweep
+                       + "reference_illumination = 100\n", "lens",
                        "phase_error.csv").decode().splitlines()
     fidelity = cli_output(tmp_path, "qudit-experiment",
                           MINIMAL + sweep + "n_bins = 1\nrepetitions = 5\n",
@@ -550,3 +551,95 @@ def test_config_roundtrip_of_wrapped_step_and_amplitude_map(tmp_path):
             assert np.allclose(again.scene.state.coeffs, cfg.scene.state.coeffs)
         else:
             assert again.scene == cfg.scene
+
+
+LENS = "[scene]\ntype = lens\n"
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    *[pytest.param("continuous-experiment", LENS + f"[sweep]\n{line}\n",
+                   id=f"continuous-{line.split()[0]}")
+      for line in ("n_bins = 1", "repetitions = 5")],
+    *[pytest.param(sweep, MINIMAL + f"[{section}]\n{line}\n",
+                   id=f"{sweep}-{line.split()[0]}")
+      for sweep in ("qudit-experiment", "sweep-map")
+      for section, line in (("psi", "illumination = 2"),
+                            ("sweep", "reference_illumination = 100"),
+                            ("noise", "readout_sigma = 0.5"),
+                            ("noise", "nsamp = 9"))],
+    *[pytest.param("simulate", MINIMAL + f"[sweep]\n{line}\n",
+                   id=f"simulate-{line.split()[0]}")
+      for line in ("illuminations = 3.0", "sigmas = 0.5", "nsamps = 9",
+                   "n_bins = 1", "repetitions = 5", "reference_illumination = 100")],
+])
+def test_cli_rejects_a_key_the_subcommand_does_not_read(tmp_path, capsys, subcommand,
+                                                        text):
+    key = text.splitlines()[-1].split(" =")[0]
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, subcommand)
+    assert (err.value.key, err.value.line) == (key, 4)
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([subcommand, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}', line 4" in err and subcommand in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    pytest.param("qudit-experiment",
+                 MINIMAL + "[sweep]\nilluminations = 600\nsigmas = 0.5\n"
+                 "n_bins = 1\nrepetitions = 5\n", id="sweep-above-default-reference"),
+    pytest.param("simulate", MINIMAL + "slit_width_px = 1\nslit_length_px = 2\n",
+                 id="simulate-two-pixel-slits"),
+])
+def test_cross_key_checks_skip_keys_the_subcommand_does_not_read(tmp_path, subcommand,
+                                                                 text):
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    cfg = write_cfg(tmp_path, text)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+
+
+QUDIT_KEYS = ["type", "d", "slit_width_px", "slit_gap_px", "slit_length_px",
+              "grid_width", "grid_height", "background_amplitude",
+              "background_phase", "state_step"]
+
+
+@pytest.mark.parametrize("subcommand, text, keys", [
+    pytest.param("simulate", MINIMAL + "[noise]\nnsamp = 9\n",
+                 QUDIT_KEYS + ["n_steps", "illumination", "readout_sigma", "nsamp",
+                               "quantize", "seed"], id="simulate"),
+    pytest.param("sweep-map", MINIMAL + "[noise]\nseed = 2\n" + SMALL_SWEEP,
+                 QUDIT_KEYS + ["n_steps", "quantize", "seed", "illuminations",
+                               "sigmas", "n_bins", "repetitions"], id="sweep-map"),
+    pytest.param("continuous-experiment", LENS + "[psi]\nreference_re = 0.5\n",
+                 ["type", "curvature", "amplitude", "grid_width", "grid_height",
+                  "n_steps", "reference_re", "reference_im", "illuminations",
+                  "sigmas", "reference_illumination"], id="continuous-experiment"),
+])
+def test_cli_manifest_lists_exactly_the_keys_read(tmp_path, subcommand, text, keys):
+    manifest = cli_output(tmp_path, subcommand, text, "run", "manifest.txt")
+    body = manifest.decode().split("\n\n", 1)[1]
+    assert [line.split(" = ")[0] for line in body.splitlines()
+            if " = " in line] == keys
+    assert serialize_config(parse_config(body, subcommand), subcommand) == body
+
+
+def readme_configs():
+    """(subcommand, text) of each ini block of the README, whose first line
+    names the command it is for."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = fh.read().split("```ini\n")[1:]
+    return [pytest.param(block.split()[2], block.split("```")[0],
+                         id=block.split()[2]) for block in blocks]
+
+
+@pytest.mark.parametrize("subcommand, text", readme_configs())
+def test_readme_configs_parse_under_their_subcommand(subcommand, text):
+    assert text.startswith(f"# pdisim {subcommand} ")
+    once = serialize_config(parse_config(text, subcommand), subcommand)
+    assert serialize_config(parse_config(once, subcommand), subcommand) == once

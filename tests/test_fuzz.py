@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pdisim import (ConfigError, InterferogramSet, PdisimError, RunConfig,
-                    parse_config)
+                    parse_config, serialize_config)
 from pdisim import io as pio
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -55,14 +55,21 @@ CONFIGS = st.lists(LINES, max_size=14).map(
     lambda lines: "[scene]\n" + "\n".join(lines) + "\n")
 
 
+SUBCOMMANDS = [None, "simulate", "qudit-experiment", "sweep-map",
+               "continuous-experiment"]
+
+
 @FUZZ
-@given(CONFIGS)
-def test_parse_config_returns_config_or_config_error(text):
+@given(CONFIGS, st.sampled_from(SUBCOMMANDS))
+def test_parse_config_returns_config_or_config_error(text, subcommand):
     try:
         cfg = parse_config(text)
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+    # what a subcommand writes to its manifest, it reads back unchanged
+    once = serialize_config(cfg, subcommand)
+    assert serialize_config(parse_config(once, subcommand), subcommand) == once
 
 
 # -- read_map -------------------------------------------------------------

@@ -124,18 +124,6 @@ def test_scale_invariance_of_phase():
     assert np.allclose(circ_dist(res2.phase, res1.phase), 0.0, atol=1e-12)
 
 
-def test_mu_sign_conventions():
-    scene = QuditScene()
-    iset = simulate_interferograms(scene.field(), PsiConfig(), 3.0,
-                                   region=scene.region())
-    plus = extract_phase(iset, mu_sign=+1)
-    minus = extract_phase(iset, mu_sign=-1)
-    assert np.allclose(circ_dist(plus.phase, minus.phase),
-                       circ_dist(2 * plus.mu_used, 0.0), atol=1e-9)
-    with pytest.raises(ValueError):
-        extract_phase(iset, mu_sign=0)
-
-
 def test_dead_pixel_convention():
     # u = 0, |K| = 1: frames are exactly [0, 2, 4, 2], so C - C0 = S = 0
     iset = single_pixel_set([0.0, 2.0, 4.0, 2.0], reference=1.0 + 0j)
