@@ -191,13 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="run configuration file")
-        p.add_argument("--seed", type=int, help="override the RNG seed")
+    def common(p, reads_config=True):
+        if reads_config:
+            p.add_argument("--config", help="run configuration file")
+            p.add_argument("--seed", type=int, help="override the RNG seed")
         p.add_argument("--out", help="output directory")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="sweep worker threads, >= 1 (results do not "
-                            "depend on it)")
+                       help="sweep worker threads, >= 1; changes only the "
+                            "sweeps, never results")
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress output")
 
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dark-threshold", type=float, default=0.0,
                    help="frame-0 level below which pixels count as dark "
                         "(empirical C0 mode)")
-    common(p)
+    common(p, reads_config=False)
     p.set_defaults(func=cmd_reconstruct)
 
     for name, csv_name, help_text in (

@@ -8,7 +8,9 @@ Every cell of a sweep is fed by its own random stream (seed, cell index).
 The sweep's tasks are blocks of cells that share an illumination and n_bin;
 a block batches the cells' arithmetic, not their streams, so results are
 bit-identical for a fixed seed regardless of blocking, worker count or
-scheduling order.
+scheduling order. A block fails or succeeds whole: what could fail (the
+Poisson range of its frames, n_bin against the pixels per slit) is the same
+for all of its cells, and the grid has checked every sigma.
 """
 
 import concurrent.futures
@@ -25,7 +27,7 @@ from .forward import PsiConfig, frame_rates, simulate_interferograms
 from .qudit import FidelityStats, draw_pixel_positions, sample_fidelity
 from .reconstruct import c0_analytic, extract_phase, unwrapped_phase
 from .sensor import (apply_noise, check_poisson_rates, NoiseParams, rng_stream,
-                     sample_noise, sigma_from_nsamp)
+                     readout_sigmas, sample_noise)
 
 #: Fixed vectorization chunk (repetitions per draw from a cell's stream).
 #: Part of the determinism contract: results must not depend on worker
@@ -81,10 +83,9 @@ class LensScene:
 class SweepGrid:
     """Cartesian sweep over illumination, readout noise and binning.
 
-    Noise may be given as sigmas (e-) or as Skipper sample counts (nsamps);
-    nsamps are converted through sigma_from_nsamp. Giving both is rejected
-    unless they agree, as in NoiseParams. Without either, the sigmas are
-    3.0, 1.0, 0.5 and 0.2 e-.
+    Noise may be given as sigmas (e-) or as Skipper sample counts (nsamps),
+    as in NoiseParams: readout_sigmas converts and checks them. Without
+    either, the sigmas are 3.0, 1.0, 0.5 and 0.2 e-.
     """
 
     illuminations: tuple[float, ...] = (1.7, 3.0, 11.3)
@@ -94,22 +95,12 @@ class SweepGrid:
     repetitions: int = 2000
 
     def __post_init__(self):
-        sigmas = self.sigmas
-        if self.nsamps is not None:
-            derived = tuple(sigma_from_nsamp(n) for n in self.nsamps)
-            if sigmas is not None and (
-                    len(sigmas) != len(derived)
-                    or any(abs(a - b) > 1e-12 for a, b in zip(sigmas, derived))):
-                raise DomainError(f"sigmas={sigmas} inconsistent with "
-                                  f"nsamps={self.nsamps} (imply {derived})")
-            sigmas = derived
-        elif sigmas is None:
-            sigmas = (3.0, 1.0, 0.5, 0.2)
-        object.__setattr__(self, "sigmas", sigmas)
+        object.__setattr__(self, "sigmas", readout_sigmas(
+            self.sigmas, self.nsamps, default=(3.0, 1.0, 0.5, 0.2)))
         if not self.illuminations or not self.sigmas or not self.n_bins:
             raise DomainError("sweep grid lists must be non-empty")
-        if not all(v >= 0 for v in self.illuminations + self.sigmas):
-            raise DomainError("illuminations and sigmas must be >= 0")
+        if not all(v >= 0 for v in self.illuminations):
+            raise DomainError("illuminations must be >= 0")
         if not all(n >= 1 for n in self.n_bins):
             raise DomainError("n_bins must be >= 1")
         if self.repetitions < 1:
@@ -155,91 +146,47 @@ class ContinuousCase:
     phase_map: np.ndarray
 
 
-@dataclass(frozen=True)
-class _Illuminated:
-    """What every cell at one illumination shares: the noiseless frames of
-    the slit pixels (N, d, n_px), the analytic C0 and the reference phase."""
+def _run_block(indices, sigmas, illumination, n_bin, *, slit_values,
+               reference, psi, seed, target, repetitions, quantize):
+    """Monte-Carlo fidelity of the sweep cells `indices`, one per readout
+    sigma in `sigmas`, at `illumination` and `n_bin`: one (FidelityStats,
+    None) per cell, or (None, error) for every cell if the block fails.
 
-    rates: np.ndarray
-    c0: float
-    mu: float
-
-
-def _illuminate(slit_values, reference, psi, illumination):
-    """The `_Illuminated` of one illumination, or the error that fails every
-    cell at it. The Poisson range is checked on every slit pixel, so whether
-    a cell fails does not depend on the pixels it draws."""
+    The block computes the noiseless frames of the slit pixels (N, d, n_px),
+    checks every one against numpy's Poisson range, so that the outcome does
+    not depend on the pixels drawn, and computes C0 and mu. Then, per chunk
+    of repetitions, each cell draws n_bin pixel positions per slit and the
+    noisy frames of those pixels only, from its own stream in the order
+    positions, Poisson, normal, so it gets the numbers it would get alone;
+    the gather, the inversion and the scoring run once over the stacked
+    cells. Drawing noise for the read pixels only is exact: the inversion is
+    per pixel and no other pixel enters the state. The cells share the
+    illumination, n_bin and rates, and the grid has checked every sigma, so
+    the block succeeds or fails as a whole.
+    """
+    rngs = [rng_stream(seed, index) for index in indices]
+    fids = np.empty((len(indices), repetitions))
     try:
         # mean frame 0 over the stacked slit pixels sets the illumination scale
         rates, ref = frame_rates(slit_values, reference, psi.phase_steps,
                                  illumination, slit_values)
         check_poisson_rates(rates)
+        c0, mu = c0_analytic(ref, psi.n_steps), float(np.angle(ref))
+        _, d, n_px = rates.shape
+        for start in range(0, repetitions, _CHUNK):
+            m = min(_CHUNK, repetitions - start)
+            positions = np.stack([draw_pixel_positions(rng, (m, d), n_px, n_bin)
+                                  for rng in rngs])
+            read = np.take_along_axis(rates[None, None], positions[:, :, None],
+                                      axis=-1)
+            noisy = np.stack([sample_noise(r, sigma, rng, quantize=quantize)
+                              for r, sigma, rng in zip(read, sigmas, rngs)])
+            phase = unwrapped_phase(noisy, psi.phase_steps, c0, mu)
+            fids[:, start:start + m] = sample_fidelity(target, phase)
     except (PdisimError, ValueError) as exc:
-        return str(exc)
-    return _Illuminated(rates, c0_analytic(ref, psi.n_steps),
-                        float(np.angle(ref)))
-
-
-def _qudit_block(indices, lit, sigmas, n_bin, *, seed, phase_steps, target,
-                 repetitions, quantize):
-    """Monte-Carlo fidelity of the sweep cells `indices`, one per readout
-    sigma in `sigmas`, at the illumination `lit` and `n_bin`: one
-    (FidelityStats, None) or (None, error) per cell.
-
-    Per repetition: draw n_bin pixel positions per slit, draw the noisy
-    frames of those pixels only, invert them to phases and score the state
-    they give against the target. Drawing noise for the read pixels only is
-    exact: the inversion is per pixel and no other pixel enters the state.
-    Each cell draws from its own stream, chunk by chunk, in the order
-    positions, Poisson, normal, so it gets the numbers it would get alone;
-    the gather, the inversion and the scoring run once over the stacked
-    cells. An error in one cell's draw fails that cell only.
-    """
-    _, d, n_px = lit.rates.shape
-    rngs = [rng_stream(seed, index) for index in indices]
-    fids = np.empty((len(indices), repetitions))
-    errors = [None] * len(indices)
-
-    def each(cells, draw):
-        # draw(c) for each cell c; an error is recorded against c alone
-        done = {}
-        for c in cells:
-            try:
-                done[c] = draw(c)
-            except (PdisimError, ValueError) as exc:
-                errors[c] = str(exc)
-        return done
-
-    for start in range(0, repetitions, _CHUNK):
-        m = min(_CHUNK, repetitions - start)
-        positions = each(
-            [c for c, error in enumerate(errors) if error is None],
-            lambda c: draw_pixel_positions(rngs[c], (m, d), n_px, n_bin))
-        if not positions:
-            break
-        rates = dict(zip(positions, np.take_along_axis(
-            lit.rates[None, None], np.stack(list(positions.values()))[:, :, None],
-            axis=-1)))
-        noisy = each(rates, lambda c: sample_noise(rates[c], sigmas[c], rngs[c],
-                                                   quantize=quantize))
-        if not noisy:
-            break
-        try:
-            phase = unwrapped_phase(np.stack(list(noisy.values())), phase_steps,
-                                    lit.c0, lit.mu)
-            fids[list(noisy), start:start + m] = sample_fidelity(target, phase)
-        except (PdisimError, ValueError) as exc:
-            for c in noisy:
-                errors[c] = str(exc)
-    return [(None, error) if error is not None
-            else (FidelityStats.from_runs(runs, n_states_per_run=1), None)
-            for runs, error in zip(fids, errors)]
-
-
-def _run_block(indices, lit, *block, **sweep):
-    if isinstance(lit, str):
-        return [(None, lit)] * len(indices)
-    return _qudit_block(indices, lit, *block, **sweep)
+        return [(None, str(exc))] * len(indices)
+    return [(FidelityStats.from_runs(runs, n_states_per_run=1), None)
+            for runs in fids]
 
 
 def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
@@ -248,22 +195,17 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
     """Run the full sweep on `jobs` threads; failed cells are recorded, not
     fatal.
 
-    What depends on the illumination only (the slit pixels' frames, C0 and
-    mu) is computed once per illumination, before any cell starts. Each task
-    is a block of cells that share the illumination and n_bin and differ in
-    sigma, at most as many as fill one chunk of repetitions; every cell keeps
-    its own stream, so the blocking never changes a result. numpy's random
-    draws and ufuncs release the GIL, so threads run blocks in parallel. Any
-    other exception, or an interrupt, cancels the blocks still queued and
-    propagates.
+    Each task is a block of cells that share the illumination and n_bin and
+    differ in sigma, at most as many as fill one chunk of repetitions; every
+    cell keeps its own stream, so the blocking never changes a result. A
+    block computes its frames, C0 and mu, and fails or succeeds whole.
+    numpy's random draws and ufuncs release the GIL, so threads run blocks
+    in parallel. Any other exception, or an interrupt, cancels the blocks
+    still queued and propagates.
     """
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     fld = scene.field()
-    slit_values = fld.values[scene.layout.slit_pixels(scene.grid)]
-    reference = psi.reference_for(fld)
-    lit = {illum: _illuminate(slit_values, reference, psi, illum)
-           for illum in grid.illuminations}
     cells = list(grid.cells())
     groups = {}
     for index, (illum, _, n_bin) in enumerate(cells):
@@ -275,13 +217,14 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
         n = -(-len(group) // per_block)
         for i in range(n):
             indices = group[len(group) * i // n:len(group) * (i + 1) // n]
-            blocks.append((indices, lit[illum],
-                           [cells[index][1] for index in indices], n_bin))
+            blocks.append((indices, [cells[index][1] for index in indices],
+                           illum, n_bin))
     # bound per call, not at import, so that a wrapper put on
     # experiments._run_block (a tracer) is the one that runs
     run = functools.partial(
-        _run_block, seed=seed, phase_steps=psi.phase_steps, target=scene.state,
-        repetitions=grid.repetitions, quantize=quantize)
+        _run_block, slit_values=fld.values[scene.layout.slit_pixels(scene.grid)],
+        reference=psi.reference_for(fld), psi=psi, seed=seed,
+        target=scene.state, repetitions=grid.repetitions, quantize=quantize)
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         try:
             futures = [pool.submit(run, *block) for block in blocks]

@@ -185,18 +185,13 @@ def make_slit_mask(layout: SlitLayout, state: QuditState,
 
 
 def make_lens_phase(grid: GridSpec, curvature: float,
-                    center: tuple[float, float] | None = None,
                     amplitude: float = 1.0) -> ComplexField:
-    """Quadratic (lens-like) phase: curvature * r^2 around `center`, wrapped.
-
-    `center` is (col, row); defaults to the grid center, which keeps the map
-    reflection-symmetric on symmetric grids.
+    """Quadratic (lens-like) phase: curvature * r^2 around the grid center,
+    wrapped; the map is reflection-symmetric on symmetric grids.
     """
     if not np.isfinite(curvature):
         raise DomainError("curvature must be finite")
-    if center is None:
-        center = ((grid.width - 1) / 2.0, (grid.height - 1) / 2.0)
-    cx, cy = center
+    cx, cy = (grid.width - 1) / 2.0, (grid.height - 1) / 2.0
     rows, cols = np.mgrid[0:grid.height, 0:grid.width]
     phase = wrap(curvature * ((cols - cx) ** 2 + (rows - cy) ** 2))
     return ComplexField(grid, amplitude * np.exp(1j * phase))

@@ -21,7 +21,6 @@ class BinningPolicy:
     """How many pixels per slit are averaged (uniform, without replacement)."""
 
     n_bin: int = 1
-    use_measured_amplitude: bool = False
 
     def __post_init__(self):
         if self.n_bin < 1:
@@ -96,34 +95,21 @@ def draw_pixel_positions(rng: np.random.Generator, shape: tuple[int, ...],
     return np.stack(drawn, axis=-1)
 
 
-def _slit_maps(result: ReconstructionResult, layout: SlitLayout):
-    """Phase and amplitude of every slit pixel, each (d, n_px)."""
+def _slit_phases(result: ReconstructionResult, layout: SlitLayout):
+    """Phase of every slit pixel, (d, n_px)."""
     height, width = result.phase.shape
-    pixels = layout.slit_pixels(GridSpec(width=width, height=height))
-    return result.phase[pixels], result.amplitude[pixels]
+    return result.phase[layout.slit_pixels(GridSpec(width=width, height=height))]
 
 
-def _slit_amplitudes(amp_samples: np.ndarray) -> np.ndarray:
-    """Per-slit means of samples (..., d, n_bin); all-zero states -> 1."""
-    amps = amp_samples.mean(axis=-1)
-    return np.where(amps.any(axis=-1, keepdims=True), amps, 1.0)
-
-
-def sample_fidelity(target: QuditState, phase_samples: np.ndarray,
-                    amp_samples: np.ndarray | None = None) -> np.ndarray:
+def sample_fidelity(target: QuditState, phase_samples: np.ndarray) -> np.ndarray:
     """|<target|state>| for the states read from samples (..., d, n_bin):
     slit k's phase is the circular mean of its samples; amplitudes are
-    uniform unless `amp_samples` gives them (per-slit means)."""
+    uniform."""
     d = phase_samples.shape[-2]
     if target.dim != d:
         raise ShapeError(f"dimension mismatch: {target.dim} vs {d}")
     phasors = np.exp(1j * circ_mean(phase_samples, axis=-1))
-    if amp_samples is None:
-        weights = np.conj(target.coeffs) / np.sqrt(d)
-    else:
-        amps = _slit_amplitudes(amp_samples)
-        weights = (np.conj(target.coeffs) * amps
-                   / np.linalg.norm(amps, axis=-1, keepdims=True))
+    weights = np.conj(target.coeffs) / np.sqrt(d)
     return np.abs((weights * phasors).sum(axis=-1))
 
 
@@ -144,11 +130,8 @@ def extract_state(result: ReconstructionResult, layout: SlitLayout,
         )
     picks = np.stack([rng.choice(n_px, size=policy.n_bin, replace=False)
                       for _ in range(layout.d)])
-    phases, amps = (np.take_along_axis(m, picks, axis=-1)
-                    for m in _slit_maps(result, layout))
-    slit_amps = (_slit_amplitudes(amps) if policy.use_measured_amplitude
-                 else np.ones(layout.d))
-    return QuditState.from_coeffs(slit_amps * np.exp(1j * circ_mean(phases, axis=-1)))
+    phases = np.take_along_axis(_slit_phases(result, layout), picks, axis=-1)
+    return QuditState.from_coeffs(np.exp(1j * circ_mean(phases, axis=-1)))
 
 
 def bootstrap_fidelity(result: ReconstructionResult, target: QuditState,
@@ -162,9 +145,8 @@ def bootstrap_fidelity(result: ReconstructionResult, target: QuditState,
                                      layout.pixels_per_slit,
                                      n_states * policy.n_bin)
     # state j of a run takes positions [j * n_bin, (j + 1) * n_bin) of each slit
-    phases, amps = (np.take_along_axis(m[None], positions, axis=-1)
-                    .reshape(n_runs, layout.d, n_states, policy.n_bin)
-                    .swapaxes(1, 2) for m in _slit_maps(result, layout))
-    run_means = sample_fidelity(
-        target, phases, amps if policy.use_measured_amplitude else None).mean(axis=-1)
+    phases = (np.take_along_axis(_slit_phases(result, layout)[None], positions,
+                                 axis=-1)
+              .reshape(n_runs, layout.d, n_states, policy.n_bin).swapaxes(1, 2))
+    run_means = sample_fidelity(target, phases).mean(axis=-1)
     return FidelityStats.from_runs(run_means, n_states_per_run=n_states)

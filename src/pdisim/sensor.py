@@ -39,13 +39,34 @@ def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     )
 
 
+def readout_sigmas(sigmas, nsamps=None, default=None):
+    """The readout sigmas (e-) given as `sigmas`, or derived from Skipper
+    sample counts `nsamps` through sigma_from_nsamp; `default` when neither
+    is given. Sigmas given with nsamps must equal the derived ones within
+    1e-12, and every sigma must be finite and >= 0."""
+    if nsamps is not None:
+        derived = tuple(sigma_from_nsamp(n) for n in nsamps)
+        if sigmas is not None and (
+                len(sigmas) != len(derived)
+                or any(abs(a - b) > 1e-12 for a, b in zip(sigmas, derived))):
+            raise DomainError(f"sigmas={sigmas} inconsistent with "
+                              f"nsamps={nsamps} (imply {derived})")
+        sigmas = derived
+    elif sigmas is None:
+        sigmas = default
+    for sigma in sigmas:
+        if not 0 <= sigma < np.inf:
+            raise DomainError(f"readout sigma must be finite and >= 0, got {sigma}")
+    return sigmas
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Sensor noise settings.
 
     Either give readout_sigma directly or set nsamp, in which case sigma is
-    derived as DEFAULT_SIGMA1/sqrt(nsamp). Setting both is rejected unless
-    consistent.
+    derived as DEFAULT_SIGMA1/sqrt(nsamp); without either it is 0. Both are
+    checked by readout_sigmas.
     """
 
     readout_sigma: float | None = None
@@ -54,19 +75,9 @@ class NoiseParams:
     seed: int = 0
 
     def __post_init__(self):
-        sigma = self.readout_sigma
-        if self.nsamp is not None:
-            derived = sigma_from_nsamp(self.nsamp)
-            if sigma is not None and abs(sigma - derived) > 1e-12:
-                raise DomainError(
-                    f"readout_sigma={sigma} inconsistent with nsamp={self.nsamp} "
-                    f"(implies {derived})"
-                )
-            sigma = derived
-        elif sigma is None:
-            sigma = 0.0
-        if not sigma >= 0:
-            raise DomainError(f"readout_sigma must be >= 0, got {sigma}")
+        (sigma,) = readout_sigmas(
+            None if self.readout_sigma is None else (self.readout_sigma,),
+            None if self.nsamp is None else (self.nsamp,), default=(0.0,))
         object.__setattr__(self, "readout_sigma", float(sigma))
 
 
@@ -83,8 +94,7 @@ def sample_noise(frames: np.ndarray, sigma: float, rng: np.random.Generator,
     Each value lambda is replaced by Poisson(lambda) + Normal(0, sigma^2),
     optionally rounded to integer electrons.
     """
-    if not 0 <= sigma < np.inf:
-        raise DomainError(f"readout sigma must be finite and >= 0, got {sigma}")
+    readout_sigmas((sigma,))
     frames = np.asarray(frames, dtype=float)
     check_poisson_rates(frames)
     noisy = rng.poisson(frames).astype(float)

@@ -117,6 +117,18 @@ def test_cli_simulate_then_reconstruct(tmp_path):
     assert (rec / "amplitude.ammap").exists()
     summary = (rec / "summary.txt").read_text()
     assert "c0_used" in summary and "n_frames = 4" in summary
+    # reconstruct reads no config and draws nothing: --config and --seed are
+    # usage errors; --jobs, which only changes the sweeps, is accepted
+    for flags in (["--config", cfg], ["--seed", "1"]):
+        with pytest.raises(SystemExit) as usage:
+            main(["reconstruct", str(frames_dir / "manifest.txt"),
+                  "--out", str(tmp_path / "rec2"), "--quiet"] + flags)
+        assert usage.value.code == 2
+    assert not (tmp_path / "rec2").exists()
+    assert main(["reconstruct", str(frames_dir / "manifest.txt"),
+                 "--out", str(tmp_path / "rec3"), "--jobs", "2", "--quiet"]) == 0
+    assert ((tmp_path / "rec3" / "phase.phmap").read_bytes()
+            == (rec / "phase.phmap").read_bytes())
 
 
 def test_cli_reconstruct_empirical_c0(tmp_path):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from pdisim import (BinningPolicy, CellResult, DomainError, FidelityStats,
-                    LensScene, NoiseParams, PsiConfig, QuditScene, SweepGrid,
+                    LensScene, NoiseParams, PsiConfig, QuditScene,
+                    SamplingError, SweepGrid,
                     apply_noise, c0_analytic, continuous_experiment,
                     extract_phase, extract_state, fidelity, fidelity_sweep,
                     phase_error_stats, rng_stream, sample_noise,
@@ -27,8 +28,9 @@ def test_sweep_grid_validation():
         SweepGrid(repetitions=0)
     with pytest.raises(DomainError):
         SweepGrid(illuminations=(-1.0, 3.0))
-    with pytest.raises(DomainError):
-        SweepGrid(sigmas=(0.2, -0.5))
+    for sigma in (-0.5, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            SweepGrid(sigmas=(0.2, sigma))
     with pytest.raises(DomainError):
         SweepGrid(n_bins=(1, 0))
     with pytest.raises(DomainError):
@@ -127,13 +129,14 @@ def test_sweep_poisson_range_fails_every_cell_at_that_illumination(
         else:
             assert cell.stats is None
             assert cell.error.startswith("Poisson rates must be in [0, ")
-    # checked once per illumination, before any draw: one draw per good cell
+    # checked per block, before any draw: one draw per good cell
     assert len(noise_draws) == 4
 
 
 def _per_cell_sweep(grid, seed, psi=PsiConfig()):
     """The sweep one cell at a time, each from its own stream in chunks of
-    _CHUNK repetitions: what the blocked sweep must reproduce exactly."""
+    _CHUNK repetitions: what the blocked sweep must reproduce exactly. A cell
+    whose draw fails is recorded with the error."""
     fld = SCENE.field()
     slit_values = fld.values[SCENE.layout.slit_pixels(SCENE.grid)]
     results = []
@@ -143,16 +146,20 @@ def _per_cell_sweep(grid, seed, psi=PsiConfig()):
         _, d, n_px = rates.shape
         rng = rng_stream(seed, index)
         fids = np.empty(grid.repetitions)
-        for start in range(0, grid.repetitions, experiments._CHUNK):
-            m = min(experiments._CHUNK, grid.repetitions - start)
-            positions = draw_pixel_positions(rng, (m, d), n_px, n_bin)
-            noisy = sample_noise(
-                np.take_along_axis(rates[None], positions[:, None], axis=-1),
-                sigma, rng)
-            phase = unwrapped_phase(noisy, psi.phase_steps,
-                                    c0_analytic(ref, psi.n_steps),
-                                    float(np.angle(ref)))
-            fids[start:start + m] = sample_fidelity(SCENE.state, phase)
+        try:
+            for start in range(0, grid.repetitions, experiments._CHUNK):
+                m = min(experiments._CHUNK, grid.repetitions - start)
+                positions = draw_pixel_positions(rng, (m, d), n_px, n_bin)
+                noisy = sample_noise(
+                    np.take_along_axis(rates[None], positions[:, None], axis=-1),
+                    sigma, rng)
+                phase = unwrapped_phase(noisy, psi.phase_steps,
+                                        c0_analytic(ref, psi.n_steps),
+                                        float(np.angle(ref)))
+                fids[start:start + m] = sample_fidelity(SCENE.state, phase)
+        except SamplingError as exc:
+            results.append(CellResult(illum, sigma, n_bin, None, str(exc)))
+            continue
         results.append(CellResult(illum, sigma, n_bin, FidelityStats.from_runs(
             fids, n_states_per_run=1)))
     return results
@@ -189,21 +196,6 @@ def test_sweep_block_rows_stay_within_one_chunk(monkeypatch):
                       + [(1, 256), (1, 44)] * 20)
 
 
-def test_sweep_cell_error_fails_that_cell_only():
-    def sweep(sigmas):
-        grid = SweepGrid(illuminations=(3.0,), sigmas=sigmas, n_bins=(1,),
-                         repetitions=16)
-        return fidelity_sweep(SCENE, grid, seed=2)
-
-    with pytest.raises(DomainError) as raised:
-        sample_noise(np.ones(1), np.inf, rng_stream(0))
-    low, bad, high = sweep((0.5, np.inf, 1.0))
-    assert bad.stats is None and bad.error == str(raised.value)
-    finite = sweep((0.5, 0.7, 1.0))
-    assert low == finite[0] and high == finite[2]
-    assert finite[1].stats is not None
-
-
 def test_sweep_jobs_independent_when_blocks_split_unevenly():
     # 8 blocks of 10 cells on 3 threads
     grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=SIGMAS_20, n_bins=(1, 2),
@@ -228,6 +220,18 @@ def test_sweep_failed_cell_is_recorded_not_fatal():
     assert ok.stats is not None
     assert bad.stats is None
     assert "n_bin" in bad.error
+    # blocks of 10 cells: each n_bin = 500 block fails in its first cell's
+    # draw, and all of its cells carry that error; the n_bin = 1 blocks run
+    grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=SIGMAS_20,
+                     n_bins=(1, 500), repetitions=16)
+    with pytest.raises(SamplingError) as raised:
+        draw_pixel_positions(rng_stream(0), (1, SCENE.layout.d),
+                             SCENE.layout.pixels_per_slit, 500)
+    cells = fidelity_sweep(SCENE, grid, seed=4, jobs=2)
+    assert all(cell.stats is None and cell.error == str(raised.value)
+               for cell in cells if cell.n_bin == 500)
+    assert all(cell.stats is not None for cell in cells if cell.n_bin == 1)
+    assert cells == _per_cell_sweep(grid, 4)
 
 
 def test_sweep_rejects_fewer_than_one_job():
@@ -270,7 +274,7 @@ def test_uncaught_cell_error_cancels_queued_cells(monkeypatch, exc_type, jobs):
             raise exc_type("stop")
         time.sleep(0.2)  # time for the sweep to cancel the queue
 
-    monkeypatch.setattr(experiments, "_qudit_block", block)
+    monkeypatch.setattr(experiments, "_run_block", block)
     grid = SweepGrid(illuminations=(1.0, 2.0, 3.0, 4.0), sigmas=(0.2, 0.5),
                      n_bins=(1, 2), repetitions=1)
     with pytest.raises(exc_type):

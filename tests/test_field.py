@@ -144,8 +144,8 @@ def test_lens_phase_flat_limit():
 
 def test_lens_phase_finite_difference():
     curvature = 0.013
-    center = (40.0, 50.0)
-    fld = make_lens_phase(GRID, curvature, center=center)
+    # odd sides put the grid center on pixel (col 40, row 50)
+    fld = make_lens_phase(GridSpec(81, 101), curvature)
     # center pixel is 0; one pixel to the right carries exactly `curvature`
     assert fld.phase[50, 40] == pytest.approx(0.0, abs=1e-12)
     assert fld.phase[50, 41] == pytest.approx(curvature, abs=1e-12)
@@ -154,7 +154,7 @@ def test_lens_phase_finite_difference():
 def test_lens_phase_wrap_boundary():
     radius = 16
     curvature = np.pi / radius**2
-    fld = make_lens_phase(GridSpec(65, 65), curvature, center=(32.0, 32.0))
+    fld = make_lens_phase(GridSpec(65, 65), curvature)
     assert fld.phase[32, 32] == 0.0
     assert fld.phase[32, 32 + radius] == pytest.approx(np.pi)
     assert np.all(fld.phase > -np.pi)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pdisim import (BinningPolicy, DomainError, GridSpec, PsiConfig, QuditScene,
+from pdisim import (BinningPolicy, DomainError, PsiConfig, QuditScene,
                     QuditState, SamplingError, ShapeError, SlitLayout,
                     bootstrap_fidelity, equal_step_state, extract_phase,
                     extract_state, fidelity, rng_stream,
@@ -186,36 +186,3 @@ def test_bootstrap_deterministic():
     b = bootstrap_fidelity(res, scene.state, scene.layout, BinningPolicy(2),
                            **kwargs)
     assert a == b
-
-
-def test_measured_amplitude_mode():
-    scene = QuditScene()
-    res = noiseless_reconstruction(scene)
-    state = extract_state(res, scene.layout,
-                          BinningPolicy(10, use_measured_amplitude=True),
-                          rng_stream(2))
-    # uniform-intensity target: measured amplitudes stay uniform
-    assert np.allclose(np.abs(state.coeffs), 1 / np.sqrt(6), atol=1e-9)
-
-
-def test_bootstrap_measured_amplitude_mode():
-    # slit k has amplitude k + 1; the target carries those amplitudes, so only
-    # the measured-amplitude readout scores it at 1
-    layout = SlitLayout(d=6)
-    phase, amplitude = np.zeros((128, 128)), np.zeros((128, 128))
-    pixels = layout.slit_pixels(GridSpec(128, 128))
-    target = equal_step_state()
-    amps = np.arange(1.0, 7.0)
-    phase[pixels] = np.angle(target.coeffs)[:, None]
-    amplitude[pixels] = amps[:, None]
-    res = ReconstructionResult(phase=phase, amplitude=amplitude,
-                               c0_used=0.0, mu_used=0.0)
-    target = QuditState.from_coeffs(amps * target.coeffs)
-    kwargs = dict(n_states=20, n_runs=4, seed=1)
-    measured = bootstrap_fidelity(res, target, layout,
-                                  BinningPolicy(2, use_measured_amplitude=True),
-                                  **kwargs)
-    uniform = bootstrap_fidelity(res, target, layout, BinningPolicy(2), **kwargs)
-    assert measured.mean == pytest.approx(1.0, abs=1e-12)
-    assert uniform.mean == pytest.approx(amps.sum() / np.sqrt(6 * (amps ** 2).sum()),
-                                         abs=1e-12)

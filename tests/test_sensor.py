@@ -37,8 +37,9 @@ def test_noise_params_derivation_and_consistency():
     assert NoiseParams().readout_sigma == 0.0
     with pytest.raises(DomainError):
         NoiseParams(readout_sigma=1.0, nsamp=144)
-    with pytest.raises(DomainError):
-        NoiseParams(readout_sigma=-0.1)
+    for sigma in (-0.1, float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            NoiseParams(readout_sigma=sigma)
 
 
 def test_degenerate_zero_noise():
