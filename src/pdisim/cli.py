@@ -44,8 +44,12 @@ def _progress(args, message):
 def _load_config(args) -> RunConfig:
     if args.config is None:
         raise ConfigError("--config is required for this subcommand")
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = parse_config(fh.read(), args.command)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
+    cfg = parse_config(text, args.command)
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
@@ -122,24 +126,19 @@ def _noise_labels(grid) -> dict:
 
 
 def cmd_sweep(args, subcommand: str, csv_name: str) -> int:
-    """Sweep the configured grid into `csv_name`, one row per cell; a failed
-    cell is a row of NaNs."""
+    """Sweep the configured grid into `csv_name`, one row per cell. A failing
+    sweep raises its first failing block's error, and no table is written."""
     cfg = _load_config(args)
     if not isinstance(cfg.scene, QuditScene):
         raise ConfigError("this subcommand requires a qudit scene")
     outdir = cfg.output_directory
     _write_run_manifest(outdir, cfg, subcommand)
     labels = _noise_labels(cfg.sweep)
-    rows = []
-    for cell in fidelity_sweep(cfg.scene, cfg.sweep, seed=cfg.noise.seed,
-                               jobs=args.jobs, quantize=cfg.noise.quantize,
-                               psi=cfg.psi):
-        if cell.stats is None:
-            _progress(args, f"cell failed: {cell.error}")
-            stats = (float("nan"),) * 3
-        else:
-            stats = (cell.stats.mean, cell.stats.std, cell.stats.stderr)
-        rows.append((cell.illumination, labels[cell.sigma], cell.n_bin, *stats))
+    rows = [(cell.illumination, labels[cell.sigma], cell.n_bin,
+             cell.stats.mean, cell.stats.std, cell.stats.stderr)
+            for cell in fidelity_sweep(cfg.scene, cfg.sweep, seed=cfg.noise.seed,
+                                       jobs=args.jobs, quantize=cfg.noise.quantize,
+                                       psi=cfg.psi)]
     pio.write_csv(
         os.path.join(outdir, csv_name),
         ["illumination", "readout_sigma_or_nsamp", "n_bin",

@@ -8,9 +8,10 @@ Every cell of a sweep is fed by its own random stream (seed, cell index).
 The sweep's tasks are blocks of cells that share an illumination and n_bin;
 a block batches the cells' arithmetic, not their streams, so results are
 bit-identical for a fixed seed regardless of blocking, worker count or
-scheduling order. A block fails or succeeds whole: what could fail (the
-Poisson range of its frames, n_bin against the pixels per slit) is the same
-for all of its cells, and the grid has checked every sigma.
+scheduling order. A sweep returns every cell or raises the error of its
+first failing block, in submission order: what could fail (the Poisson range
+of a block's frames, n_bin against the pixels per slit) is the same for all
+of a block's cells, and the grid has checked every sigma.
 """
 
 import concurrent.futures
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .circular import circ_dist, circ_std
-from .errors import DomainError, PdisimError, ShapeError
+from .errors import DomainError, ShapeError
 from .field import (ComplexField, GridSpec, QuditState, SlitLayout,
                     equal_step_state, make_lens_phase, make_slit_mask)
 from .forward import PsiConfig, frame_rates, simulate_interferograms
@@ -117,13 +118,12 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class CellResult:
-    """One sweep cell; `stats` is None when the cell failed."""
+    """One sweep cell and its fidelity statistics."""
 
     illumination: float
     sigma: float
     n_bin: int
-    stats: FidelityStats | None
-    error: str | None = None
+    stats: FidelityStats
 
 
 @dataclass(frozen=True)
@@ -149,59 +149,56 @@ class ContinuousCase:
 def _run_block(indices, sigmas, illumination, n_bin, *, slit_values,
                reference, psi, seed, target, repetitions, quantize):
     """Monte-Carlo fidelity of the sweep cells `indices`, one per readout
-    sigma in `sigmas`, at `illumination` and `n_bin`: one (FidelityStats,
-    None) per cell, or (None, error) for every cell if the block fails.
+    sigma in `sigmas`, at `illumination` and `n_bin`: one FidelityStats per
+    cell.
 
     The block computes the noiseless frames of the slit pixels (N, d, n_px),
-    checks every one against numpy's Poisson range, so that the outcome does
-    not depend on the pixels drawn, and computes C0 and mu. Then, per chunk
-    of repetitions, each cell draws n_bin pixel positions per slit and the
-    noisy frames of those pixels only, from its own stream in the order
+    checks every one against numpy's Poisson range, so that an error does not
+    depend on the pixels drawn or the seed, and computes C0 and mu. Then, per
+    chunk of repetitions, each cell draws n_bin pixel positions per slit and
+    the noisy frames of those pixels only, from its own stream in the order
     positions, Poisson, normal, so it gets the numbers it would get alone;
     the gather, the inversion and the scoring run once over the stacked
     cells. Drawing noise for the read pixels only is exact: the inversion is
     per pixel and no other pixel enters the state. The cells share the
     illumination, n_bin and rates, and the grid has checked every sigma, so
-    the block succeeds or fails as a whole.
+    an error (a PdisimError) is the whole block's.
     """
     rngs = [rng_stream(seed, index) for index in indices]
     fids = np.empty((len(indices), repetitions))
-    try:
-        # mean frame 0 over the stacked slit pixels sets the illumination scale
-        rates, ref = frame_rates(slit_values, reference, psi.phase_steps,
-                                 illumination, slit_values)
-        check_poisson_rates(rates)
-        c0, mu = c0_analytic(ref, psi.n_steps), float(np.angle(ref))
-        _, d, n_px = rates.shape
-        for start in range(0, repetitions, _CHUNK):
-            m = min(_CHUNK, repetitions - start)
-            positions = np.stack([draw_pixel_positions(rng, (m, d), n_px, n_bin)
-                                  for rng in rngs])
-            read = np.take_along_axis(rates[None, None], positions[:, :, None],
-                                      axis=-1)
-            noisy = np.stack([sample_noise(r, sigma, rng, quantize=quantize)
-                              for r, sigma, rng in zip(read, sigmas, rngs)])
-            phase = unwrapped_phase(noisy, psi.phase_steps, c0, mu)
-            fids[:, start:start + m] = sample_fidelity(target, phase)
-    except (PdisimError, ValueError) as exc:
-        return [(None, str(exc))] * len(indices)
-    return [(FidelityStats.from_runs(runs, n_states_per_run=1), None)
-            for runs in fids]
+    # mean frame 0 over the stacked slit pixels sets the illumination scale
+    rates, ref = frame_rates(slit_values, reference, psi.phase_steps,
+                             illumination, slit_values)
+    check_poisson_rates(rates)
+    c0, mu = c0_analytic(ref, psi.n_steps), float(np.angle(ref))
+    _, d, n_px = rates.shape
+    for start in range(0, repetitions, _CHUNK):
+        m = min(_CHUNK, repetitions - start)
+        positions = np.stack([draw_pixel_positions(rng, (m, d), n_px, n_bin)
+                              for rng in rngs])
+        read = np.take_along_axis(rates[None, None], positions[:, :, None],
+                                  axis=-1)
+        noisy = np.stack([sample_noise(r, sigma, rng, quantize=quantize)
+                          for r, sigma, rng in zip(read, sigmas, rngs)])
+        phase = unwrapped_phase(noisy, psi.phase_steps, c0, mu)
+        fids[:, start:start + m] = sample_fidelity(target, phase)
+    return [FidelityStats.from_runs(runs, n_states_per_run=1) for runs in fids]
 
 
 def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
                    jobs: int = 1, quantize: bool = False,
                    psi: PsiConfig = PsiConfig()) -> list[CellResult]:
-    """Run the full sweep on `jobs` threads; failed cells are recorded, not
-    fatal.
+    """Run the full sweep on `jobs` threads: one CellResult per cell, in the
+    order of `grid.cells()`.
 
     Each task is a block of cells that share the illumination and n_bin and
     differ in sigma, at most as many as fill one chunk of repetitions; every
     cell keeps its own stream, so the blocking never changes a result. A
     block computes its frames, C0 and mu, and fails or succeeds whole.
     numpy's random draws and ufuncs release the GIL, so threads run blocks
-    in parallel. Any other exception, or an interrupt, cancels the blocks
-    still queued and propagates.
+    in parallel. An exception in a block, or an interrupt, cancels the
+    blocks still queued and propagates: the error raised is the first
+    failing block's in submission order, whatever `jobs` is.
     """
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
@@ -232,14 +229,13 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
             # worker; blocks start in order, so a failed one is reached below
             concurrent.futures.wait(
                 futures, return_when=concurrent.futures.FIRST_EXCEPTION)
-            outcomes = {}
+            stats = {}
             for (indices, *_), future in zip(blocks, futures):
-                outcomes.update(zip(indices, future.result()))
+                stats.update(zip(indices, future.result()))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    return [CellResult(*cell, *outcomes[index])
-            for index, cell in enumerate(cells)]
+    return [CellResult(*cell, stats[index]) for index, cell in enumerate(cells)]
 
 
 def _reconstruct_noisy(fld: ComplexField, region, psi, illumination, sigma,

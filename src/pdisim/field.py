@@ -198,11 +198,14 @@ def make_lens_phase(grid: GridSpec, curvature: float,
 
 
 def field_from_phase_map(phase: np.ndarray, amplitude=1.0) -> ComplexField:
-    """Build a field from a raw phase map (radians) and uniform or per-pixel
-    amplitude."""
+    """Build a field from a raw phase map (radians) and a uniform (scalar) or
+    per-pixel amplitude of the phase map's shape."""
     phase = np.asarray(phase, dtype=float)
     if phase.ndim != 2:
         raise ShapeError("phase map must be 2D")
+    if np.ndim(amplitude) and np.shape(amplitude) != phase.shape:
+        raise ShapeError(f"amplitude map shape {np.shape(amplitude)} does not "
+                         f"match phase map shape {phase.shape}")
     grid = GridSpec(width=phase.shape[1], height=phase.shape[0])
     return ComplexField(grid, np.asarray(amplitude) * np.exp(1j * phase))
 

@@ -346,6 +346,51 @@ def test_cli_zero_reference_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("quiet", [["--quiet"], []], ids=["quiet", "verbose"])
+@pytest.mark.parametrize("subcommand, csv_name", [
+    ("qudit-experiment", "fidelity.csv"), ("sweep-map", "fidelity_map.csv")])
+def test_cli_sweep_beyond_the_poisson_limit_fails_the_run(tmp_path, capsys,
+                                                          subcommand, csv_name,
+                                                          quiet):
+    # the reference scales every frame past numpy's Poisson limit
+    cfg = write_cfg(tmp_path, MINIMAL + "[psi]\nreference_re = 1e10\n" + SMALL_SWEEP)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([subcommand, "--config", cfg, "--out", str(out), *quiet]) == 1
+    assert_one_line_error(capsys, "Poisson rates must be in [0, ")
+    assert not (out / csv_name).exists()
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "qudit-experiment",
+                                        "sweep-map", "continuous-experiment"])
+def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys,
+                                                       subcommand):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"[scene]\ntype = eq6_qudit # \xff\n")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([subcommand, "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert str(cfg) in err and "utf-8" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (1, 8)])
+def test_cli_phmap_amplitude_of_another_shape_is_an_error(tmp_path, capsys, shape):
+    phase, amplitude = tmp_path / "p.phmap", tmp_path / "a.ammap"
+    pio.write_phase_map(phase, np.zeros((8, 8)))
+    pio.write_amplitude_map(amplitude, np.ones(shape))
+    cfg = write_cfg(tmp_path, f"[scene]\ntype = phmap\nphase_map = {phase}\n"
+                              f"amplitude_map = {amplitude}\n")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert_one_line_error(capsys, "amplitude map shape")
+    assert not (out / "frames").exists()
+
+
 @pytest.mark.parametrize("text, key", [
     pytest.param(MINIMAL + "[noise]\nreadout_sigma = nan\n", "readout_sigma",
                  id="readout_sigma"),

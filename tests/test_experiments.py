@@ -109,8 +109,7 @@ def test_sweep_draws_noise_for_the_read_pixels_only(noise_draws):
 
 
 @pytest.mark.parametrize("seed", [0, 8])
-def test_sweep_poisson_range_fails_every_cell_at_that_illumination(
-        seed, noise_draws):
+def test_sweep_poisson_range_error_raises_before_any_draw(seed, noise_draws):
     # a reference this large puts the brightest frames of illumination 3
     # beyond numpy's Poisson limit, and leaves illumination 1 within it
     psi = PsiConfig(reference_override=1e9)
@@ -122,21 +121,16 @@ def test_sweep_poisson_range_fails_every_cell_at_that_illumination(
         assert (rates.max() <= MAX_POISSON_RATE) == fits
     grid = SweepGrid(illuminations=(1.0, 3.0), sigmas=(0.2, 3.0),
                      n_bins=(1, 2), repetitions=5)
-    cells = fidelity_sweep(SCENE, grid, seed=seed, psi=psi)
-    for cell in cells:
-        if cell.illumination == 1.0:
-            assert cell.stats is not None
-        else:
-            assert cell.stats is None
-            assert cell.error.startswith("Poisson rates must be in [0, ")
-    # checked per block, before any draw: one draw per good cell
+    with pytest.raises(DomainError, match=r"^Poisson rates must be in \[0, "):
+        fidelity_sweep(SCENE, grid, seed=seed, psi=psi)
+    # checked per block, before any draw: on one thread the two blocks at
+    # illumination 1 run first, one draw per cell, and the failing ones none
     assert len(noise_draws) == 4
 
 
 def _per_cell_sweep(grid, seed, psi=PsiConfig()):
     """The sweep one cell at a time, each from its own stream in chunks of
-    _CHUNK repetitions: what the blocked sweep must reproduce exactly. A cell
-    whose draw fails is recorded with the error."""
+    _CHUNK repetitions: what the blocked sweep must reproduce exactly."""
     fld = SCENE.field()
     slit_values = fld.values[SCENE.layout.slit_pixels(SCENE.grid)]
     results = []
@@ -146,20 +140,16 @@ def _per_cell_sweep(grid, seed, psi=PsiConfig()):
         _, d, n_px = rates.shape
         rng = rng_stream(seed, index)
         fids = np.empty(grid.repetitions)
-        try:
-            for start in range(0, grid.repetitions, experiments._CHUNK):
-                m = min(experiments._CHUNK, grid.repetitions - start)
-                positions = draw_pixel_positions(rng, (m, d), n_px, n_bin)
-                noisy = sample_noise(
-                    np.take_along_axis(rates[None], positions[:, None], axis=-1),
-                    sigma, rng)
-                phase = unwrapped_phase(noisy, psi.phase_steps,
-                                        c0_analytic(ref, psi.n_steps),
-                                        float(np.angle(ref)))
-                fids[start:start + m] = sample_fidelity(SCENE.state, phase)
-        except SamplingError as exc:
-            results.append(CellResult(illum, sigma, n_bin, None, str(exc)))
-            continue
+        for start in range(0, grid.repetitions, experiments._CHUNK):
+            m = min(experiments._CHUNK, grid.repetitions - start)
+            positions = draw_pixel_positions(rng, (m, d), n_px, n_bin)
+            noisy = sample_noise(
+                np.take_along_axis(rates[None], positions[:, None], axis=-1),
+                sigma, rng)
+            phase = unwrapped_phase(noisy, psi.phase_steps,
+                                    c0_analytic(ref, psi.n_steps),
+                                    float(np.angle(ref)))
+            fids[start:start + m] = sample_fidelity(SCENE.state, phase)
         results.append(CellResult(illum, sigma, n_bin, FidelityStats.from_runs(
             fids, n_states_per_run=1)))
     return results
@@ -213,25 +203,19 @@ def test_sweep_deterministic_and_jobs_independent():
     assert a == b == c
 
 
-def test_sweep_failed_cell_is_recorded_not_fatal():
-    grid = SweepGrid(illuminations=(3.0,), sigmas=(0.2,), n_bins=(1, 500),
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_sweep_raises_the_first_failing_blocks_error(jobs):
+    # blocks in submission order: (1, 1) runs, (1, 500) fails drawing its
+    # pixels, (3, 1) and (3, 500) fail the Poisson range check
+    grid = SweepGrid(illuminations=(1.0, 3.0), sigmas=(0.2,), n_bins=(1, 500),
                      repetitions=5)
-    ok, bad = fidelity_sweep(SCENE, grid, seed=0)
-    assert ok.stats is not None
-    assert bad.stats is None
-    assert "n_bin" in bad.error
-    # blocks of 10 cells: each n_bin = 500 block fails in its first cell's
-    # draw, and all of its cells carry that error; the n_bin = 1 blocks run
-    grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=SIGMAS_20,
-                     n_bins=(1, 500), repetitions=16)
     with pytest.raises(SamplingError) as raised:
         draw_pixel_positions(rng_stream(0), (1, SCENE.layout.d),
                              SCENE.layout.pixels_per_slit, 500)
-    cells = fidelity_sweep(SCENE, grid, seed=4, jobs=2)
-    assert all(cell.stats is None and cell.error == str(raised.value)
-               for cell in cells if cell.n_bin == 500)
-    assert all(cell.stats is not None for cell in cells if cell.n_bin == 1)
-    assert cells == _per_cell_sweep(grid, 4)
+    with pytest.raises(SamplingError) as swept:
+        fidelity_sweep(SCENE, grid, seed=4, jobs=jobs,
+                       psi=PsiConfig(reference_override=1e9))
+    assert str(swept.value) == str(raised.value)
 
 
 def test_sweep_rejects_fewer_than_one_job():

@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 
 from pdisim import (ComplexField, DomainError, GridSpec, QuditState,
                     ShapeError, SlitLayout, circ_dist, equal_step_state,
-                    make_lens_phase, make_slit_mask, make_uniform_field,
-                    mean_field, wrap)
+                    field_from_phase_map, make_lens_phase, make_slit_mask,
+                    make_uniform_field, mean_field, wrap)
 
 GRID = GridSpec(128, 128)
 
@@ -26,6 +26,14 @@ def test_complex_field_rejects_nonfinite():
     values[0, 0] = np.nan
     with pytest.raises(DomainError):
         ComplexField(GridSpec(4, 4), values)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (1, 8), (8,)])
+def test_field_from_phase_map_rejects_amplitude_of_another_shape(shape):
+    with pytest.raises(ShapeError, match="amplitude map shape"):
+        field_from_phase_map(np.zeros((8, 8)), np.ones(shape))
+    assert field_from_phase_map(np.zeros((8, 8)), 2.0).amplitude.max() == 2.0
+    assert field_from_phase_map(np.zeros((8, 8)), np.ones((8, 8))).grid.shape == (8, 8)
 
 
 coeff = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
