@@ -16,7 +16,7 @@ from .forward import InterferogramSet, PsiConfig, simulate_interferograms
 from .sensor import (NoiseParams, apply_noise, rng_stream, sample_noise,
                      sigma_from_nsamp)
 from .reconstruct import (ReconstructionResult, c0_analytic, c0_empirical,
-                          combine, extract_phase)
+                          extract_phase)
 from .qudit import (BinningPolicy, FidelityStats, bootstrap_fidelity,
                     extract_state, fidelity)
 from .experiments import (CellResult, ContinuousCase, LensScene,

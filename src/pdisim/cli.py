@@ -18,7 +18,7 @@ from . import __version__, io as pio
 from .config import RunConfig, parse_config, serialize_config
 from .errors import ConfigError, PdisimError
 from .experiments import LensScene, QuditScene, continuous_experiment, fidelity_sweep
-from .reconstruct import c0_analytic, c0_empirical, combine, extract_phase
+from .reconstruct import c0_analytic, c0_empirical, extract_phase, harmonic_sums
 from .sensor import apply_noise
 from .forward import simulate_interferograms
 
@@ -64,23 +64,22 @@ def _load_config(args) -> RunConfig:
 
 
 def _write_run_manifest(outdir, cfg: RunConfig, subcommand: str):
-    os.makedirs(outdir, exist_ok=True)
-    # Omit the output path so reruns into different directories stay
-    # byte-identical.
+    """Written last, via a temporary name: its presence means the run finished."""
+    # no output path, so that reruns into other directories stay byte-identical
     portable = dataclasses.replace(cfg, output_directory=None)
     # numpy's Poisson and normal streams are only fixed within one version
     text = (f"# pdisim run manifest\n# pdisim version = {__version__}\n"
             f"# numpy version = {np.__version__}\nsubcommand = {subcommand}\n"
             f"seed = {cfg.noise.seed}\n\n" + serialize_config(portable, subcommand))
-    with open(os.path.join(outdir, "manifest.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
+    path = os.path.join(outdir, "manifest.txt")
+    with open(path + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+    os.replace(path + ".tmp", path)
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     outdir = cfg.output_directory
-    _write_run_manifest(outdir, cfg, "simulate")
     fld = cfg.scene.field()
     frames = simulate_interferograms(fld, cfg.psi, cfg.illumination,
                                      region=cfg.scene.region())
@@ -91,6 +90,7 @@ def cmd_simulate(args) -> int:
     else:
         _progress(args, f"simulated {frames.n_steps} noiseless frames")
     pio.write_interferogram_set(os.path.join(outdir, "frames"), frames)
+    _write_run_manifest(outdir, cfg, "simulate")
     return 0
 
 
@@ -99,7 +99,7 @@ def cmd_reconstruct(args) -> int:
         raise ConfigError("--out is required for reconstruct")
     iset = pio.read_interferogram_set(args.frames_manifest)
     if args.c0_mode == "empirical":
-        c, _ = combine(iset)
+        c, _ = harmonic_sums(iset.frames)
         dark = iset.frames[0] <= args.dark_threshold
         c0 = c0_empirical(c, dark)
     else:
@@ -132,19 +132,20 @@ def cmd_sweep(args, subcommand: str, csv_name: str) -> int:
     if not isinstance(cfg.scene, QuditScene):
         raise ConfigError("this subcommand requires a qudit scene")
     outdir = cfg.output_directory
-    _write_run_manifest(outdir, cfg, subcommand)
     labels = _noise_labels(cfg.sweep)
     rows = [(cell.illumination, labels[cell.sigma], cell.n_bin,
              cell.stats.mean, cell.stats.std, cell.stats.stderr)
             for cell in fidelity_sweep(cfg.scene, cfg.sweep, seed=cfg.noise.seed,
                                        jobs=args.jobs, quantize=cfg.noise.quantize,
                                        psi=cfg.psi)]
+    os.makedirs(outdir, exist_ok=True)
     pio.write_csv(
         os.path.join(outdir, csv_name),
         ["illumination", "readout_sigma_or_nsamp", "n_bin",
          "mean_fidelity", "std", "stderr"],
         rows,
     )
+    _write_run_manifest(outdir, cfg, subcommand)
     _progress(args, f"wrote {len(rows)} cells")
     return 0
 
@@ -154,12 +155,12 @@ def cmd_continuous(args) -> int:
     if not isinstance(cfg.scene, LensScene):
         raise ConfigError("continuous-experiment requires a lens scene")
     outdir = cfg.output_directory
-    _write_run_manifest(outdir, cfg, "continuous-experiment")
     ref_phase, cases = continuous_experiment(
         cfg.scene, cfg.sweep.illuminations, sigmas=cfg.sweep.sigmas,
         reference_illumination=cfg.reference_illumination,
         seed=cfg.noise.seed, quantize=cfg.noise.quantize, psi=cfg.psi,
     )
+    os.makedirs(outdir, exist_ok=True)
     pio.write_phase_map(os.path.join(outdir, "reference.phmap"), ref_phase)
     labels = _noise_labels(cfg.sweep)
     stat_rows = []
@@ -178,6 +179,7 @@ def cmd_continuous(args) -> int:
     pio.write_csv(os.path.join(outdir, "phase_error.csv"),
                   ["illumination", "readout_sigma_or_nsamp", "circ_std",
                    "n_pixels"], stat_rows)
+    _write_run_manifest(outdir, cfg, "continuous-experiment")
     _progress(args, f"wrote {len(cases)} continuous cases")
     return 0
 

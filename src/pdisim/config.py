@@ -19,7 +19,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import io as pio
-from .errors import ConfigError, PdisimError
+from .errors import ConfigError, PdisimError, ShapeError
 from .experiments import LensScene, QuditScene, SweepGrid
 from .field import (ComplexField, GridSpec, SlitLayout, equal_step_state,
                     field_from_phase_map)
@@ -53,7 +53,11 @@ class PhmapScene:
         return phase, amplitude
 
     def field(self) -> ComplexField:
-        return field_from_phase_map(*self._maps)
+        try:
+            return field_from_phase_map(*self._maps)
+        except ShapeError as exc:
+            raise ShapeError(f"{self.phase_path}, {self.amplitude_path}: "
+                             f"{exc}") from None
 
     def region(self) -> np.ndarray:
         return self.field().amplitude > 0

@@ -167,8 +167,8 @@ def _run_block(indices, sigmas, illumination, n_bin, *, slit_values,
     rngs = [rng_stream(seed, index) for index in indices]
     fids = np.empty((len(indices), repetitions))
     # mean frame 0 over the stacked slit pixels sets the illumination scale
-    rates, ref = frame_rates(slit_values, reference, psi.phase_steps,
-                             illumination, slit_values)
+    rates, ref = frame_rates(slit_values, reference, psi.n_steps, illumination,
+                             slit_values)
     check_poisson_rates(rates)
     c0, mu = c0_analytic(ref, psi.n_steps), float(np.angle(ref))
     _, d, n_px = rates.shape
@@ -180,7 +180,7 @@ def _run_block(indices, sigmas, illumination, n_bin, *, slit_values,
                                   axis=-1)
         noisy = np.stack([sample_noise(r, sigma, rng, quantize=quantize)
                           for r, sigma, rng in zip(read, sigmas, rngs)])
-        phase = unwrapped_phase(noisy, psi.phase_steps, c0, mu)
+        phase = unwrapped_phase(noisy, c0, mu)
         fids[:, start:start + m] = sample_fidelity(target, phase)
     return [FidelityStats.from_runs(runs, n_states_per_run=1) for runs in fids]
 

@@ -1,6 +1,7 @@
 """Phase-shifting forward model.
 
-For each controlled phase shift alpha_n the interferogram amplitude is
+For each equal phase step alpha_n = 2 pi n / N (`step_phases`; the step
+count N is the whole protocol) the interferogram amplitude is
 
     E_n(x, y) = U(x, y) + |K| exp(i mu) [exp(i alpha_n) - 1],
 
@@ -18,30 +19,22 @@ from .errors import DegenerateReferenceError, DomainError, ShapeError
 from .field import ComplexField, GridSpec, mean_field
 
 
+def step_phases(n_steps: int) -> np.ndarray:
+    """The N equal phase steps alpha_n = 2 pi n / N, n = 0 .. N-1."""
+    return np.array([2.0 * np.pi * n / n_steps for n in range(n_steps)])
+
+
 @dataclass(frozen=True)
 class PsiConfig:
-    """Phase-stepping protocol: N steps alpha_n, default alpha_n = 2 pi n / N."""
+    """Phase-stepping protocol: N >= 3 steps, always alpha_n = 2 pi n / N,
+    and an optional reference amplitude in place of the field's mean."""
 
     n_steps: int = 4
-    phase_steps: tuple[float, ...] | None = None
     reference_override: complex | None = None
 
     def __post_init__(self):
         if self.n_steps < 3:
             raise DomainError(f"phase retrieval needs >= 3 steps, got {self.n_steps}")
-        steps = self.phase_steps
-        if steps is None:
-            steps = tuple(2.0 * np.pi * n / self.n_steps for n in range(self.n_steps))
-        else:
-            steps = tuple(float(a) for a in steps)
-            if len(steps) != self.n_steps:
-                raise ShapeError(
-                    f"{len(steps)} phase steps given for n_steps={self.n_steps}"
-                )
-            if any(not (0.0 <= a < 2.0 * np.pi) for a in steps) or \
-                    any(b <= a for a, b in zip(steps, steps[1:])):
-                raise DomainError("phase steps must be strictly increasing in [0, 2 pi)")
-        object.__setattr__(self, "phase_steps", steps)
 
     def reference_for(self, field: ComplexField) -> complex:
         """The override if set, else the spatial mean of `field`."""
@@ -52,29 +45,28 @@ class PsiConfig:
 
 @dataclass(frozen=True)
 class InterferogramSet:
-    """N intensity frames (photon rates, or noisy electron maps after the
-    sensor model), plus the protocol and reference actually used."""
+    """N >= 3 frames at the steps `step_phases(N)` (photon rates, or noisy
+    electron maps after the sensor model), plus the reference actually used."""
 
     grid: GridSpec
     frames: np.ndarray
-    psi_config: PsiConfig
     reference: complex
     illumination: float | None = None
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=float)
-        expected = (self.psi_config.n_steps,) + self.grid.shape
-        if frames.shape != expected:
-            raise ShapeError(f"frames shape {frames.shape}, expected {expected}")
+        if frames.ndim != 3 or len(frames) < 3 or frames.shape[1:] != self.grid.shape:
+            raise ShapeError(f"frames shape {frames.shape}, expected "
+                             f"(N >= 3,) + {self.grid.shape}")
         frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
 
     @property
     def n_steps(self):
-        return self.psi_config.n_steps
+        return len(self.frames)
 
 
-def frame_rates(values: np.ndarray, reference: complex, phase_steps,
+def frame_rates(values: np.ndarray, reference: complex, n_steps: int,
                 illumination: float,
                 region_values: np.ndarray) -> tuple[np.ndarray, complex]:
     """Noiseless frames (N, rows, cols) of a 2D pixel set `values` (a full
@@ -93,7 +85,7 @@ def frame_rates(values: np.ndarray, reference: complex, phase_steps,
         raise DegenerateReferenceError("field is zero over the analysis region")
     root_scale = np.sqrt(illumination / mean_i0)
     scaled_ref = reference * root_scale
-    shifts = scaled_ref * (np.exp(1j * np.asarray(phase_steps)) - 1.0)
+    shifts = scaled_ref * (np.exp(1j * step_phases(n_steps)) - 1.0)
     return np.abs((values * root_scale)[None] + shifts[:, None, None]) ** 2, scaled_ref
 
 
@@ -112,12 +104,11 @@ def simulate_interferograms(field: ComplexField, config: PsiConfig,
     if not region.any():
         raise ShapeError("analysis region is empty")
     frames, scaled_ref = frame_rates(values, config.reference_for(field),
-                                     config.phase_steps, illumination,
+                                     config.n_steps, illumination,
                                      values[region])
     return InterferogramSet(
         grid=field.grid,
         frames=frames,
-        psi_config=config,
         reference=scaled_ref,
         illumination=illumination,
     )

@@ -3,7 +3,8 @@
 Phase maps: text header ``PHMAP <width> <height>\\n`` followed by
 width*height little-endian float32, row-major, radians. Amplitude maps are
 identical with header ``AMMAP``. Interferogram sets are one AMMAP file per
-frame plus a line-oriented manifest.
+frame plus a line-oriented manifest; its ``alphas`` line must list the N
+equal steps 2 pi n / N.
 """
 
 import os
@@ -12,7 +13,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .field import GridSpec
-from .forward import InterferogramSet, PsiConfig
+from .forward import InterferogramSet, step_phases
 
 _MAP_MAGIC = {"PHMAP", "AMMAP"}
 
@@ -75,8 +76,8 @@ def write_interferogram_set(directory, iset):
         write_map(os.path.join(directory, name), frame, "AMMAP")
         frame_names.append(name)
     lines = ["INTERFEROGRAMS 1"]
-    lines.append(f"n_steps = {iset.psi_config.n_steps}")
-    lines.append("alphas = " + ",".join(fmt_float(a) for a in iset.psi_config.phase_steps))
+    lines.append(f"n_steps = {iset.n_steps}")
+    lines.append("alphas = " + ",".join(map(fmt_float, step_phases(iset.n_steps))))
     lines.append(f"reference_re = {fmt_float(iset.reference.real)}")
     lines.append(f"reference_im = {fmt_float(iset.reference.imag)}")
     illum = "" if iset.illumination is None else fmt_float(iset.illumination)
@@ -90,7 +91,9 @@ def write_interferogram_set(directory, iset):
 
 
 def read_interferogram_set(manifest_path):
-    """Load an InterferogramSet from its manifest file."""
+    """Load an InterferogramSet from its manifest file. Its `alphas` must be
+    the equal steps `step_phases(n_steps)` within 1e-12, the only steps that
+    the reconstruction inverts."""
     directory = os.path.dirname(os.path.abspath(manifest_path))
     keys = {}
     frames = []
@@ -110,14 +113,21 @@ def read_interferogram_set(manifest_path):
                 keys[key] = value
     try:
         n_steps = int(keys["n_steps"])
-        alphas = tuple(float(v) for v in keys["alphas"].split(","))
-        config = PsiConfig(n_steps=n_steps, phase_steps=alphas)
+        alphas = [float(v) for v in keys["alphas"].split(",")]
         reference = complex(float(keys["reference_re"]), float(keys["reference_im"]))
         illumination = float(keys["illumination"]) if keys.get("illumination") else None
     except KeyError as exc:
         raise ShapeError(f"{manifest_path}: missing key {exc.args[0]!r}") from None
-    except ValueError as exc:  # also the DomainError/ShapeError of PsiConfig
+    except ValueError as exc:
         raise ShapeError(f"{manifest_path}: {exc}") from None
+    if n_steps < 3:
+        raise ShapeError(f"{manifest_path}: phase retrieval needs >= 3 steps, "
+                         f"got {n_steps}")
+    # count first, so a huge n_steps builds no steps; `not <=` rejects NaN
+    if len(alphas) != n_steps or any(not abs(a - b) <= 1e-12 for a, b in
+                                     zip(alphas, step_phases(n_steps))):
+        raise ShapeError(f"{manifest_path}: alphas must be the {n_steps} equal "
+                         f"steps 2 pi n / {n_steps}")
     if len(frames) != n_steps:
         raise ShapeError(
             f"{manifest_path}: manifest lists {len(frames)} frames, n_steps={n_steps}"
@@ -128,7 +138,6 @@ def read_interferogram_set(manifest_path):
     return InterferogramSet(
         grid=GridSpec(width=width, height=height),
         frames=np.stack(frames),
-        psi_config=config,
         reference=reference,
         illumination=illumination,
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .circular import wrap
 from .errors import EstimationError, ShapeError
-from .forward import InterferogramSet
+from .forward import InterferogramSet, step_phases
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,11 @@ class ReconstructionResult:
 
 
 @functools.lru_cache(maxsize=16)
-def _harmonic_weights(phase_steps: tuple) -> tuple[np.ndarray, np.ndarray]:
-    # cached: the sweep asks for the same steps once per chunk.
+def _harmonic_weights(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    # cached: the sweep asks for the same N once per chunk.
     # cos/sin at exact multiples of pi/2 are analytically 0 or +-1; snap the
     # float residue so cancellations (e.g. identical frames) are exact
-    alphas = np.asarray(phase_steps, dtype=float)
+    alphas = step_phases(n_steps)
     cos_w, sin_w = np.cos(alphas), np.sin(alphas)
     for w in (cos_w, sin_w):
         w[np.abs(w) < 1e-12] = 0.0
@@ -48,25 +48,19 @@ def _harmonic_weights(phase_steps: tuple) -> tuple[np.ndarray, np.ndarray]:
     return cos_w, sin_w
 
 
-def harmonic_sums(frames: np.ndarray, phase_steps) -> tuple[np.ndarray, np.ndarray]:
+def harmonic_sums(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Harmonic sums C, S of frames shaped (..., N, rows, cols): any batch
-    axes, the N steps, a 2D pixel set (full grid, or d slits x n_px)."""
-    cos_w, sin_w = _harmonic_weights(tuple(phase_steps))
+    axes, the N equal steps, a 2D pixel set (full grid, or d slits x n_px)."""
+    cos_w, sin_w = _harmonic_weights(frames.shape[-3])
     c = np.einsum("n,...nij->...ij", cos_w, frames)
     s = np.einsum("n,...nij->...ij", sin_w, frames)
     return c, s
 
 
-def combine(frames: InterferogramSet) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine and sine harmonic combinations C(x, y), S(x, y)."""
-    return harmonic_sums(frames.frames, frames.psi_config.phase_steps)
-
-
-def unwrapped_phase(frames: np.ndarray, phase_steps, c0: float,
-                    mu: float) -> np.ndarray:
+def unwrapped_phase(frames: np.ndarray, c0: float, mu: float) -> np.ndarray:
     """arctan2(S, C - c0) + mu per pixel, in [mu - pi, mu + pi] (not
     wrapped); `frames` is shaped as for `harmonic_sums`."""
-    c, s = harmonic_sums(frames, phase_steps)
+    c, s = harmonic_sums(frames)
     return np.arctan2(s, c - c0) + mu
 
 
@@ -97,8 +91,7 @@ def extract_phase(frames: InterferogramSet, c0: float | None = None,
         c0 = c0_analytic(frames.reference, frames.n_steps)
     if mu is None:
         mu = float(np.angle(frames.reference))
-    phase = wrap(unwrapped_phase(frames.frames, frames.psi_config.phase_steps,
-                                 c0, mu))
+    phase = wrap(unwrapped_phase(frames.frames, c0, mu))
     amplitude = np.sqrt(np.clip(frames.frames[0], 0.0, None))
     return ReconstructionResult(phase=phase, amplitude=amplitude,
                                 c0_used=float(c0), mu_used=float(mu))

@@ -359,6 +359,24 @@ def test_cli_sweep_beyond_the_poisson_limit_fails_the_run(tmp_path, capsys,
     assert main([subcommand, "--config", cfg, "--out", str(out), *quiet]) == 1
     assert_one_line_error(capsys, "Poisson rates must be in [0, ")
     assert not (out / csv_name).exists()
+    assert not (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    ("simulate", MINIMAL + "[noise]\nreadout_sigma = 0.5\n"),
+    ("continuous-experiment", "[scene]\ntype = lens\n"
+                              "[sweep]\nilluminations = 3.0\nsigmas = 0.5\n")],
+    ids=["simulate", "continuous-experiment"])
+def test_cli_failed_run_leaves_no_manifest(tmp_path, capsys, subcommand, text):
+    # the manifest is written last: its presence means the run finished (the
+    # sweeps are checked in the test above)
+    cfg = write_cfg(tmp_path, text + "[psi]\nreference_re = 1e10\n")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([subcommand, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert_one_line_error(capsys, "Poisson rates must be in [0, ")
+    assert not (out / "manifest.txt").exists()
+    assert not (out / "manifest.txt.tmp").exists()
 
 
 @pytest.mark.parametrize("subcommand", ["simulate", "qudit-experiment",
@@ -387,8 +405,9 @@ def test_cli_phmap_amplitude_of_another_shape_is_an_error(tmp_path, capsys, shap
     out = tmp_path / "o"
     capsys.readouterr()
     assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
-    assert_one_line_error(capsys, "amplitude map shape")
+    assert_one_line_error(capsys, "amplitude map shape", str(phase), str(amplitude))
     assert not (out / "frames").exists()
+    assert not (out / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize("text, key", [
@@ -475,19 +494,42 @@ def assert_one_line_error(capsys, *fragments):
         assert fragment in err
 
 
-def test_cli_manifest_without_alphas_is_an_error(tmp_path, capsys):
+EQUAL_ALPHAS = "alphas = 0.0,1.5707963267948966,3.141592653589793,4.71238898038469\n"
+
+
+def reconstruct_edited_manifest(tmp_path, capsys, alphas_line):
+    """Simulate four frames, put `alphas_line` in place of the manifest's
+    alphas line, and reconstruct; returns (exit code, manifest, output)."""
     cfg = write_cfg(tmp_path, MINIMAL)
     out = tmp_path / "sim"
     assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     manifest = out / "frames" / "manifest.txt"
-    lines = manifest.read_text().splitlines(keepends=True)
-    manifest.write_text("".join(line for line in lines
-                                if not line.startswith("alphas")))
+    text = manifest.read_text()
+    assert EQUAL_ALPHAS in text
+    manifest.write_text(text.replace(EQUAL_ALPHAS, alphas_line))
     capsys.readouterr()
-    rc = main(["reconstruct", str(manifest), "--out", str(tmp_path / "rec"),
-               "--quiet"])
+    rec = tmp_path / "rec"
+    rc = main(["reconstruct", str(manifest), "--out", str(rec), "--quiet"])
+    return rc, manifest, rec
+
+
+def test_cli_manifest_without_alphas_is_an_error(tmp_path, capsys):
+    rc, manifest, _ = reconstruct_edited_manifest(tmp_path, capsys, "")
     assert rc == 1
     assert_one_line_error(capsys, str(manifest), "alphas")
+
+
+@pytest.mark.parametrize("alphas", [
+    pytest.param("0.0,1.0,2.5,4.0", id="unequal"),
+    pytest.param("0.0,1.5707963267948966,nan,4.71238898038469", id="nan"),
+    pytest.param("0.0,1.5707963267948966,3.141592653589793", id="count")])
+def test_cli_manifest_with_other_steps_is_an_error(tmp_path, capsys, alphas):
+    # the reconstruction inverts the equal steps 2 pi n / N only
+    rc, manifest, rec = reconstruct_edited_manifest(tmp_path, capsys,
+                                                    f"alphas = {alphas}\n")
+    assert rc == 1
+    assert_one_line_error(capsys, str(manifest), "alphas")
+    assert not rec.exists()
 
 
 def test_cli_bad_map_header_is_an_error(tmp_path, capsys):

@@ -117,7 +117,7 @@ def test_sweep_poisson_range_error_raises_before_any_draw(seed, noise_draws):
     slit_values = fld.values[SCENE.layout.slit_pixels(SCENE.grid)]
     for illum, fits in ((1.0, True), (3.0, False)):
         rates, _ = frame_rates(slit_values, psi.reference_override,
-                               psi.phase_steps, illum, slit_values)
+                               psi.n_steps, illum, slit_values)
         assert (rates.max() <= MAX_POISSON_RATE) == fits
     grid = SweepGrid(illuminations=(1.0, 3.0), sigmas=(0.2, 3.0),
                      n_bins=(1, 2), repetitions=5)
@@ -136,7 +136,7 @@ def _per_cell_sweep(grid, seed, psi=PsiConfig()):
     results = []
     for index, (illum, sigma, n_bin) in enumerate(grid.cells()):
         rates, ref = frame_rates(slit_values, psi.reference_for(fld),
-                                 psi.phase_steps, illum, slit_values)
+                                 psi.n_steps, illum, slit_values)
         _, d, n_px = rates.shape
         rng = rng_stream(seed, index)
         fids = np.empty(grid.repetitions)
@@ -146,8 +146,7 @@ def _per_cell_sweep(grid, seed, psi=PsiConfig()):
             noisy = sample_noise(
                 np.take_along_axis(rates[None], positions[:, None], axis=-1),
                 sigma, rng)
-            phase = unwrapped_phase(noisy, psi.phase_steps,
-                                    c0_analytic(ref, psi.n_steps),
+            phase = unwrapped_phase(noisy, c0_analytic(ref, psi.n_steps),
                                     float(np.angle(ref)))
             fids[start:start + m] = sample_fidelity(SCENE.state, phase)
         results.append(CellResult(illum, sigma, n_bin, FidelityStats.from_runs(

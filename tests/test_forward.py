@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from pdisim import (DegenerateReferenceError, DomainError, GridSpec,
-                    PsiConfig, QuditScene, ShapeError, make_uniform_field,
+                    PsiConfig, QuditScene, make_uniform_field,
                     mean_field, simulate_interferograms)
+from pdisim.forward import step_phases
 
 SCENE = QuditScene()
 
@@ -15,20 +16,13 @@ def simulate_default(illumination=3.0):
 
 def test_psi_config_defaults():
     cfg = PsiConfig()
-    assert cfg.n_steps == 4
-    assert np.allclose(cfg.phase_steps, [0, np.pi / 2, np.pi, 3 * np.pi / 2])
+    assert cfg.n_steps == 4 and cfg.reference_override is None
+    assert np.allclose(step_phases(cfg.n_steps), [0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
 
 def test_psi_config_needs_three_steps():
     with pytest.raises(DomainError):
         PsiConfig(n_steps=2)
-
-
-def test_psi_config_rejects_bad_steps():
-    with pytest.raises(DomainError):
-        PsiConfig(n_steps=3, phase_steps=(0.0, 2.0, 1.0))
-    with pytest.raises(ShapeError):
-        PsiConfig(n_steps=4, phase_steps=(0.0, 1.0, 2.0))
 
 
 def test_frame0_is_scaled_intensity():
@@ -100,7 +94,7 @@ def test_closed_form_identity_on_slit_scene():
     ref = iset.reference
     n = iset.n_steps
 
-    alphas = np.asarray(iset.psi_config.phase_steps)
+    alphas = step_phases(n)
     c = np.tensordot(np.cos(alphas), iset.frames, axes=1)
     s = np.tensordot(np.sin(alphas), iset.frames, axes=1)
     c0 = -n * abs(ref) ** 2

@@ -145,8 +145,8 @@ def frames_dir(workdir):
 
 
 # the keys of a valid three-frame manifest, which drawn lines may override
-VALID_KEYS = ["n_steps = 3", "alphas = 0,1.5,3.0", "reference_re = 1",
-              "reference_im = 0"]
+VALID_KEYS = ["n_steps = 3", "alphas = 0.0,2.0943951023931953,4.1887902047863905",
+              "reference_re = 1", "reference_im = 0"]
 
 
 @FUZZ
@@ -166,9 +166,11 @@ def test_read_interferogram_set_returns_set_or_pdisim_error(frames_dir, magic,
 
 def test_manifest_frames_of_different_shapes_are_an_error(frames_dir):
     manifest = frames_dir / "mixed.txt"
-    manifest.write_text("INTERFEROGRAMS 1\nn_steps = 3\nalphas = 0,1.5,3.0\n"
-                        "reference_re = 1\nreference_im = 0\n"
-                        "frame = a.ammap\nframe = b.ammap\nframe = c.ammap\n",
-                        encoding="utf-8")
-    with pytest.raises(PdisimError):
+    for last in ("d", "c"):  # the same keys read with frames of one shape
+        frames = [f"frame = {name}.ammap" for name in ("a", "b", last)]
+        manifest.write_text("\n".join(["INTERFEROGRAMS 1"] + VALID_KEYS + frames)
+                            + "\n", encoding="utf-8")
+        if last == "d":
+            assert pio.read_interferogram_set(os.fspath(manifest)).n_steps == 3
+    with pytest.raises(PdisimError, match="frames differ in shape"):
         pio.read_interferogram_set(os.fspath(manifest))

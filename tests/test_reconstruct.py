@@ -4,27 +4,26 @@ import pytest
 from pdisim import (EstimationError, GridSpec, InterferogramSet, LensScene,
                     NoiseParams, PsiConfig, QuditScene, ShapeError,
                     apply_noise, c0_analytic, c0_empirical, circ_dist,
-                    combine, extract_phase, make_slit_mask, rng_stream,
+                    extract_phase, make_slit_mask, rng_stream,
                     simulate_interferograms)
 from pdisim.field import equal_step_state, SlitLayout
+from pdisim.reconstruct import harmonic_sums
 
 
 def single_pixel_set(values, reference=1.0 + 0j):
     frames = np.asarray(values, float).reshape(-1, 1, 1)
-    n = frames.shape[0]
-    cfg = PsiConfig(n_steps=n)
     return InterferogramSet(grid=GridSpec(1, 1), frames=frames,
-                            psi_config=cfg, reference=reference)
+                            reference=reference)
 
 
 def test_combine_single_pixel_arithmetic():
-    c, s = combine(single_pixel_set([1, 2, 3, 4]))
+    c, s = harmonic_sums(single_pixel_set([1, 2, 3, 4]).frames)
     assert c[0, 0] == pytest.approx(-2.0, abs=1e-12)
     assert s[0, 0] == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_combine_identical_frames_cancel():
-    c, s = combine(single_pixel_set([5, 5, 5, 5]))
+    c, s = harmonic_sums(single_pixel_set([5, 5, 5, 5]).frames)
     assert abs(c[0, 0]) < 1e-12
     assert abs(s[0, 0]) < 1e-12
 
@@ -32,8 +31,9 @@ def test_combine_identical_frames_cancel():
 def test_combine_shape_guard():
     iset = single_pixel_set([1, 2, 3, 4])
     with pytest.raises(ShapeError):
-        InterferogramSet(grid=GridSpec(2, 2), frames=iset.frames,
-                         psi_config=iset.psi_config, reference=1.0)
+        InterferogramSet(grid=GridSpec(2, 2), frames=iset.frames, reference=1.0)
+    with pytest.raises(ShapeError):  # fewer than 3 steps
+        single_pixel_set([1, 2])
 
 
 def test_c0_analytic():
@@ -50,7 +50,7 @@ def test_c0_empirical_matches_analytic_on_dark_pixels():
     cfg = PsiConfig(reference_override=0.2 + 0.05j)
     iset = simulate_interferograms(fld, cfg, 3.0,
                                    region=layout.region_mask(grid))
-    c, _ = combine(iset)
+    c, _ = harmonic_sums(iset.frames)
     dark = ~layout.region_mask(grid)
     empirical = c0_empirical(c, dark)
     assert empirical == pytest.approx(c0_analytic(iset.reference, 4), abs=1e-9)
@@ -118,7 +118,6 @@ def test_scale_invariance_of_phase():
     res1 = extract_phase(iset)
     k = 7.3
     scaled = InterferogramSet(grid=iset.grid, frames=iset.frames * k,
-                              psi_config=iset.psi_config,
                               reference=iset.reference * np.sqrt(k))
     res2 = extract_phase(scaled, c0=res1.c0_used * k, mu=res1.mu_used)
     assert np.allclose(circ_dist(res2.phase, res1.phase), 0.0, atol=1e-12)

@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 
 from pdisim import (DomainError, GridSpec, InterferogramSet, NoiseParams,
-                    PsiConfig, apply_noise, rng_stream, sample_noise,
-                    sigma_from_nsamp)
+                    apply_noise, rng_stream, sample_noise, sigma_from_nsamp)
 
 
 def make_set(frames):
     frames = np.asarray(frames, dtype=float)
     grid = GridSpec(width=frames.shape[2], height=frames.shape[1])
-    cfg = PsiConfig(n_steps=frames.shape[0],
-                    phase_steps=tuple(2 * np.pi * n / frames.shape[0]
-                                      for n in range(frames.shape[0])))
-    return InterferogramSet(grid=grid, frames=frames, psi_config=cfg,
-                            reference=1.0 + 0j)
+    return InterferogramSet(grid=grid, frames=frames, reference=1.0 + 0j)
 
 
 def test_sigma_from_nsamp_values():
