@@ -10,8 +10,7 @@ from .circular import circ_dist, circ_mean, circ_std, resultant_length, wrap
 from .errors import (ConfigError, DegenerateReferenceError, DomainError,
                      EstimationError, PdisimError, SamplingError, ShapeError)
 from .field import (ComplexField, GridSpec, QuditState, SlitLayout,
-                    equal_step_state, field_from_phase_map, make_lens_phase,
-                    make_slit_mask, make_uniform_field, mean_field)
+                    equal_step_state, field_from_phase_map, mean_field)
 from .forward import InterferogramSet, PsiConfig, simulate_interferograms
 from .sensor import (NoiseParams, apply_noise, rng_stream, sample_noise,
                      sigma_from_nsamp)

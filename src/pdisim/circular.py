@@ -27,16 +27,17 @@ def circ_mean(angles, axis=None):
 
 
 def resultant_length(angles, axis=None):
-    """Mean resultant length R-bar in [0, 1]."""
+    """Mean resultant length R-bar in [0, 1]; clipped, since the rounded
+    mean of equal unit phasors can exceed 1 by an ulp."""
     phasors = np.exp(1j * np.asarray(angles, dtype=float))
-    return np.abs(phasors.mean(axis=axis))
+    return np.minimum(np.abs(phasors.mean(axis=axis)), 1.0)
 
 
 def circ_std(angles, axis=None):
-    """Circular standard deviation sqrt(-2 ln R-bar), in radians.
-
-    Returns inf where all phasors cancel exactly (R-bar = 0).
+    """Circular standard deviation sqrt(-2 ln R-bar), in radians: +0.0 for
+    equal angles, inf where all phasors cancel exactly (R-bar = 0).
     """
     rbar = resultant_length(angles, axis=axis)
     with np.errstate(divide="ignore"):
-        return np.sqrt(-2.0 * np.log(rbar))
+        # ln R-bar <= 0; abs gives -2 ln R-bar exactly, and +0.0 at R-bar = 1
+        return np.sqrt(np.abs(2.0 * np.log(rbar)))

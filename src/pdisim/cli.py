@@ -18,7 +18,7 @@ from . import __version__, io as pio
 from .config import RunConfig, parse_config, serialize_config
 from .errors import ConfigError, PdisimError
 from .experiments import LensScene, QuditScene, continuous_experiment, fidelity_sweep
-from .reconstruct import c0_analytic, c0_empirical, extract_phase, harmonic_sums
+from .reconstruct import c0_empirical, extract_phase, harmonic_sums
 from .sensor import apply_noise
 from .forward import simulate_interferograms
 
@@ -98,12 +98,10 @@ def cmd_reconstruct(args) -> int:
     if args.out is None:
         raise ConfigError("--out is required for reconstruct")
     iset = pio.read_interferogram_set(args.frames_manifest)
+    c0 = None  # analytic, from the stored reference
     if args.c0_mode == "empirical":
-        c, _ = harmonic_sums(iset.frames)
-        dark = iset.frames[0] <= args.dark_threshold
-        c0 = c0_empirical(c, dark)
-    else:
-        c0 = c0_analytic(iset.reference, iset.n_steps)
+        # dark pixels: those whose frame 0 reads <= 0
+        c0 = c0_empirical(harmonic_sums(iset.frames)[0], iset.frames[0] <= 0)
     result = extract_phase(iset, c0=c0)
     os.makedirs(args.out, exist_ok=True)
     pio.write_phase_map(os.path.join(args.out, "phase.phmap"), result.phase)
@@ -211,9 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("frames_manifest", help="path to an interferogram manifest")
     p.add_argument("--c0-mode", choices=("analytic", "empirical"),
                    default="analytic")
-    p.add_argument("--dark-threshold", type=float, default=0.0,
-                   help="frame-0 level below which pixels count as dark "
-                        "(empirical C0 mode)")
     common(p, reads_config=False)
     p.set_defaults(func=cmd_reconstruct)
 

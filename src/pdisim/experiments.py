@@ -20,10 +20,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .circular import circ_dist, circ_std
+from .circular import circ_dist, circ_std, wrap
 from .errors import DomainError, ShapeError
 from .field import (ComplexField, GridSpec, QuditState, SlitLayout,
-                    equal_step_state, make_lens_phase, make_slit_mask)
+                    equal_step_state)
 from .forward import PsiConfig, frame_rates, simulate_interferograms
 from .qudit import FidelityStats, draw_pixel_positions, sample_fidelity
 from .reconstruct import c0_analytic, extract_phase, unwrapped_phase
@@ -57,8 +57,21 @@ class QuditScene:
     background_phase: float = 0.0
 
     def field(self) -> ComplexField:
-        return make_slit_mask(self.layout, self.state, self.grid,
-                              self.background_amplitude, self.background_phase)
+        """The qudit phase mask in a uniform background. Pixels of slit k
+        carry amplitude |c_k| (rescaled so the brightest slit has amplitude 1)
+        and phase arg(c_k); all other pixels carry the background amplitude
+        and phase."""
+        state = self.state
+        if state.dim != self.layout.d:
+            raise ShapeError(f"state dimension {state.dim} != layout slit "
+                             f"count {self.layout.d}")
+        pixels = self.layout.slit_pixels(self.grid)
+        values = np.full(self.grid.shape, self.background_amplitude
+                         * np.exp(1j * self.background_phase), dtype=complex)
+        amps = np.abs(state.coeffs)
+        amps = amps / amps.max()
+        values[pixels] = (amps * np.exp(1j * np.angle(state.coeffs)))[:, None]
+        return ComplexField(values)
 
     def region(self) -> np.ndarray:
         return self.layout.region_mask(self.grid)
@@ -73,8 +86,14 @@ class LensScene:
     amplitude: float = 1.0
 
     def field(self) -> ComplexField:
-        return make_lens_phase(self.grid, self.curvature,
-                               amplitude=self.amplitude)
+        """Quadratic (lens-like) phase: curvature * r^2 around the grid
+        center, wrapped; the map is reflection-symmetric on symmetric grids."""
+        if not np.isfinite(self.curvature):
+            raise DomainError("curvature must be finite")
+        cx, cy = (self.grid.width - 1) / 2.0, (self.grid.height - 1) / 2.0
+        rows, cols = np.mgrid[0:self.grid.height, 0:self.grid.width]
+        phase = wrap(self.curvature * ((cols - cx) ** 2 + (rows - cy) ** 2))
+        return ComplexField(self.amplitude * np.exp(1j * phase))
 
     def region(self) -> np.ndarray:
         return np.ones(self.grid.shape, dtype=bool)
@@ -182,7 +201,7 @@ def _run_block(indices, sigmas, illumination, n_bin, *, slit_values,
                           for r, sigma, rng in zip(read, sigmas, rngs)])
         phase = unwrapped_phase(noisy, c0, mu)
         fids[:, start:start + m] = sample_fidelity(target, phase)
-    return [FidelityStats.from_runs(runs, n_states_per_run=1) for runs in fids]
+    return [FidelityStats.from_runs(runs) for runs in fids]
 
 
 def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,

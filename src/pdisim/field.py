@@ -1,9 +1,10 @@
 """Input wavefront construction.
 
 Wavefronts are complex amplitude maps U(x, y) = u(x, y) exp(i phi(x, y)) on a
-pixel grid of the image plane. This module builds the two scene families used
-throughout: slit-encoded qudit phase masks embedded in a uniform background,
-and lens-like quadratic phases.
+pixel grid of the image plane. This module holds the pieces a scene is made
+of: the grid, the field, the slit layout and the qudit state. Each scene
+(`experiments.QuditScene`, `experiments.LensScene`, `config.PhmapScene`)
+builds its own wavefront in its `field()` method.
 """
 
 from dataclasses import dataclass
@@ -39,18 +40,15 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ComplexField:
-    """2D grid of complex amplitudes. Intensity is |value|^2 after
-    illumination scaling in the forward model."""
+    """2D grid of complex amplitudes; its shape is the array's. Intensity is
+    |value|^2 after illumination scaling in the forward model."""
 
-    grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
-        if values.shape != self.grid.shape:
-            raise ShapeError(
-                f"values shape {values.shape} does not match grid {self.grid.shape}"
-            )
+        if values.ndim != 2:
+            raise ShapeError(f"field values must be 2D, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise DomainError("field contains non-finite values")
         values.setflags(write=False)
@@ -157,46 +155,6 @@ def equal_step_state(d: int = 6, step: float = 2.0 * np.pi / 5.0) -> QuditState:
     return QuditState.from_coeffs(np.exp(1j * step * k))
 
 
-def make_uniform_field(grid: GridSpec, amplitude: float = 1.0,
-                       phase: float = 0.0) -> ComplexField:
-    values = np.full(grid.shape, amplitude * np.exp(1j * phase), dtype=complex)
-    return ComplexField(grid, values)
-
-
-def make_slit_mask(layout: SlitLayout, state: QuditState,
-                   grid: GridSpec = GridSpec(128, 128),
-                   background_amplitude: float = 1.0,
-                   background_phase: float = 0.0) -> ComplexField:
-    """Embed a qudit phase mask in a uniform background.
-
-    Pixels of slit k carry amplitude |c_k| (rescaled so the brightest slit has
-    amplitude 1) and phase arg(c_k); all other pixels carry the background
-    amplitude and phase.
-    """
-    if state.dim != layout.d:
-        raise ShapeError(f"state dimension {state.dim} != layout slit count {layout.d}")
-    pixels = layout.slit_pixels(grid)
-    values = np.full(grid.shape, background_amplitude * np.exp(1j * background_phase),
-                     dtype=complex)
-    amps = np.abs(state.coeffs)
-    amps = amps / amps.max()
-    values[pixels] = (amps * np.exp(1j * np.angle(state.coeffs)))[:, None]
-    return ComplexField(grid, values)
-
-
-def make_lens_phase(grid: GridSpec, curvature: float,
-                    amplitude: float = 1.0) -> ComplexField:
-    """Quadratic (lens-like) phase: curvature * r^2 around the grid center,
-    wrapped; the map is reflection-symmetric on symmetric grids.
-    """
-    if not np.isfinite(curvature):
-        raise DomainError("curvature must be finite")
-    cx, cy = (grid.width - 1) / 2.0, (grid.height - 1) / 2.0
-    rows, cols = np.mgrid[0:grid.height, 0:grid.width]
-    phase = wrap(curvature * ((cols - cx) ** 2 + (rows - cy) ** 2))
-    return ComplexField(grid, amplitude * np.exp(1j * phase))
-
-
 def field_from_phase_map(phase: np.ndarray, amplitude=1.0) -> ComplexField:
     """Build a field from a raw phase map (radians) and a uniform (scalar) or
     per-pixel amplitude of the phase map's shape."""
@@ -206,8 +164,7 @@ def field_from_phase_map(phase: np.ndarray, amplitude=1.0) -> ComplexField:
     if np.ndim(amplitude) and np.shape(amplitude) != phase.shape:
         raise ShapeError(f"amplitude map shape {np.shape(amplitude)} does not "
                          f"match phase map shape {phase.shape}")
-    grid = GridSpec(width=phase.shape[1], height=phase.shape[0])
-    return ComplexField(grid, np.asarray(amplitude) * np.exp(1j * phase))
+    return ComplexField(np.asarray(amplitude) * np.exp(1j * phase))
 
 
 def mean_field(field: ComplexField) -> complex:

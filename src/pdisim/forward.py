@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateReferenceError, DomainError, ShapeError
-from .field import ComplexField, GridSpec, mean_field
+from .field import ComplexField, mean_field
 
 
 def step_phases(n_steps: int) -> np.ndarray:
@@ -46,18 +46,18 @@ class PsiConfig:
 @dataclass(frozen=True)
 class InterferogramSet:
     """N >= 3 frames at the steps `step_phases(N)` (photon rates, or noisy
-    electron maps after the sensor model), plus the reference actually used."""
+    electron maps after the sensor model) of shape (N, rows, cols), plus the
+    reference actually used."""
 
-    grid: GridSpec
     frames: np.ndarray
     reference: complex
     illumination: float | None = None
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=float)
-        if frames.ndim != 3 or len(frames) < 3 or frames.shape[1:] != self.grid.shape:
+        if frames.ndim != 3 or len(frames) < 3:
             raise ShapeError(f"frames shape {frames.shape}, expected "
-                             f"(N >= 3,) + {self.grid.shape}")
+                             "(N >= 3, rows, cols)")
         frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
 
@@ -106,9 +106,5 @@ def simulate_interferograms(field: ComplexField, config: PsiConfig,
     frames, scaled_ref = frame_rates(values, config.reference_for(field),
                                      config.n_steps, illumination,
                                      values[region])
-    return InterferogramSet(
-        grid=field.grid,
-        frames=frames,
-        reference=scaled_ref,
-        illumination=illumination,
-    )
+    return InterferogramSet(frames=frames, reference=scaled_ref,
+                            illumination=illumination)

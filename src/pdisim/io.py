@@ -12,7 +12,6 @@ import os
 import numpy as np
 
 from .errors import ShapeError
-from .field import GridSpec
 from .forward import InterferogramSet, step_phases
 
 _MAP_MAGIC = {"PHMAP", "AMMAP"}
@@ -134,13 +133,8 @@ def read_interferogram_set(manifest_path):
         )
     if any(frame.shape != frames[0].shape for frame in frames):
         raise ShapeError(f"{manifest_path}: frames differ in shape")
-    height, width = frames[0].shape
-    return InterferogramSet(
-        grid=GridSpec(width=width, height=height),
-        frames=np.stack(frames),
-        reference=reference,
-        illumination=illumination,
-    )
+    return InterferogramSet(frames=np.stack(frames), reference=reference,
+                            illumination=illumination)
 
 
 def write_csv(path, header, rows):

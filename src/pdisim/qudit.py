@@ -34,11 +34,10 @@ class FidelityStats:
     mean: float
     std: float
     stderr: float
-    n_states_per_run: int
     n_runs: int
 
     @classmethod
-    def from_runs(cls, runs: np.ndarray, n_states_per_run: int) -> "FidelityStats":
+    def from_runs(cls, runs: np.ndarray) -> "FidelityStats":
         """Mean, sample std (0 for a single run) and standard error of the
         per-run fidelities `runs`."""
         std = float(runs.std(ddof=1)) if runs.size > 1 else 0.0
@@ -46,7 +45,6 @@ class FidelityStats:
             mean=float(runs.mean()),
             std=std,
             stderr=std / float(np.sqrt(runs.size)),
-            n_states_per_run=n_states_per_run,
             n_runs=runs.size,
         )
 
@@ -149,4 +147,4 @@ def bootstrap_fidelity(result: ReconstructionResult, target: QuditState,
                                  axis=-1)
               .reshape(n_runs, layout.d, n_states, policy.n_bin).swapaxes(1, 2))
     run_means = sample_fidelity(target, phases).mean(axis=-1)
-    return FidelityStats.from_runs(run_means, n_states_per_run=n_states)
+    return FidelityStats.from_runs(run_means)

@@ -1,10 +1,13 @@
+import dataclasses
+import inspect
 import os
 
 import numpy as np
 import pytest
 
 import pdisim
-from pdisim import ConfigError, LensScene, QuditScene, parse_config
+from pdisim import (ConfigError, LensScene, NoiseParams, PsiConfig, QuditScene,
+                    SweepGrid, continuous_experiment, parse_config)
 from pdisim import cli, io as pio
 from pdisim.cli import main
 from pdisim.config import PhmapScene, serialize_config
@@ -29,6 +32,29 @@ def test_lens_defaults():
     cfg = parse_config("[scene]\ntype = lens\n")
     assert isinstance(cfg.scene, LensScene)
     assert cfg.sweep.illuminations == (1.9, 4.0, 12.7)
+
+
+def test_cli_defaults_are_the_library_defaults():
+    cfg = parse_config(MINIMAL)
+    scene = QuditScene()
+    assert cfg.scene.grid == scene.grid and cfg.scene.layout == scene.layout
+    assert cfg.scene.background_amplitude == scene.background_amplitude
+    assert cfg.scene.background_phase == scene.background_phase
+    assert np.array_equal(cfg.scene.state.coeffs, scene.state.coeffs)
+    assert cfg.psi == PsiConfig()
+    assert cfg.sweep == SweepGrid()
+    # the one intended difference: a [noise] section reads 0.2 e- readout
+    # noise by default, while NoiseParams() is noiseless
+    assert cfg.noise.readout_sigma == 0.2 and NoiseParams().readout_sigma == 0.0
+    assert dataclasses.replace(cfg.noise, readout_sigma=0.0) == NoiseParams()
+
+    cfg = parse_config("[scene]\ntype = lens\n")
+    lens = LensScene()
+    assert (cfg.scene.grid, cfg.scene.curvature, cfg.scene.amplitude) == (
+        lens.grid, lens.curvature, lens.amplitude)
+    defaults = inspect.signature(continuous_experiment).parameters
+    assert cfg.sweep.sigmas == defaults["sigmas"].default
+    assert cfg.reference_illumination == defaults["reference_illumination"].default
 
 
 def test_unknown_key_names_key_and_line():
@@ -89,7 +115,7 @@ def test_phmap_scene_requires_existing_file(tmp_path):
     pio.write_phase_map(path, np.zeros((8, 8)))
     cfg = parse_config(f"[scene]\ntype = phmap\nphase_map = {path}\n")
     assert isinstance(cfg.scene, PhmapScene)
-    assert cfg.scene.field().grid.shape == (8, 8)
+    assert cfg.scene.field().values.shape == (8, 8)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -118,8 +144,9 @@ def test_cli_simulate_then_reconstruct(tmp_path):
     summary = (rec / "summary.txt").read_text()
     assert "c0_used" in summary and "n_frames = 4" in summary
     # reconstruct reads no config and draws nothing: --config and --seed are
-    # usage errors; --jobs, which only changes the sweeps, is accepted
-    for flags in (["--config", cfg], ["--seed", "1"]):
+    # usage errors, as is the removed --dark-threshold; --jobs, which only
+    # changes the sweeps, is accepted
+    for flags in (["--config", cfg], ["--seed", "1"], ["--dark-threshold", "0"]):
         with pytest.raises(SystemExit) as usage:
             main(["reconstruct", str(frames_dir / "manifest.txt"),
                   "--out", str(tmp_path / "rec2"), "--quiet"] + flags)

@@ -8,10 +8,10 @@ import pytest
 from pdisim import (BinningPolicy, CellResult, DomainError, FidelityStats,
                     LensScene, NoiseParams, PsiConfig, QuditScene,
                     SamplingError, SweepGrid,
-                    apply_noise, c0_analytic, continuous_experiment,
+                    apply_noise, c0_analytic, circ_std, continuous_experiment,
                     extract_phase, extract_state, fidelity, fidelity_sweep,
                     phase_error_stats, rng_stream, sample_noise,
-                    simulate_interferograms)
+                    simulate_interferograms, wrap)
 from pdisim import experiments
 from pdisim.forward import frame_rates
 from pdisim.qudit import draw_pixel_positions, sample_fidelity
@@ -149,8 +149,8 @@ def _per_cell_sweep(grid, seed, psi=PsiConfig()):
             phase = unwrapped_phase(noisy, c0_analytic(ref, psi.n_steps),
                                     float(np.angle(ref)))
             fids[start:start + m] = sample_fidelity(SCENE.state, phase)
-        results.append(CellResult(illum, sigma, n_bin, FidelityStats.from_runs(
-            fids, n_states_per_run=1)))
+        results.append(CellResult(illum, sigma, n_bin,
+                                  FidelityStats.from_runs(fids)))
     return results
 
 
@@ -296,6 +296,19 @@ def test_phase_error_stats_counts_and_range():
     assert stats.counts.sum() == stats.n_pixels == a.size
     assert len(stats.bin_edges) == 65
     assert stats.circ_std >= 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_circ_std_of_a_constant_sample_is_a_small_nonnegative_number():
+    # the rounded mean of equal unit phasors can have length 1 + 1 ulp, which
+    # took the square root of a negative number (NaN), or gave -0.0
+    spreads = np.array([circ_std(np.full(7, angle))
+                        for angle in np.linspace(-np.pi, np.pi, 2001)])
+    assert np.all(spreads < 1e-7) and not np.signbit(spreads).any()
+    phase = LensScene().field().phase
+    for offset in (1.0, 0.5):
+        spread = phase_error_stats(wrap(phase + offset), phase).circ_std
+        assert 0.0 <= spread < 1e-7 and not np.signbit(spread)
 
 
 def test_continuous_self_comparison_residual_small():

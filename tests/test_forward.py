@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pdisim import (DegenerateReferenceError, DomainError, GridSpec,
-                    PsiConfig, QuditScene, make_uniform_field,
-                    mean_field, simulate_interferograms)
+                    LensScene, PsiConfig, QuditScene, mean_field,
+                    simulate_interferograms)
 from pdisim.forward import step_phases
 
 SCENE = QuditScene()
@@ -36,7 +36,7 @@ def test_frame0_is_scaled_intensity():
 
 def test_uniform_field_half_period_frame_matches_frame0():
     # U = K, mu = 0: E_2 = K - 2K = -K, so frame 2 equals frame 0
-    fld = make_uniform_field(GridSpec(16, 16), amplitude=1.0)
+    fld = LensScene(GridSpec(16, 16), curvature=0.0).field()
     iset = simulate_interferograms(fld, PsiConfig(), 2.5)
     assert np.allclose(iset.frames[2], iset.frames[0], rtol=1e-12)
 
@@ -73,7 +73,7 @@ def test_degenerate_reference_rejected():
     values[:, 2:] = -1.0  # mean is exactly zero
     from pdisim import ComplexField
 
-    fld = ComplexField(GridSpec(4, 4), values)
+    fld = ComplexField(values)
     with pytest.raises(DegenerateReferenceError):
         simulate_interferograms(fld, PsiConfig(), 1.0)
 

@@ -155,7 +155,6 @@ def test_bootstrap_noiseless_mean_one_std_zero():
                                BinningPolicy(1), n_states=20, n_runs=8, seed=5)
     assert stats.mean == pytest.approx(1.0, abs=1e-9)
     assert stats.std == pytest.approx(0.0, abs=1e-9)
-    assert stats.n_states_per_run == 20
     assert stats.n_runs == 8
 
 
@@ -165,7 +164,6 @@ def test_bootstrap_default_protocol_feasible():
     res = noiseless_reconstruction(scene)
     stats = bootstrap_fidelity(res, scene.state, scene.layout,
                                BinningPolicy(1), n_states=81, n_runs=64, seed=0)
-    assert stats.n_states_per_run == 81
     assert stats.stderr == pytest.approx(stats.std / np.sqrt(64))
 
 

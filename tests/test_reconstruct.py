@@ -4,16 +4,13 @@ import pytest
 from pdisim import (EstimationError, GridSpec, InterferogramSet, LensScene,
                     NoiseParams, PsiConfig, QuditScene, ShapeError,
                     apply_noise, c0_analytic, c0_empirical, circ_dist,
-                    extract_phase, make_slit_mask, rng_stream,
-                    simulate_interferograms)
-from pdisim.field import equal_step_state, SlitLayout
+                    extract_phase, rng_stream, simulate_interferograms)
 from pdisim.reconstruct import harmonic_sums
 
 
 def single_pixel_set(values, reference=1.0 + 0j):
     frames = np.asarray(values, float).reshape(-1, 1, 1)
-    return InterferogramSet(grid=GridSpec(1, 1), frames=frames,
-                            reference=reference)
+    return InterferogramSet(frames=frames, reference=reference)
 
 
 def test_combine_single_pixel_arithmetic():
@@ -30,8 +27,8 @@ def test_combine_identical_frames_cancel():
 
 def test_combine_shape_guard():
     iset = single_pixel_set([1, 2, 3, 4])
-    with pytest.raises(ShapeError):
-        InterferogramSet(grid=GridSpec(2, 2), frames=iset.frames, reference=1.0)
+    with pytest.raises(ShapeError):  # not (N, rows, cols)
+        InterferogramSet(frames=iset.frames[..., 0], reference=1.0)
     with pytest.raises(ShapeError):  # fewer than 3 steps
         single_pixel_set([1, 2])
 
@@ -43,15 +40,12 @@ def test_c0_analytic():
 
 
 def test_c0_empirical_matches_analytic_on_dark_pixels():
-    layout = SlitLayout(d=6)
-    grid = GridSpec(128, 128)
-    fld = make_slit_mask(layout, equal_step_state(), grid,
-                         background_amplitude=0.0)
+    scene = QuditScene(background_amplitude=0.0)
     cfg = PsiConfig(reference_override=0.2 + 0.05j)
-    iset = simulate_interferograms(fld, cfg, 3.0,
-                                   region=layout.region_mask(grid))
+    iset = simulate_interferograms(scene.field(), cfg, 3.0,
+                                   region=scene.region())
     c, _ = harmonic_sums(iset.frames)
-    dark = ~layout.region_mask(grid)
+    dark = ~scene.region()
     empirical = c0_empirical(c, dark)
     assert empirical == pytest.approx(c0_analytic(iset.reference, 4), abs=1e-9)
 
@@ -69,9 +63,7 @@ def offset_removed_error(phase, truth, support):
 
 
 def test_uniform_zero_phase_recovered():
-    from pdisim import make_uniform_field
-
-    fld = make_uniform_field(GridSpec(16, 16))
+    fld = LensScene(GridSpec(16, 16), curvature=0.0).field()
     iset = simulate_interferograms(fld, PsiConfig(), 2.0)
     res = extract_phase(iset)
     assert np.allclose(res.phase, 0.0, atol=1e-12)
@@ -102,7 +94,7 @@ def test_global_offset_equivariance():
     scene = QuditScene()
     fld = scene.field()
     theta = 0.73
-    shifted = ComplexField(fld.grid, fld.values * np.exp(1j * theta))
+    shifted = ComplexField(fld.values * np.exp(1j * theta))
     cfg = PsiConfig(reference_override=0.9 + 0j)
     base = extract_phase(simulate_interferograms(fld, cfg, 3.0,
                                                  region=scene.region()))
@@ -117,7 +109,7 @@ def test_scale_invariance_of_phase():
                                    region=scene.region())
     res1 = extract_phase(iset)
     k = 7.3
-    scaled = InterferogramSet(grid=iset.grid, frames=iset.frames * k,
+    scaled = InterferogramSet(frames=iset.frames * k,
                               reference=iset.reference * np.sqrt(k))
     res2 = extract_phase(scaled, c0=res1.c0_used * k, mu=res1.mu_used)
     assert np.allclose(circ_dist(res2.phase, res1.phase), 0.0, atol=1e-12)

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from pdisim import (DomainError, GridSpec, InterferogramSet, NoiseParams,
+from pdisim import (DomainError, InterferogramSet, NoiseParams,
                     apply_noise, rng_stream, sample_noise, sigma_from_nsamp)
 
 
 def make_set(frames):
-    frames = np.asarray(frames, dtype=float)
-    grid = GridSpec(width=frames.shape[2], height=frames.shape[1])
-    return InterferogramSet(grid=grid, frames=frames, reference=1.0 + 0j)
+    return InterferogramSet(frames=frames, reference=1.0 + 0j)
 
 
 def test_sigma_from_nsamp_values():
