@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: simulate, reconstruct, qudit-experiment, sweep-map,
-continuous-experiment. Data goes to files under --out; progress goes to
-stderr. Exit codes: 0 success, 2 config error, 1 runtime failure.
+continuous-experiment. Data goes to files under --out. Unless --quiet, a
+run that succeeds ends with one stderr line giving what it computed (its
+frame, cell or case count) and its wall time, which no file records. Exit
+codes: 0 success, 2 config error, 1 runtime failure.
 """
 
 import argparse
@@ -11,6 +13,7 @@ import dataclasses
 import functools
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -34,11 +37,6 @@ def _keep_freed_memory():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
-def _progress(args, message):
-    if not args.quiet:
-        print(message, file=sys.stderr)
 
 
 def _load_config(args) -> RunConfig:
@@ -77,24 +75,23 @@ def _write_run_manifest(outdir, cfg: RunConfig, subcommand: str):
     os.replace(path + ".tmp", path)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     cfg = _load_config(args)
     outdir = cfg.output_directory
     fld = cfg.scene.field()
     frames = simulate_interferograms(fld, cfg.psi, cfg.illumination,
                                      region=cfg.scene.region())
+    what = f"{frames.n_steps} noiseless frames"
     if cfg.noise_enabled:
         frames = apply_noise(frames, cfg.noise)
-        _progress(args, f"simulated {frames.n_steps} noisy frames "
-                        f"(sigma={cfg.noise.readout_sigma} e-)")
-    else:
-        _progress(args, f"simulated {frames.n_steps} noiseless frames")
+        what = (f"{frames.n_steps} noisy frames "
+                f"(sigma={cfg.noise.readout_sigma} e-)")
     pio.write_interferogram_set(os.path.join(outdir, "frames"), frames)
     _write_run_manifest(outdir, cfg, "simulate")
-    return 0
+    return what
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args) -> str:
     if args.out is None:
         raise ConfigError("--out is required for reconstruct")
     iset = pio.read_interferogram_set(args.frames_manifest)
@@ -113,8 +110,7 @@ def cmd_reconstruct(args) -> int:
     with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(summary)
-    _progress(args, "reconstruction written")
-    return 0
+    return f"{iset.n_steps} frames"
 
 
 def _noise_labels(grid) -> dict:
@@ -123,7 +119,7 @@ def _noise_labels(grid) -> dict:
     return dict(zip(grid.sigmas, grid.nsamps or grid.sigmas))
 
 
-def cmd_sweep(args, subcommand: str, csv_name: str) -> int:
+def cmd_sweep(args, subcommand: str, csv_name: str) -> str:
     """Sweep the configured grid into `csv_name`, one row per cell. A failing
     sweep raises its first failing block's error, and no table is written."""
     cfg = _load_config(args)
@@ -144,11 +140,10 @@ def cmd_sweep(args, subcommand: str, csv_name: str) -> int:
         rows,
     )
     _write_run_manifest(outdir, cfg, subcommand)
-    _progress(args, f"wrote {len(rows)} cells")
-    return 0
+    return f"{len(rows)} cells"
 
 
-def cmd_continuous(args) -> int:
+def cmd_continuous(args) -> str:
     cfg = _load_config(args)
     if not isinstance(cfg.scene, LensScene):
         raise ConfigError("continuous-experiment requires a lens scene")
@@ -178,8 +173,7 @@ def cmd_continuous(args) -> int:
                   ["illumination", "readout_sigma_or_nsamp", "circ_std",
                    "n_pixels"], stat_rows)
     _write_run_manifest(outdir, cfg, "continuous-experiment")
-    _progress(args, f"wrote {len(cases)} continuous cases")
-    return 0
+    return f"{len(cases)} cases"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep worker threads, >= 1; changes only the "
                             "sweeps, never results")
         p.add_argument("--quiet", action="store_true",
-                       help="suppress progress output")
+                       help="suppress the closing count and wall-time line")
 
     p = sub.add_parser("simulate", help="forward-simulate interferograms")
     common(p)
@@ -232,17 +226,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         _keep_freed_memory()
-        return args.func(args)
+        what = args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (PdisimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if not args.quiet:
+        print(f"{args.command}: {what} in {time.perf_counter() - started:.2f} s",
+              file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -5,13 +5,16 @@ qudit over illumination x readout noise x pixel binning, and continuous-phase
 error statistics of a lens wavefront against a high-flux reference.
 
 Every cell of a sweep is fed by its own random stream (seed, cell index).
-The sweep's tasks are blocks of cells that share an illumination and n_bin;
-a block batches the cells' arithmetic, not their streams, so results are
-bit-identical for a fixed seed regardless of blocking, worker count or
-scheduling order. A sweep returns every cell or raises the error of its
-first failing block, in submission order: what could fail (the Poisson range
-of a block's frames, n_bin against the pixels per slit) is the same for all
-of a block's cells, and the grid has checked every sigma.
+The pixels of a slit all carry the slit's value, so a cell draws the noisy
+readings of its n_bin pixels per slit straight from the slit's rates: which
+pixels are read changes no number. The sweep's tasks are blocks of cells
+that share an illumination and n_bin; a block batches the cells' arithmetic
+and statistics, not their streams, so results are bit-identical for a fixed
+seed regardless of blocking, worker count or scheduling order. A sweep
+returns every cell or raises the error of its first failing block, in
+submission order: what could fail (the Poisson range of a block's frames,
+n_bin against the pixels per slit) is the same for all of a block's cells,
+and the grid has checked every sigma.
 """
 
 import concurrent.futures
@@ -21,11 +24,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .circular import circ_dist, circ_std, wrap
-from .errors import DomainError, ShapeError
+from .errors import DomainError, SamplingError, ShapeError
 from .field import (ComplexField, GridSpec, QuditState, SlitLayout,
                     equal_step_state)
 from .forward import PsiConfig, frame_rates, simulate_interferograms
-from .qudit import FidelityStats, draw_pixel_positions, sample_fidelity
+from .qudit import FidelityStats, sample_fidelity
 from .reconstruct import c0_analytic, extract_phase, unwrapped_phase
 from .sensor import (apply_noise, check_poisson_rates, NoiseParams, rng_stream,
                      readout_sigmas, sample_noise)
@@ -34,9 +37,10 @@ from .sensor import (apply_noise, check_poisson_rates, NoiseParams, rng_stream,
 #: Part of the determinism contract: results must not depend on worker
 #: count, so the chunking must not either. On the default grid (2 cores),
 #: chunks of 128 to 2048 ran within about 10 % of each other; a chunk at
-#: n_bin 8 holds 256 x 4 x 6 x 8 noise values, 0.4 MB. It also bounds a
-#: block's rows: a block stacks at most max(1, _CHUNK // repetitions)
-#: cells, so its chunk is never larger than one cell's.
+#: n_bin 8 holds 256 x 4 x 6 x 8 noise values (0.4 MB), drawn from the
+#: 4 x 6 slit rates. It also bounds a block's rows: a block stacks at most
+#: max(1, _CHUNK // repetitions) cells, so its chunk is never larger than
+#: one cell's.
 _CHUNK = 256
 
 #: Readout noise used when building the high-flux reference map.
@@ -56,21 +60,26 @@ class QuditScene:
     background_amplitude: float = 1.0
     background_phase: float = 0.0
 
-    def field(self) -> ComplexField:
-        """The qudit phase mask in a uniform background. Pixels of slit k
-        carry amplitude |c_k| (rescaled so the brightest slit has amplitude 1)
-        and phase arg(c_k); all other pixels carry the background amplitude
-        and phase."""
+    def slit_values(self) -> np.ndarray:
+        """The value (d, 1) of every pixel of each slit: amplitude |c_k|,
+        rescaled so the brightest slit has amplitude 1, and phase arg(c_k).
+        Slits are uniform, so this one column stands for all n_px pixels."""
         state = self.state
         if state.dim != self.layout.d:
             raise ShapeError(f"state dimension {state.dim} != layout slit "
                              f"count {self.layout.d}")
-        pixels = self.layout.slit_pixels(self.grid)
-        values = np.full(self.grid.shape, self.background_amplitude
-                         * np.exp(1j * self.background_phase), dtype=complex)
         amps = np.abs(state.coeffs)
         amps = amps / amps.max()
-        values[pixels] = (amps * np.exp(1j * np.angle(state.coeffs)))[:, None]
+        return (amps * np.exp(1j * np.angle(state.coeffs)))[:, None]
+
+    def field(self) -> ComplexField:
+        """The qudit phase mask in a uniform background. Slits are uniform:
+        every pixel of slit k carries the same value, `slit_values()[k]`;
+        all other pixels carry the background amplitude and phase."""
+        slits = self.slit_values()
+        values = np.full(self.grid.shape, self.background_amplitude
+                         * np.exp(1j * self.background_phase), dtype=complex)
+        values[self.layout.slit_pixels(self.grid)] = slits
         return ComplexField(values)
 
     def region(self) -> np.ndarray:
@@ -166,42 +175,43 @@ class ContinuousCase:
 
 
 def _run_block(indices, sigmas, illumination, n_bin, *, slit_values,
-               reference, psi, seed, target, repetitions, quantize):
+               pixels_per_slit, reference, psi, seed, target, repetitions,
+               quantize):
     """Monte-Carlo fidelity of the sweep cells `indices`, one per readout
     sigma in `sigmas`, at `illumination` and `n_bin`: one FidelityStats per
     cell.
 
-    The block computes the noiseless frames of the slit pixels (N, d, n_px),
-    checks every one against numpy's Poisson range, so that an error does not
-    depend on the pixels drawn or the seed, and computes C0 and mu. Then, per
-    chunk of repetitions, each cell draws n_bin pixel positions per slit and
-    the noisy frames of those pixels only, from its own stream in the order
-    positions, Poisson, normal, so it gets the numbers it would get alone;
-    the gather, the inversion and the scoring run once over the stacked
-    cells. Drawing noise for the read pixels only is exact: the inversion is
-    per pixel and no other pixel enters the state. The cells share the
-    illumination, n_bin and rates, and the grid has checked every sigma, so
-    an error (a PdisimError) is the whole block's.
+    The block computes the noiseless frames (N, d, 1) of the uniform slits
+    `slit_values` (d, 1), checks them against numpy's Poisson range, then
+    n_bin against `pixels_per_slit` (the pixels are read without
+    replacement), and computes C0 and mu. Every pixel of a slit has the
+    slit's rates, so the n_bin distinct pixels a state reads have i.i.d.
+    readings whichever they are: per chunk of repetitions, each cell draws
+    the noisy frames (m, N, d, n_bin) of its read pixels from the slit rates,
+    from its own stream in the order Poisson, normal, so it gets the numbers
+    it would get alone. The inversion, the scoring and the statistics run
+    once over the stacked cells. The cells share the illumination, n_bin and
+    rates, and the grid has checked every sigma, so an error (a PdisimError)
+    is the whole block's.
     """
     rngs = [rng_stream(seed, index) for index in indices]
     fids = np.empty((len(indices), repetitions))
-    # mean frame 0 over the stacked slit pixels sets the illumination scale
+    # mean frame 0 over the slits sets the illumination scale
     rates, ref = frame_rates(slit_values, reference, psi.n_steps, illumination,
                              slit_values)
     check_poisson_rates(rates)
+    if n_bin > pixels_per_slit:
+        raise SamplingError(f"n_bin = {n_bin} exceeds the {pixels_per_slit} "
+                            "pixels per slit")
     c0, mu = c0_analytic(ref, psi.n_steps), float(np.angle(ref))
-    _, d, n_px = rates.shape
     for start in range(0, repetitions, _CHUNK):
         m = min(_CHUNK, repetitions - start)
-        positions = np.stack([draw_pixel_positions(rng, (m, d), n_px, n_bin)
-                              for rng in rngs])
-        read = np.take_along_axis(rates[None, None], positions[:, :, None],
-                                  axis=-1)
-        noisy = np.stack([sample_noise(r, sigma, rng, quantize=quantize)
-                          for r, sigma, rng in zip(read, sigmas, rngs)])
+        read = np.broadcast_to(rates, (m,) + rates.shape[:-1] + (n_bin,))
+        noisy = np.stack([sample_noise(read, sigma, rng, quantize=quantize)
+                          for sigma, rng in zip(sigmas, rngs)])
         phase = unwrapped_phase(noisy, c0, mu)
         fids[:, start:start + m] = sample_fidelity(target, phase)
-    return [FidelityStats.from_runs(runs) for runs in fids]
+    return FidelityStats.per_row(fids)
 
 
 def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
@@ -238,7 +248,8 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
     # bound per call, not at import, so that a wrapper put on
     # experiments._run_block (a tracer) is the one that runs
     run = functools.partial(
-        _run_block, slit_values=fld.values[scene.layout.slit_pixels(scene.grid)],
+        _run_block, slit_values=scene.slit_values(),
+        pixels_per_slit=scene.layout.pixels_per_slit,
         reference=psi.reference_for(fld), psi=psi, seed=seed,
         target=scene.state, repetitions=grid.repetitions, quantize=quantize)
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:

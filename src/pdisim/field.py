@@ -120,7 +120,9 @@ class QuditState:
     """Pure d-level state: complex coefficients on the logical slit basis.
 
     Coefficients must already be normalized; use `from_coeffs` to normalize
-    raw amplitudes.
+    raw amplitudes. Two states are equal when their coefficients are, value
+    by value (not up to a global phase), so scenes and configs that hold a
+    state compare with ==.
     """
 
     coeffs: np.ndarray
@@ -134,6 +136,15 @@ class QuditState:
             raise DomainError(f"state not normalized: sum |c_k|^2 = {norm_sq!r}")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, QuditState):
+            return NotImplemented
+        return bool(np.array_equal(self.coeffs, other.coeffs))
+
+    def __hash__(self):
+        # complex hashing agrees with ==, -0.0 and 0.0 included
+        return hash(tuple(self.coeffs.tolist()))
 
     @classmethod
     def from_coeffs(cls, raw) -> "QuditState":

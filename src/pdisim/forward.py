@@ -70,8 +70,9 @@ def frame_rates(values: np.ndarray, reference: complex, n_steps: int,
                 illumination: float,
                 region_values: np.ndarray) -> tuple[np.ndarray, complex]:
     """Noiseless frames (N, rows, cols) of a 2D pixel set `values` (a full
-    grid, or d slits x n_px pixels), scaled so that frame 0 averages
-    `illumination` over `region_values`; also returns the scaled reference.
+    grid, or the (d, 1) values of uniform slits), scaled so that frame 0
+    averages `illumination` over `region_values`; also returns the scaled
+    reference.
     """
     if illumination < 0:
         raise DomainError(f"illumination must be >= 0, got {illumination}")

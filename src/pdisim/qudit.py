@@ -37,16 +37,22 @@ class FidelityStats:
     n_runs: int
 
     @classmethod
+    def per_row(cls, runs: np.ndarray) -> list["FidelityStats"]:
+        """Mean, sample std (0 for a single run) and standard error of each
+        row of per-run fidelities `runs` (rows, n_runs), in one pass over the
+        rows; each row's numbers are those of the row alone."""
+        n_runs = runs.shape[-1]
+        means = runs.mean(axis=-1)
+        stds = runs.std(axis=-1, ddof=1) if n_runs > 1 else np.zeros(len(runs))
+        stderrs = stds / np.sqrt(n_runs)
+        return [cls(mean=float(mean), std=float(std), stderr=float(stderr),
+                    n_runs=n_runs)
+                for mean, std, stderr in zip(means, stds, stderrs)]
+
+    @classmethod
     def from_runs(cls, runs: np.ndarray) -> "FidelityStats":
-        """Mean, sample std (0 for a single run) and standard error of the
-        per-run fidelities `runs`."""
-        std = float(runs.std(ddof=1)) if runs.size > 1 else 0.0
-        return cls(
-            mean=float(runs.mean()),
-            std=std,
-            stderr=std / float(np.sqrt(runs.size)),
-            n_runs=runs.size,
-        )
+        """The statistics of the 1D per-run fidelities `runs`."""
+        return cls.per_row(runs[None])[0]
 
 
 def fidelity(target: QuditState, reconstructed: QuditState) -> float:
@@ -66,31 +72,12 @@ def fidelity(target: QuditState, reconstructed: QuditState) -> float:
 def draw_pixel_positions(rng: np.random.Generator, shape: tuple[int, ...],
                          n_px: int, k: int) -> np.ndarray:
     """Positions (*shape, k) of k of n_px pixels, drawn uniformly without
-    replacement along the last axis, in a uniformly random order.
-
-    Two methods, picked by k. A small k (k^2 <= n_px, as the sweep's n_bin)
-    takes k rounds of a uniform index among the n_px - j pixels still free,
-    shifted past the j already chosen (Bentley & Floyd, CACM 30(9), 1987):
-    O(k^2) elementwise steps, against the argsort's O(n_px log n_px) per
-    slit, which was the sweep's top cost. A large k (the bootstrap's 81 of
-    100) keeps the first k of an argsort of n_px uniforms, which is cheaper
-    there and keeps the bootstrap's stream.
-    """
+    replacement along the last axis, in a uniformly random order: the first
+    k of an argsort of n_px uniforms per slit."""
     if k > n_px:
         raise SamplingError(f"n_bin x states = {k} exceeds the {n_px} pixels "
                             "per slit")
-    if not 0 < k * k <= n_px:
-        return np.argsort(rng.random(shape + (n_px,)), axis=-1)[..., :k]
-    drawn, ascending = [], []
-    for j in range(k):
-        pos = rng.integers(0, n_px - j, size=shape)
-        for taken in ascending:  # in increasing order: the pos-th free pixel
-            pos += pos >= taken
-        drawn.append(pos)
-        for i, taken in enumerate(ascending):  # insert pos, keeping the order
-            ascending[i], pos = np.minimum(taken, pos), np.maximum(taken, pos)
-        ascending.append(pos)
-    return np.stack(drawn, axis=-1)
+    return np.argsort(rng.random(shape + (n_px,)), axis=-1)[..., :k]
 
 
 def _slit_phases(result: ReconstructionResult, layout: SlitLayout):
@@ -116,10 +103,10 @@ def extract_state(result: ReconstructionResult, layout: SlitLayout,
                   rng: np.random.Generator) -> QuditState:
     """Sample n_bin pixels per slit and build the reconstructed state.
 
-    The sweep's independent reference: it draws with `rng.choice` and scores
-    one state with `fidelity`, sharing no sampling or scoring code with the
-    batched `draw_pixel_positions` and `sample_fidelity`. No program path
-    calls it; the tests compare the sweep against it.
+    The sweep's independent reference: it draws pixels with `rng.choice` and
+    scores one state with `fidelity`, sharing no sampling or scoring code
+    with the sweep, which reads the slit rates, or with `sample_fidelity`.
+    No program path calls it; the tests compare the sweep against it.
     """
     n_px = layout.pixels_per_slit
     if policy.n_bin > n_px:

@@ -50,7 +50,8 @@ def _harmonic_weights(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 def harmonic_sums(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Harmonic sums C, S of frames shaped (..., N, rows, cols): any batch
-    axes, the N equal steps, a 2D pixel set (full grid, or d slits x n_px)."""
+    axes, the N equal steps, a 2D pixel set (full grid, or d slits x n_bin
+    read pixels)."""
     cos_w, sin_w = _harmonic_weights(frames.shape[-3])
     c = np.einsum("n,...nij->...ij", cos_w, frames)
     s = np.einsum("n,...nij->...ij", sin_w, frames)

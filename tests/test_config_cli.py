@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import os
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,14 @@ def test_config_roundtrip():
     once = serialize_config(cfg)
     twice = serialize_config(parse_config(once))
     assert once == twice
+
+
+def test_parsed_configs_compare_by_value():
+    text = MINIMAL + "state_step = 1.0\n[sweep]\nrepetitions = 10\n"
+    assert parse_config(text) == parse_config(text)
+    assert parse_config(serialize_config(parse_config(text))) == parse_config(text)
+    assert parse_config(text) != parse_config(text.replace("1.0", "1.5"))
+    assert parse_config(MINIMAL) != parse_config(text)
 
 
 def test_phmap_scene_requires_existing_file(tmp_path):
@@ -387,6 +396,42 @@ def test_cli_sweep_beyond_the_poisson_limit_fails_the_run(tmp_path, capsys,
     assert_one_line_error(capsys, "Poisson rates must be in [0, ")
     assert not (out / csv_name).exists()
     assert not (out / "manifest.txt").exists()
+
+
+CLOSING_LINES = [
+    ("simulate", MINIMAL + "[noise]\nreadout_sigma = 0.5\n",
+     r"4 noisy frames \(sigma=0\.5 e-\)"),
+    ("reconstruct", None, "4 frames"),
+    ("qudit-experiment", MINIMAL + SMALL_SWEEP, "1 cells"),
+    ("sweep-map", MINIMAL + SMALL_SWEEP, "1 cells"),
+    ("continuous-experiment", "[scene]\ntype = lens\ngrid_width = 16\n"
+     "grid_height = 16\n[sweep]\nilluminations = 3.0\nsigmas = 0.5,3.0\n",
+     "2 cases")]
+
+
+@pytest.mark.parametrize("subcommand, text, what", CLOSING_LINES,
+                         ids=[case[0] for case in CLOSING_LINES])
+def test_cli_run_ends_with_its_count_and_wall_time_unless_quiet(
+        tmp_path, capsys, subcommand, text, what):
+    if text is None:  # reconstruct reads frames, not a config
+        cfg = write_cfg(tmp_path, MINIMAL, name="sim.cfg")
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "sim"), "--quiet"]) == 0
+        args = [subcommand, str(tmp_path / "sim" / "frames" / "manifest.txt")]
+    else:
+        args = [subcommand, "--config", write_cfg(tmp_path, text)]
+    capsys.readouterr()
+    outs = []
+    for name, quiet in (("quiet", ["--quiet"]), ("verbose", [])):
+        assert main(args + ["--out", str(tmp_path / name), *quiet]) == 0
+        outs.append(all_output_bytes(tmp_path / name))
+        err = capsys.readouterr().err
+        if quiet:
+            assert err == ""
+        else:
+            assert re.fullmatch(rf"{subcommand}: {what} in \d+\.\d\d s\n", err)
+    # the line, and its timing, are in no written file
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("subcommand, text", [

@@ -14,7 +14,7 @@ from pdisim import (BinningPolicy, CellResult, DomainError, FidelityStats,
                     simulate_interferograms, wrap)
 from pdisim import experiments
 from pdisim.forward import frame_rates
-from pdisim.qudit import draw_pixel_positions, sample_fidelity
+from pdisim.qudit import sample_fidelity
 from pdisim.reconstruct import unwrapped_phase
 from pdisim.sensor import MAX_POISSON_RATE
 
@@ -64,20 +64,24 @@ def test_sweep_stats_fields_consistent():
     assert 0.0 <= st.mean <= 1.0
 
 
-@pytest.mark.parametrize("n_bin", [1, 4])
-def test_sweep_fast_path_matches_modular_pipeline(n_bin):
-    # n_bin > 1 checks that the sweep gathers the drawn pixels' rates right
+@pytest.mark.parametrize("n_bin, quantize", [
+    pytest.param(1, False, id="1"), pytest.param(4, False, id="4"),
+    pytest.param(8, False, id="8"), pytest.param(8, True, id="8-quantize")])
+def test_sweep_fast_path_matches_modular_pipeline(n_bin, quantize):
+    # the full-grid chain with rng.choice pixel picks: n_bin > 1 checks that
+    # reading the slit rates stands for reading n_bin distinct pixels
     illum, sigma = 3.0, 0.5
     reps = 400
     grid = SweepGrid(illuminations=(illum,), sigmas=(sigma,), n_bins=(n_bin,),
                      repetitions=reps)
-    (cell,) = fidelity_sweep(SCENE, grid, seed=21)
+    (cell,) = fidelity_sweep(SCENE, grid, seed=21, quantize=quantize)
 
     clean = simulate_interferograms(SCENE.field(), PsiConfig(), illum,
                                     region=SCENE.region())
     fids = np.empty(reps)
     for r in range(reps):
-        noisy = apply_noise(clean, NoiseParams(readout_sigma=sigma),
+        noisy = apply_noise(clean, NoiseParams(readout_sigma=sigma,
+                                               quantize=quantize),
                             rng=rng_stream(5000, r))
         state = extract_state(extract_phase(noisy), SCENE.layout,
                               BinningPolicy(n_bin), rng_stream(6000, r))
@@ -130,27 +134,28 @@ def test_sweep_poisson_range_error_raises_before_any_draw(seed, noise_draws):
 
 def _per_cell_sweep(grid, seed, psi=PsiConfig()):
     """The sweep one cell at a time, each from its own stream in chunks of
-    _CHUNK repetitions: what the blocked sweep must reproduce exactly."""
+    _CHUNK repetitions, reading n_bin pixels of each uniform slit off the
+    slit's rates: what the blocked sweep must reproduce exactly."""
     fld = SCENE.field()
-    slit_values = fld.values[SCENE.layout.slit_pixels(SCENE.grid)]
+    # the first pixel of each slit, taken from the full field
+    slit_values = fld.values[SCENE.layout.slit_pixels(SCENE.grid)][:, :1]
     results = []
     for index, (illum, sigma, n_bin) in enumerate(grid.cells()):
         rates, ref = frame_rates(slit_values, psi.reference_for(fld),
                                  psi.n_steps, illum, slit_values)
-        _, d, n_px = rates.shape
         rng = rng_stream(seed, index)
         fids = np.empty(grid.repetitions)
         for start in range(0, grid.repetitions, experiments._CHUNK):
             m = min(experiments._CHUNK, grid.repetitions - start)
-            positions = draw_pixel_positions(rng, (m, d), n_px, n_bin)
-            noisy = sample_noise(
-                np.take_along_axis(rates[None], positions[:, None], axis=-1),
-                sigma, rng)
+            noisy = sample_noise(np.repeat(rates[None], m, axis=0)
+                                 .repeat(n_bin, axis=-1), sigma, rng)
             phase = unwrapped_phase(noisy, c0_analytic(ref, psi.n_steps),
                                     float(np.angle(ref)))
             fids[start:start + m] = sample_fidelity(SCENE.state, phase)
-        results.append(CellResult(illum, sigma, n_bin,
-                                  FidelityStats.from_runs(fids)))
+        std = float(fids.std(ddof=1)) if fids.size > 1 else 0.0
+        results.append(CellResult(illum, sigma, n_bin, FidelityStats(
+            float(fids.mean()), std, std / float(np.sqrt(fids.size)),
+            fids.size)))
     return results
 
 
@@ -204,17 +209,22 @@ def test_sweep_deterministic_and_jobs_independent():
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_sweep_raises_the_first_failing_blocks_error(jobs):
-    # blocks in submission order: (1, 1) runs, (1, 500) fails drawing its
-    # pixels, (3, 1) and (3, 500) fail the Poisson range check
+    # blocks in submission order: (1, 1) runs, (1, 500) reads more pixels
+    # than a slit has, (3, 1) and (3, 500) fail the Poisson range check
     grid = SweepGrid(illuminations=(1.0, 3.0), sigmas=(0.2,), n_bins=(1, 500),
                      repetitions=5)
-    with pytest.raises(SamplingError) as raised:
-        draw_pixel_positions(rng_stream(0), (1, SCENE.layout.d),
-                             SCENE.layout.pixels_per_slit, 500)
     with pytest.raises(SamplingError) as swept:
         fidelity_sweep(SCENE, grid, seed=4, jobs=jobs,
                        psi=PsiConfig(reference_override=1e9))
-    assert str(swept.value) == str(raised.value)
+    assert str(swept.value) == "n_bin = 500 exceeds the 100 pixels per slit"
+
+
+def test_sweep_checks_n_bin_after_the_poisson_range():
+    # one block, failing both checks: the Poisson range is checked first
+    grid = SweepGrid(illuminations=(3.0,), sigmas=(0.2,), n_bins=(500,),
+                     repetitions=5)
+    with pytest.raises(DomainError, match=r"^Poisson rates must be in"):
+        fidelity_sweep(SCENE, grid, psi=PsiConfig(reference_override=1e9))
 
 
 def test_sweep_rejects_fewer_than_one_job():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pdisim import (BinningPolicy, DomainError, PsiConfig, QuditScene,
-                    QuditState, SamplingError, ShapeError, SlitLayout,
+from pdisim import (BinningPolicy, DomainError, FidelityStats, PsiConfig,
+                    QuditScene, QuditState, SamplingError, ShapeError,
+                    SlitLayout,
                     bootstrap_fidelity, equal_step_state, extract_phase,
                     extract_state, fidelity, rng_stream,
                     simulate_interferograms)
@@ -121,9 +122,8 @@ def _uniform_chi_square(counts):
 
 
 @pytest.mark.parametrize("n_px, k", [(16, 4), (10, 4)],
-                         ids=["sequential", "argsort"])
+                         ids=["small-k", "large-k"])
 def test_draw_pixel_positions_uniform_without_replacement(n_px, k):
-    # k^2 <= n_px takes the sequential draw, k^2 > n_px the argsort
     positions = draw_pixel_positions(rng_stream(77), (10000, 4), n_px, k)
     assert positions.shape == (10000, 4, k)
     positions = positions.reshape(-1, k)
@@ -142,10 +142,41 @@ def test_draw_pixel_positions_uniform_without_replacement(n_px, k):
 
 
 def test_draw_pixel_positions_large_k_keeps_the_argsort_stream():
-    # the bootstrap's 81 of 100 pixels: the first 81 of a uniform argsort
-    expected = np.argsort(rng_stream(3).random((64, 6, 100)), axis=-1)[..., :81]
-    drawn = draw_pixel_positions(rng_stream(3), (64, 6), 100, 81)
-    assert np.array_equal(drawn, expected)
+    # the bootstrap's 81 of 100 pixels: the first 81 of a uniform argsort;
+    # a small k, such as 4 of 100, takes the first 4 of the same argsort
+    for k in (81, 4):
+        expected = np.argsort(rng_stream(3).random((64, 6, 100)),
+                              axis=-1)[..., :k]
+        drawn = draw_pixel_positions(rng_stream(3), (64, 6), 100, k)
+        assert np.array_equal(drawn, expected)
+
+
+@pytest.mark.parametrize("n_runs", [1, 2, 255, 256, 257, 4097])
+def test_stats_per_row_equal_each_rows_own(n_runs):
+    runs = rng_stream(n_runs).random((7, n_runs)) ** 3
+    for row, stats in zip(runs, FidelityStats.per_row(runs)):
+        std = float(row.std(ddof=1)) if n_runs > 1 else 0.0
+        assert stats == FidelityStats(float(row.mean()), std,
+                                      std / float(np.sqrt(n_runs)), n_runs)
+        assert repr(stats) == repr(FidelityStats.from_runs(row))
+
+
+def test_states_compare_by_value_and_hash_alike():
+    a, b = equal_step_state(), equal_step_state()
+    assert a == b and hash(a) == hash(b)
+    assert a != equal_step_state(step=1.0)
+    assert a != QuditState.from_coeffs(np.ones(5))
+    # -0.0 and 0.0 are equal values, so they hash alike
+    zero = QuditState(np.array([1.0 + 0.0j, 0.0j]))
+    signed = QuditState(np.array([complex(1.0, -0.0), complex(-0.0, 0.0)]))
+    assert zero == signed and hash(zero) == hash(signed)
+    assert len({a, b, zero, signed}) == 2
+
+
+def test_scenes_compare_by_value():
+    assert QuditScene() == QuditScene()
+    assert QuditScene() != QuditScene(state=equal_step_state(step=1.0))
+    assert QuditScene() != QuditScene(background_amplitude=0.0)
 
 
 def test_bootstrap_noiseless_mean_one_std_zero():
