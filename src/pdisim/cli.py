@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: simulate, reconstruct, qudit-experiment, sweep-map,
-continuous-experiment. Data goes to files under --out. Unless --quiet, a
-run that succeeds ends with one stderr line giving what it computed (its
-frame, cell or case count) and its wall time, which no file records. Exit
-codes: 0 success, 2 config error, 1 runtime failure.
+continuous-experiment. Each writes its files under --out, which every one
+requires. Unless --quiet, a run that succeeds ends with one stderr line
+giving what it computed (its frame, cell or case count) and its wall time,
+which no file records. Exit codes: 0 success, 2 config error, 1 runtime
+failure.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from . import __version__, io as pio
 from .config import RunConfig, parse_config, serialize_config
 from .errors import ConfigError, PdisimError
 from .experiments import LensScene, QuditScene, continuous_experiment, fidelity_sweep
-from .reconstruct import c0_empirical, extract_phase, harmonic_sums
+from .reconstruct import c0_empirical, extract_phase
 from .sensor import apply_noise
 from .forward import simulate_interferograms
 
@@ -54,21 +55,17 @@ def _load_config(args) -> RunConfig:
         cfg = dataclasses.replace(
             cfg, noise=dataclasses.replace(cfg.noise, seed=args.seed)
         )
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, output_directory=args.out)
-    if cfg.output_directory is None:
-        raise ConfigError("no output directory: set [output] directory or --out")
     return cfg
 
 
 def _write_run_manifest(outdir, cfg: RunConfig, subcommand: str):
-    """Written last, via a temporary name: its presence means the run finished."""
-    # no output path, so that reruns into other directories stay byte-identical
-    portable = dataclasses.replace(cfg, output_directory=None)
+    """Written last, via a temporary name: its presence means the run
+    finished. It names no path, so that reruns into other directories stay
+    byte-identical."""
     # numpy's Poisson and normal streams are only fixed within one version
     text = (f"# pdisim run manifest\n# pdisim version = {__version__}\n"
             f"# numpy version = {np.__version__}\nsubcommand = {subcommand}\n"
-            f"seed = {cfg.noise.seed}\n\n" + serialize_config(portable, subcommand))
+            f"seed = {cfg.noise.seed}\n\n" + serialize_config(cfg, subcommand))
     path = os.path.join(outdir, "manifest.txt")
     with open(path + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -77,7 +74,6 @@ def _write_run_manifest(outdir, cfg: RunConfig, subcommand: str):
 
 def cmd_simulate(args) -> str:
     cfg = _load_config(args)
-    outdir = cfg.output_directory
     fld = cfg.scene.field()
     frames = simulate_interferograms(fld, cfg.psi, cfg.illumination,
                                      region=cfg.scene.region())
@@ -86,19 +82,17 @@ def cmd_simulate(args) -> str:
         frames = apply_noise(frames, cfg.noise)
         what = (f"{frames.n_steps} noisy frames "
                 f"(sigma={cfg.noise.readout_sigma} e-)")
-    pio.write_interferogram_set(os.path.join(outdir, "frames"), frames)
-    _write_run_manifest(outdir, cfg, "simulate")
+    pio.write_interferogram_set(os.path.join(args.out, "frames"), frames)
+    _write_run_manifest(args.out, cfg, "simulate")
     return what
 
 
 def cmd_reconstruct(args) -> str:
-    if args.out is None:
-        raise ConfigError("--out is required for reconstruct")
     iset = pio.read_interferogram_set(args.frames_manifest)
     c0 = None  # analytic, from the stored reference
     if args.c0_mode == "empirical":
         # dark pixels: those whose frame 0 reads <= 0
-        c0 = c0_empirical(harmonic_sums(iset.frames)[0], iset.frames[0] <= 0)
+        c0 = c0_empirical(iset.frames, iset.frames[0] <= 0)
     result = extract_phase(iset, c0=c0)
     os.makedirs(args.out, exist_ok=True)
     pio.write_phase_map(os.path.join(args.out, "phase.phmap"), result.phase)
@@ -125,21 +119,20 @@ def cmd_sweep(args, subcommand: str, csv_name: str) -> str:
     cfg = _load_config(args)
     if not isinstance(cfg.scene, QuditScene):
         raise ConfigError("this subcommand requires a qudit scene")
-    outdir = cfg.output_directory
     labels = _noise_labels(cfg.sweep)
     rows = [(cell.illumination, labels[cell.sigma], cell.n_bin,
              cell.stats.mean, cell.stats.std, cell.stats.stderr)
             for cell in fidelity_sweep(cfg.scene, cfg.sweep, seed=cfg.noise.seed,
                                        jobs=args.jobs, quantize=cfg.noise.quantize,
                                        psi=cfg.psi)]
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     pio.write_csv(
-        os.path.join(outdir, csv_name),
+        os.path.join(args.out, csv_name),
         ["illumination", "readout_sigma_or_nsamp", "n_bin",
          "mean_fidelity", "std", "stderr"],
         rows,
     )
-    _write_run_manifest(outdir, cfg, subcommand)
+    _write_run_manifest(args.out, cfg, subcommand)
     return f"{len(rows)} cells"
 
 
@@ -147,32 +140,31 @@ def cmd_continuous(args) -> str:
     cfg = _load_config(args)
     if not isinstance(cfg.scene, LensScene):
         raise ConfigError("continuous-experiment requires a lens scene")
-    outdir = cfg.output_directory
     ref_phase, cases = continuous_experiment(
         cfg.scene, cfg.sweep.illuminations, sigmas=cfg.sweep.sigmas,
         reference_illumination=cfg.reference_illumination,
         seed=cfg.noise.seed, quantize=cfg.noise.quantize, psi=cfg.psi,
     )
-    os.makedirs(outdir, exist_ok=True)
-    pio.write_phase_map(os.path.join(outdir, "reference.phmap"), ref_phase)
+    os.makedirs(args.out, exist_ok=True)
+    pio.write_phase_map(os.path.join(args.out, "reference.phmap"), ref_phase)
     labels = _noise_labels(cfg.sweep)
     stat_rows = []
     for idx, case in enumerate(cases):
         tag = f"case_{idx}"
-        pio.write_phase_map(os.path.join(outdir, f"{tag}.phmap"), case.phase_map)
+        pio.write_phase_map(os.path.join(args.out, f"{tag}.phmap"), case.phase_map)
         hist_rows = [
             (float(lo), float(hi), int(n))
             for lo, hi, n in zip(case.stats.bin_edges[:-1],
                                  case.stats.bin_edges[1:], case.stats.counts)
         ]
-        pio.write_csv(os.path.join(outdir, f"{tag}_hist.csv"),
+        pio.write_csv(os.path.join(args.out, f"{tag}_hist.csv"),
                       ["bin_lo", "bin_hi", "count"], hist_rows)
         stat_rows.append((case.illumination, labels[case.sigma],
                           case.stats.circ_std, case.stats.n_pixels))
-    pio.write_csv(os.path.join(outdir, "phase_error.csv"),
+    pio.write_csv(os.path.join(args.out, "phase_error.csv"),
                   ["illumination", "readout_sigma_or_nsamp", "circ_std",
                    "n_pixels"], stat_rows)
-    _write_run_manifest(outdir, cfg, "continuous-experiment")
+    _write_run_manifest(args.out, cfg, "continuous-experiment")
     return f"{len(cases)} cases"
 
 
@@ -188,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         if reads_config:
             p.add_argument("--config", help="run configuration file")
             p.add_argument("--seed", type=int, help="override the RNG seed")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", help="output directory (required)")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                        help="sweep worker threads, >= 1; changes only the "
                             "sweeps, never results")
@@ -228,6 +220,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.out is None:
+            raise ConfigError(f"--out is required for {args.command}")
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         _keep_freed_memory()

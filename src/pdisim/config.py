@@ -1,7 +1,8 @@
 """Run configuration: line-oriented ``key = value`` files with sections.
 
-Sections are ``[scene]``, ``[psi]``, ``[noise]``, ``[sweep]``, ``[output]``.
-Only ``[scene]`` is mandatory; every other key has a default. One table,
+Sections are ``[scene]``, ``[psi]``, ``[noise]`` and ``[sweep]``. Only
+``[scene]`` is mandatory; every other key has a default. Outputs go where
+the command line says (``--out``), so no key names a path to write. One table,
 ``_KEYS``, says for every key how to parse it, which scene types have it,
 which subcommands read it and where its value sits in a RunConfig. Under a
 subcommand, a key it does not read is rejected and ``serialize_config`` (the
@@ -76,7 +77,6 @@ class RunConfig:
     noise_enabled: bool
     sweep: SweepGrid
     reference_illumination: float
-    output_directory: str | None
 
 
 def _bool(text):
@@ -142,11 +142,6 @@ def _reference(part):
     return lambda cfg: getattr(cfg.psi.reference_override, part, None)
 
 
-def _noise(name):
-    """A [noise] value; None when the section is absent (noise off)."""
-    return lambda cfg: getattr(cfg.noise, name) if cfg.noise_enabled else None
-
-
 _SCENE_TYPES = ("eq6_qudit", "lens", "phmap")
 _QUDIT, _LENS, _PHMAP = ("eq6_qudit",), ("lens",), ("phmap",)
 _SIMULATE, _CONTINUOUS = ("simulate",), ("continuous-experiment",)
@@ -194,11 +189,11 @@ _KEYS = {
     ("psi", "illumination"): _Key(_illumination, "illumination", readers=_SIMULATE),
     ("psi", "reference_re"): _Key(_float, _reference("real")),
     ("psi", "reference_im"): _Key(_float, _reference("imag")),
-    ("noise", "readout_sigma"): _Key(_nonnegative_float, _noise("readout_sigma"),
+    ("noise", "readout_sigma"): _Key(_nonnegative_float, "noise.readout_sigma",
                                      readers=_SIMULATE),
-    ("noise", "nsamp"): _Key(_nsamp, _noise("nsamp"), readers=_SIMULATE),
-    ("noise", "quantize"): _Key(_bool, _noise("quantize")),
-    ("noise", "seed"): _Key(_nonnegative_int, _noise("seed")),
+    ("noise", "nsamp"): _Key(_nsamp, "noise.nsamp", readers=_SIMULATE),
+    ("noise", "quantize"): _Key(_bool, "noise.quantize"),
+    ("noise", "seed"): _Key(_nonnegative_int, "noise.seed"),
     ("sweep", "illuminations"): _Key(_list_of(_illumination), "sweep.illuminations",
                                      readers=_EXPERIMENTS),
     ("sweep", "sigmas"): _Key(_list_of(_nonnegative_float), "sweep.sigmas",
@@ -209,7 +204,6 @@ _KEYS = {
                                    "sweep.repetitions", readers=_SWEEPS),
     ("sweep", "reference_illumination"): _Key(_illumination, "reference_illumination",
                                               readers=_CONTINUOUS),
-    ("output", "directory"): _Key(str, "output_directory"),
 }
 
 
@@ -377,7 +371,6 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
         noise_enabled="noise" in sections,
         sweep=sweep,
         reference_illumination=reference_illumination,
-        output_directory=get("output", "directory", None),
     )
 
 
@@ -394,11 +387,18 @@ def _text(value) -> str:
 
 def serialize_config(cfg: RunConfig, subcommand: str | None = None) -> str:
     """Canonical text form; parse(serialize(parse(x))) == parse(x). With a
-    subcommand, it holds only the keys that subcommand reads."""
+    subcommand, it holds only the keys that subcommand reads.
+
+    For simulate, and without a subcommand, the [noise] section's presence
+    switches noise on, so it is written only when noise is on; the
+    experiments read quantize and seed whatever the config says.
+    """
     kind = _scene_type(cfg)
+    noise = cfg.noise_enabled or subcommand in _EXPERIMENTS
     sections = {}
     for (section, key), row in _KEYS.items():
-        if kind not in row.scenes or not row.read_by(subcommand):
+        if (kind not in row.scenes or not row.read_by(subcommand)
+                or (section == "noise" and not noise)):
             continue
         value = row.value(cfg) if callable(row.value) else attrgetter(row.value)(cfg)
         if value is not None:

@@ -19,7 +19,7 @@ and the grid has checked every sigma.
 
 import concurrent.futures
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .field import (ComplexField, GridSpec, QuditState, SlitLayout,
 from .forward import PsiConfig, frame_rates, simulate_interferograms
 from .qudit import FidelityStats, sample_fidelity
 from .reconstruct import c0_analytic, extract_phase, unwrapped_phase
-from .sensor import (apply_noise, check_poisson_rates, NoiseParams, rng_stream,
-                     readout_sigmas, sample_noise)
+from .sensor import check_poisson_rates, rng_stream, readout_sigmas, sample_noise
 
 #: Fixed vectorization chunk (repetitions per draw from a cell's stream).
 #: Part of the determinism contract: results must not depend on worker
@@ -268,23 +267,13 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
     return [CellResult(*cell, stats[index]) for index, cell in enumerate(cells)]
 
 
-def _reconstruct_noisy(fld: ComplexField, region, psi, illumination, sigma,
-                       rng, quantize=False):
-    clean = simulate_interferograms(fld, psi, illumination, region=region)
-    params = NoiseParams(readout_sigma=sigma, quantize=quantize)
-    noisy = apply_noise(clean, params, rng=rng)
-    return extract_phase(noisy)
-
-
 def phase_error_stats(phase: np.ndarray, reference_phase: np.ndarray,
-                      support: np.ndarray | None = None) -> PhaseErrorStats:
-    """Histogram + circular std of the wrapped per-pixel phase difference."""
+                      support: np.ndarray) -> PhaseErrorStats:
+    """Histogram + circular std of the wrapped per-pixel phase difference
+    over the pixels of the boolean mask `support`."""
     if phase.shape != reference_phase.shape:
         raise ShapeError("phase maps differ in shape")
-    diff = circ_dist(phase, reference_phase)
-    if support is not None:
-        diff = diff[np.asarray(support, dtype=bool)]
-    diff = diff.ravel()
+    diff = circ_dist(phase, reference_phase)[np.asarray(support, dtype=bool)]
     edges = np.linspace(-np.pi, np.pi, _HIST_BINS + 1)
     counts, _ = np.histogram(diff, bins=edges)
     return PhaseErrorStats(
@@ -303,9 +292,10 @@ def continuous_experiment(scene: LensScene, illuminations,
     """Continuous-phase study against a high-flux reference map.
 
     Builds the reference reconstruction at `reference_illumination` (readout
-    noise 0.2 e-), then for each illumination and each of `sigmas` records
-    the per-pixel wrapped phase difference. Returns (reference phase map,
-    list of ContinuousCase, illumination-major).
+    noise 0.2 e-, never quantized), then for each illumination and each of
+    `sigmas` records the per-pixel wrapped phase difference. Run k, the
+    reference first, draws its noise from stream (seed, k). Returns
+    (reference phase map, list of ContinuousCase, illumination-major).
     """
     illuminations = tuple(illuminations)
     if reference_illumination < max(illuminations):
@@ -314,19 +304,18 @@ def continuous_experiment(scene: LensScene, illuminations,
         )
     fld = scene.field()
     region = scene.region()
-    ref_result = _reconstruct_noisy(fld, region, psi, reference_illumination,
-                                    _REFERENCE_SIGMA, rng_stream(seed, 0))
+    runs = [(reference_illumination, _REFERENCE_SIGMA, False)] + [
+        (illum, sigma, quantize) for illum in illuminations for sigma in sigmas]
+    phases = []
+    for stream, (illum, sigma, quant) in enumerate(runs):
+        clean = simulate_interferograms(fld, psi, illum, region=region)
+        noisy = sample_noise(clean.frames, sigma, rng_stream(seed, stream),
+                             quantize=quant)
+        phases.append(extract_phase(replace(clean, frames=noisy)).phase)
+        del clean, noisy  # freed before the next run builds its frames
     support = fld.amplitude > 0
-    cases = []
-    stream = 1
-    for illum in illuminations:
-        for sigma in sigmas:
-            result = _reconstruct_noisy(fld, region, psi, illum, sigma,
-                                        rng_stream(seed, stream),
-                                        quantize=quantize)
-            stream += 1
-            stats = phase_error_stats(result.phase, ref_result.phase,
-                                      support=support)
-            cases.append(ContinuousCase(illumination=illum, sigma=sigma,
-                                        stats=stats, phase_map=result.phase))
-    return ref_result.phase, cases
+    cases = [ContinuousCase(illumination=illum, sigma=sigma,
+                            stats=phase_error_stats(phase, phases[0], support),
+                            phase_map=phase)
+             for (illum, sigma, _), phase in zip(runs[1:], phases[1:])]
+    return phases[0], cases

@@ -8,7 +8,7 @@ count N is the whole protocol) the interferogram amplitude is
 where K exp(i mu) is the plane-wave reference (the spatial mean of U unless
 overridden). Frames are |E_n|^2 in photons/pixel/exposure after scaling the
 field so frame 0 averages to the requested illumination over the analysis
-region.
+region, a mask every caller passes (a scene's `region()`).
 """
 
 from dataclasses import dataclass
@@ -92,14 +92,14 @@ def frame_rates(values: np.ndarray, reference: complex, n_steps: int,
 
 def simulate_interferograms(field: ComplexField, config: PsiConfig,
                             illumination: float,
-                            region: np.ndarray | None = None) -> InterferogramSet:
+                            region: np.ndarray) -> InterferogramSet:
     """Noiseless forward simulation of the full grid.
 
-    `region` is the analysis region over which frame 0 averages to
-    `illumination` (default: the support |U| > 0).
+    `region`, a boolean mask of the grid (a scene's `region()`), is the
+    analysis region over which frame 0 averages to `illumination`.
     """
     values = field.values
-    region = np.abs(values) > 0 if region is None else np.asarray(region, dtype=bool)
+    region = np.asarray(region, dtype=bool)
     if region.shape != values.shape:
         raise ShapeError("region mask shape does not match the field")
     if not region.any():

@@ -2,9 +2,10 @@
 
 Phase maps: text header ``PHMAP <width> <height>\\n`` followed by
 width*height little-endian float32, row-major, radians. Amplitude maps are
-identical with header ``AMMAP``. Interferogram sets are one AMMAP file per
-frame plus a line-oriented manifest; its ``alphas`` line must list the N
-equal steps 2 pi n / N.
+identical with header ``AMMAP``; a reader names the kind it expects.
+Interferogram sets are one AMMAP file per frame plus a line-oriented
+manifest; its ``alphas`` line must list the N equal steps 2 pi n / N. CSV
+tables write every float in shortest round-trip form (``fmt_float``).
 """
 
 import os
@@ -30,13 +31,13 @@ def write_map(path, data: np.ndarray, kind: str):
         fh.write(data.astype("<f4").tobytes(order="C"))
 
 
-def read_map(path, kind: str | None = None) -> np.ndarray:
-    """Read a PHMAP/AMMAP file. If kind is given, enforce it."""
+def read_map(path, kind: str) -> np.ndarray:
+    """Read a PHMAP/AMMAP file whose header must name `kind`."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").split()
         if len(header) != 3 or header[0] not in _MAP_MAGIC:
             raise ShapeError(f"{path}: not a PHMAP/AMMAP file")
-        if kind is not None and header[0] != kind:
+        if header[0] != kind:
             raise ShapeError(f"{path}: expected {kind}, found {header[0]}")
         try:
             width, height = int(header[1]), int(header[2])
@@ -142,10 +143,5 @@ def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return "" if np.isnan(value) else fmt_float(value)
-    return str(value)
+            fh.write(",".join(fmt_float(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")

@@ -70,28 +70,35 @@ def c0_analytic(reference: complex, n_steps: int) -> float:
     return -n_steps * abs(reference) ** 2
 
 
-def c0_empirical(c: np.ndarray, dark_region: np.ndarray) -> float:
-    """Mean of C over pixels where the input wavefront is zero."""
+def c0_empirical(frames: np.ndarray, dark_region: np.ndarray) -> float:
+    """C0 from frames (N, rows, cols): the mean of C - I_0 over the pixels
+    `dark_region` where the input wavefront is zero.
+
+    A dark pixel's noiseless frame 0 is 0, so C - I_0, the sum over the
+    frames n >= 1, has mean C0 there. Leaving I_0 out keeps the estimate
+    unbiased when the dark pixels are chosen by their frame 0 (I_0 <= 0),
+    which picks frame-0 noise below zero.
+    """
     dark_region = np.asarray(dark_region, dtype=bool)
-    if dark_region.shape != c.shape:
-        raise ShapeError("dark region mask shape does not match C")
+    if dark_region.shape != frames.shape[1:]:
+        raise ShapeError("dark region mask shape does not match the frames")
     if not dark_region.any():
         raise EstimationError("empty dark region; cannot estimate C0")
-    return float(c[dark_region].mean())
+    c, _ = harmonic_sums(frames)
+    return float((c - frames[0])[dark_region].mean())
 
 
-def extract_phase(frames: InterferogramSet, c0: float | None = None,
-                  mu: float | None = None) -> ReconstructionResult:
+def extract_phase(frames: InterferogramSet,
+                  c0: float | None = None) -> ReconstructionResult:
     """Recover the wrapped phase and amplitude maps.
 
-    c0 and mu default to the analytic values from the stored reference; the
-    reference phase mu is added back, since arctan2(S, C - C0) = phi - mu.
+    c0 defaults to the analytic value from the stored reference, and mu is
+    the reference's phase, added back since arctan2(S, C - C0) = phi - mu.
     Pixels with C - c0 = S = 0 get phase 0 (arctan2(0, 0) convention).
     """
     if c0 is None:
         c0 = c0_analytic(frames.reference, frames.n_steps)
-    if mu is None:
-        mu = float(np.angle(frames.reference))
+    mu = float(np.angle(frames.reference))
     phase = wrap(unwrapped_phase(frames.frames, c0, mu))
     amplitude = np.sqrt(np.clip(frames.frames[0], 0.0, None))
     return ReconstructionResult(phase=phase, amplitude=amplitude,

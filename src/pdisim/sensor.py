@@ -105,15 +105,10 @@ def sample_noise(frames: np.ndarray, sigma: float, rng: np.random.Generator,
     return noisy
 
 
-def apply_noise(frames: InterferogramSet, params: NoiseParams,
-                rng: np.random.Generator | None = None) -> InterferogramSet:
-    """Apply the detector model to a noiseless interferogram set.
-
-    When `rng` is not supplied, a fresh stream is derived from params.seed, so
-    identical inputs give bit-identical outputs.
-    """
-    if rng is None:
-        rng = rng_stream(params.seed)
-    noisy = sample_noise(frames.frames, params.readout_sigma, rng,
-                         quantize=params.quantize)
+def apply_noise(frames: InterferogramSet, params: NoiseParams) -> InterferogramSet:
+    """Apply the detector model to a noiseless interferogram set, drawing
+    from the stream `rng_stream(params.seed)`, so identical inputs give
+    bit-identical outputs."""
+    noisy = sample_noise(frames.frames, params.readout_sigma,
+                         rng_stream(params.seed), quantize=params.quantize)
     return replace(frames, frames=noisy)

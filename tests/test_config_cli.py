@@ -12,6 +12,7 @@ from pdisim import (ConfigError, LensScene, NoiseParams, PsiConfig, QuditScene,
 from pdisim import cli, io as pio
 from pdisim.cli import main
 from pdisim.config import PhmapScene, serialize_config
+from pdisim.reconstruct import harmonic_sums
 
 MINIMAL = "[scene]\ntype = eq6_qudit\n"
 
@@ -97,7 +98,6 @@ def test_config_roundtrip():
         "[noise]\nnsamp = 144\nquantize = true\nseed = 7\n"
         "[sweep]\nilluminations = 1.7,3.0\nsigmas = 0.2\nn_bins = 1,2\n"
         "repetitions = 10\n"
-        "[output]\ndirectory = out\n"
     )
     cfg = parse_config(text)
     assert cfg.noise.readout_sigma == pytest.approx(0.25)
@@ -175,6 +175,30 @@ def test_cli_reconstruct_empirical_c0(tmp_path):
     rc = main(["reconstruct", str(out / "frames" / "manifest.txt"),
                "--c0-mode", "empirical", "--out", str(rec), "--quiet"])
     assert rc == 0
+
+
+def test_cli_empirical_c0_is_not_biased_by_its_dark_pixel_selection(tmp_path):
+    # the dark pixels are those whose frame 0 reads <= 0, so their frame-0
+    # noise is negative: in C it gave C0 a bias of -sigma sqrt(2/pi)
+    cfg = write_cfg(tmp_path, MINIMAL + "background_amplitude = 0.0\n"
+                    "[psi]\nillumination = 3.0\n"
+                    "[noise]\nreadout_sigma = 0.5\nseed = 0\n")
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim), "--quiet"]) == 0
+    manifest = str(sim / "frames" / "manifest.txt")
+    c0 = {}
+    for mode in ("analytic", "empirical"):
+        rec = tmp_path / mode
+        assert main(["reconstruct", manifest, "--c0-mode", mode,
+                     "--out", str(rec), "--quiet"]) == 0
+        summary = dict(line.split(" = ") for line in
+                       (rec / "summary.txt").read_text().splitlines())
+        c0[mode] = float(summary["c0_used"])
+    frames = pio.read_interferogram_set(manifest).frames
+    dark = frames[0] <= 0
+    terms = (harmonic_sums(frames)[0] - frames[0])[dark]
+    stderr = terms.std(ddof=1) / np.sqrt(terms.size)
+    assert abs(c0["empirical"] - c0["analytic"]) <= 4 * stderr
 
 
 def test_cli_qudit_experiment_csv(tmp_path):
@@ -786,10 +810,15 @@ QUDIT_KEYS = ["type", "d", "slit_width_px", "slit_gap_px", "slit_length_px",
     pytest.param("sweep-map", MINIMAL + "[noise]\nseed = 2\n" + SMALL_SWEEP,
                  QUDIT_KEYS + ["n_steps", "quantize", "seed", "illuminations",
                                "sigmas", "n_bins", "repetitions"], id="sweep-map"),
+    pytest.param("qudit-experiment", MINIMAL + SMALL_SWEEP,
+                 QUDIT_KEYS + ["n_steps", "quantize", "seed", "illuminations",
+                               "sigmas", "n_bins", "repetitions"],
+                 id="qudit-experiment-without-noise"),
     pytest.param("continuous-experiment", LENS + "[psi]\nreference_re = 0.5\n",
                  ["type", "curvature", "amplitude", "grid_width", "grid_height",
-                  "n_steps", "reference_re", "reference_im", "illuminations",
-                  "sigmas", "reference_illumination"], id="continuous-experiment"),
+                  "n_steps", "reference_re", "reference_im", "quantize", "seed",
+                  "illuminations", "sigmas", "reference_illumination"],
+                 id="continuous-experiment"),
 ])
 def test_cli_manifest_lists_exactly_the_keys_read(tmp_path, subcommand, text, keys):
     manifest = cli_output(tmp_path, subcommand, text, "run", "manifest.txt")
@@ -797,6 +826,42 @@ def test_cli_manifest_lists_exactly_the_keys_read(tmp_path, subcommand, text, ke
     assert [line.split(" = ")[0] for line in body.splitlines()
             if " = " in line] == keys
     assert serialize_config(parse_config(body, subcommand), subcommand) == body
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    ("simulate", MINIMAL),
+    ("reconstruct", None),
+    ("qudit-experiment", MINIMAL + SMALL_SWEEP),
+    ("sweep-map", MINIMAL + SMALL_SWEEP),
+    ("continuous-experiment", LENS)])
+def test_cli_run_without_out_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                               subcommand, text):
+    monkeypatch.chdir(tmp_path)
+    if text is None:
+        args = [subcommand, "manifest.txt"]
+    else:
+        args = [subcommand, "--config", write_cfg(tmp_path, text)]
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main(args + ["--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --out is required for {subcommand}\n")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_cli_output_section_is_an_unknown_section(tmp_path, capsys):
+    text = MINIMAL + "[output]\ndirectory = out\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == 3
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown section [output]")
+    assert "line 3" in err and err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "out").exists()
 
 
 def readme_configs():

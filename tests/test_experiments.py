@@ -1,14 +1,14 @@
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pdisim import (BinningPolicy, CellResult, DomainError, FidelityStats,
-                    LensScene, NoiseParams, PsiConfig, QuditScene,
-                    SamplingError, SweepGrid,
-                    apply_noise, c0_analytic, circ_std, continuous_experiment,
+                    LensScene, PsiConfig, QuditScene, SamplingError,
+                    SweepGrid, c0_analytic, circ_std, continuous_experiment,
                     extract_phase, extract_state, fidelity, fidelity_sweep,
                     phase_error_stats, rng_stream, sample_noise,
                     simulate_interferograms, wrap)
@@ -80,9 +80,8 @@ def test_sweep_fast_path_matches_modular_pipeline(n_bin, quantize):
                                     region=SCENE.region())
     fids = np.empty(reps)
     for r in range(reps):
-        noisy = apply_noise(clean, NoiseParams(readout_sigma=sigma,
-                                               quantize=quantize),
-                            rng=rng_stream(5000, r))
+        noisy = replace(clean, frames=sample_noise(
+            clean.frames, sigma, rng_stream(5000, r), quantize=quantize))
         state = extract_state(extract_phase(noisy), SCENE.layout,
                               BinningPolicy(n_bin), rng_stream(6000, r))
         fids[r] = fidelity(SCENE.state, state)
@@ -302,7 +301,7 @@ def test_phase_error_stats_counts_and_range():
     rng = rng_stream(1)
     a = rng.uniform(-np.pi, np.pi, (32, 32))
     b = rng.uniform(-np.pi, np.pi, (32, 32))
-    stats = phase_error_stats(a, b)
+    stats = phase_error_stats(a, b, np.ones(a.shape, dtype=bool))
     assert stats.counts.sum() == stats.n_pixels == a.size
     assert len(stats.bin_edges) == 65
     assert stats.circ_std >= 0
@@ -317,7 +316,8 @@ def test_circ_std_of_a_constant_sample_is_a_small_nonnegative_number():
     assert np.all(spreads < 1e-7) and not np.signbit(spreads).any()
     phase = LensScene().field().phase
     for offset in (1.0, 0.5):
-        spread = phase_error_stats(wrap(phase + offset), phase).circ_std
+        spread = phase_error_stats(wrap(phase + offset), phase,
+                                   np.ones(phase.shape, dtype=bool)).circ_std
         assert 0.0 <= spread < 1e-7 and not np.signbit(spread)
 
 

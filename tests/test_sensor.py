@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -111,7 +113,9 @@ def test_scheduling_order_invariance():
     def run(order):
         results = {}
         for k in order:
-            results[k] = apply_noise(iset, params, rng=rng_stream(params.seed, k))
+            results[k] = replace(iset, frames=sample_noise(
+                iset.frames, params.readout_sigma, rng_stream(params.seed, k),
+                quantize=params.quantize))
         return [results[k].frames for k in range(len(order))]
 
     forward = run(list(range(16)))
