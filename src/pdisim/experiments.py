@@ -7,18 +7,35 @@ error statistics of a lens wavefront against a high-flux reference.
 Every cell of a sweep is fed by its own random stream (seed, cell index).
 The pixels of a slit all carry the slit's value, so a cell draws the noisy
 readings of its n_bin pixels per slit straight from the slit's rates: which
-pixels are read changes no number. The sweep's tasks are blocks of cells
-that share an illumination and n_bin; a block batches the cells' arithmetic
-and statistics, not their streams, so results are bit-identical for a fixed
-seed regardless of blocking, worker count or scheduling order. A sweep
-returns every cell or raises the error of its first failing block, in
-submission order: what could fail (the Poisson range of a block's frames,
-n_bin against the pixels per slit) is the same for all of a block's cells,
-and the grid has checked every sigma.
+pixels are read changes no number. The phase needs only the harmonic sums
+(C, S) of a read pixel. At N = 4 their photon counts n_0 - n_2 and
+n_1 - n_3 are Skellam variates, so a cell draws each from an exact
+inverse-CDF table of its slit (model.SkellamTable), one uniform apiece, and
+adds one normal of sd sigma sqrt(2) for the readout noise of two frames.
+Each illumination's table is built once per sweep. A sweep draws the N
+frames of each read pixel instead (Poisson, then normal), whenever its
+input has one of these properties:
+
+- N != 4 phase steps;
+- quantize: each frame is rounded to whole electrons, so C and S are no
+  sum of counts and one normal;
+- an illumination whose frame rates exceed _TABLE_MAX_RATE, whose table
+  would be large;
+- fewer than _TABLE_MIN_DRAWS pixel draws per illumination (repetitions x
+  sigmas x d x the sum of n_bins), too few to repay building the table.
+
+The sweep's tasks are blocks of cells that share an illumination and n_bin;
+a block batches the cells' arithmetic and statistics, not their streams, so
+results are bit-identical for a fixed seed regardless of blocking, worker
+count or scheduling order. A sweep returns every cell or raises the error of
+its first failing block, in submission order: what could fail (the Poisson
+range of a block's frames, n_bin against the pixels per slit) is the same
+for all of a block's cells, and the grid has checked every sigma.
 """
 
 import concurrent.futures
 import functools
+import threading
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -28,6 +45,7 @@ from .errors import DomainError, SamplingError, ShapeError
 from .field import (ComplexField, GridSpec, QuditState, SlitLayout,
                     equal_step_state)
 from .forward import PsiConfig, frame_rates, simulate_interferograms
+from .model import SkellamTable
 from .qudit import FidelityStats, sample_fidelity
 from .reconstruct import c0_analytic, extract_phase, unwrapped_phase
 from .sensor import check_poisson_rates, rng_stream, readout_sigmas, sample_noise
@@ -35,12 +53,27 @@ from .sensor import check_poisson_rates, rng_stream, readout_sigmas, sample_nois
 #: Fixed vectorization chunk (repetitions per draw from a cell's stream).
 #: Part of the determinism contract: results must not depend on worker
 #: count, so the chunking must not either. On the default grid (2 cores),
-#: chunks of 128 to 2048 ran within about 10 % of each other; a chunk at
-#: n_bin 8 holds 256 x 4 x 6 x 8 noise values (0.4 MB), drawn from the
-#: 4 x 6 slit rates. It also bounds a block's rows: a block stacks at most
-#: max(1, _CHUNK // repetitions) cells, so its chunk is never larger than
-#: one cell's.
+#: chunks of 128 to 2048 ran within about 10 % of each other when every
+#: cell drew its frames. A chunk at n_bin 8 holds 256 x 2 x 6 x 8 uniforms
+#: and as many normals (0.2 MB each) on the table path, or 256 x 4 x 6 x 8
+#: frame values (0.4 MB) on the per-frame path. It also bounds a block's
+#: rows: a block stacks at most max(1, _CHUNK // repetitions) cells, so its
+#: chunk is never larger than one cell's.
 _CHUNK = 256
+
+#: Largest frame rate (photons) of an illumination drawn from a Skellam
+#: table. A table's rows grow as the square root of the rates: on the
+#: default 6-slit scene (2 cores) it held 85 KB and built in 0.5-0.6 ms at
+#: 11.3 phot/px (largest rate 89), and 0.35 MB in 1.2-1.3 ms at this cap.
+_TABLE_MAX_RATE = 1024.0
+
+#: Fewest pixel draws (repetitions x sigmas x d x sum of n_bins) of an
+#: illumination for which its table is built. Measured on 256-repetition
+#: chunks, a table draw of (C, S) saved 130-350 ns per read pixel against
+#: 4 Poisson and 4 normal frame values, so 16384 draws repay even a build at
+#: the rate cap; the default grid at 128 repetitions makes 46080, the
+#: 16-repetition map preview (n_bin 1) 1920.
+_TABLE_MIN_DRAWS = 16384
 
 #: Readout noise used when building the high-flux reference map.
 _REFERENCE_SIGMA = 0.2
@@ -173,9 +206,38 @@ class ContinuousCase:
     phase_map: np.ndarray
 
 
+def _skellam_sums(table, shape, sigma, rng):
+    """One cell's (C, S) of its read pixels, shaped (m, 2, d, n_bin), at
+    N = 4: the counts n_0 - n_2 and n_1 - n_3 drawn from `table` by
+    uniforms, then, if sigma > 0, the readout noise e_0 - e_2 and e_1 - e_3,
+    normal with sd sigma sqrt(2)."""
+    sums = table.draw(rng.random(shape))
+    if sigma > 0:
+        sums += rng.normal(0.0, sigma * np.sqrt(2.0), size=shape)
+    return sums
+
+
+class _SkellamTables:
+    """The Skellam table of each illumination of one sweep, built once, by
+    the first of its blocks to ask, after that block's checks, and freed
+    with the sweep: None where a rate exceeds _TABLE_MAX_RATE."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._tables = {}
+
+    def get(self, illumination, rates):
+        with self._lock:
+            if illumination not in self._tables:
+                self._tables[illumination] = (
+                    SkellamTable(rates[..., 0])
+                    if rates.max() <= _TABLE_MAX_RATE else None)
+            return self._tables[illumination]
+
+
 def _run_block(indices, sigmas, illumination, n_bin, *, slit_values,
                pixels_per_slit, reference, psi, seed, target, repetitions,
-               quantize):
+               quantize, tables):
     """Monte-Carlo fidelity of the sweep cells `indices`, one per readout
     sigma in `sigmas`, at `illumination` and `n_bin`: one FidelityStats per
     cell.
@@ -185,13 +247,16 @@ def _run_block(indices, sigmas, illumination, n_bin, *, slit_values,
     n_bin against `pixels_per_slit` (the pixels are read without
     replacement), and computes C0 and mu. Every pixel of a slit has the
     slit's rates, so the n_bin distinct pixels a state reads have i.i.d.
-    readings whichever they are: per chunk of repetitions, each cell draws
-    the noisy frames (m, N, d, n_bin) of its read pixels from the slit rates,
-    from its own stream in the order Poisson, normal, so it gets the numbers
-    it would get alone. The inversion, the scoring and the statistics run
-    once over the stacked cells. The cells share the illumination, n_bin and
-    rates, and the grid has checked every sigma, so an error (a PdisimError)
-    is the whole block's.
+    readings whichever they are. Per chunk of repetitions each cell draws,
+    from its own stream, so that it gets the numbers it would get alone:
+    with a Skellam table from `tables` (a _SkellamTables, or None for the
+    per-frame path), the (C, S) of its read pixels (_skellam_sums), and
+    arctan2(S, C - C0) + mu is their phase; otherwise the noisy frames
+    (m, N, d, n_bin) of its read pixels (sample_noise: Poisson, then
+    normal), inverted by unwrapped_phase. The phase, the scoring and the
+    statistics run once over the stacked cells. The cells share the
+    illumination, n_bin and rates, and the grid has checked every sigma, so
+    an error (a PdisimError) is the whole block's.
     """
     rngs = [rng_stream(seed, index) for index in indices]
     fids = np.empty((len(indices), repetitions))
@@ -203,12 +268,19 @@ def _run_block(indices, sigmas, illumination, n_bin, *, slit_values,
         raise SamplingError(f"n_bin = {n_bin} exceeds the {pixels_per_slit} "
                             "pixels per slit")
     c0, mu = c0_analytic(ref, psi.n_steps), float(np.angle(ref))
+    table = tables.get(illumination, rates) if tables is not None else None
     for start in range(0, repetitions, _CHUNK):
         m = min(_CHUNK, repetitions - start)
-        read = np.broadcast_to(rates, (m,) + rates.shape[:-1] + (n_bin,))
-        noisy = np.stack([sample_noise(read, sigma, rng, quantize=quantize)
-                          for sigma, rng in zip(sigmas, rngs)])
-        phase = unwrapped_phase(noisy, c0, mu)
+        if table is None:
+            read = np.broadcast_to(rates, (m,) + rates.shape[:-1] + (n_bin,))
+            noisy = np.stack([sample_noise(read, sigma, rng, quantize=quantize)
+                              for sigma, rng in zip(sigmas, rngs)])
+            phase = unwrapped_phase(noisy, c0, mu)
+        else:
+            shape = (m, 2) + rates.shape[1:-1] + (n_bin,)
+            sums = np.stack([_skellam_sums(table, shape, sigma, rng)
+                             for sigma, rng in zip(sigmas, rngs)])
+            phase = np.arctan2(sums[:, :, 1], sums[:, :, 0] - c0) + mu
         fids[:, start:start + m] = sample_fidelity(target, phase)
     return FidelityStats.per_row(fids)
 
@@ -244,13 +316,20 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
             indices = group[len(group) * i // n:len(group) * (i + 1) // n]
             blocks.append((indices, [cells[index][1] for index in indices],
                            illum, n_bin))
+    # the Skellam tables pay for their build when an illumination reads
+    # enough pixels, counted over all of its cells
+    draws = (grid.repetitions * len(grid.sigmas) * scene.layout.d
+             * sum(grid.n_bins))
+    tables = (_SkellamTables() if psi.n_steps == 4 and not quantize
+              and draws >= _TABLE_MIN_DRAWS else None)
     # bound per call, not at import, so that a wrapper put on
     # experiments._run_block (a tracer) is the one that runs
     run = functools.partial(
         _run_block, slit_values=scene.slit_values(),
         pixels_per_slit=scene.layout.pixels_per_slit,
         reference=psi.reference_for(fld), psi=psi, seed=seed,
-        target=scene.state, repetitions=grid.repetitions, quantize=quantize)
+        target=scene.state, repetitions=grid.repetitions, quantize=quantize,
+        tables=tables)
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         try:
             futures = [pool.submit(run, *block) for block in blocks]

@@ -36,7 +36,8 @@ class ReconstructionResult:
 
 @functools.lru_cache(maxsize=16)
 def _harmonic_weights(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    # cached: the sweep asks for the same N once per chunk.
+    # cached: the sweep's per-frame path asks for the same N once per chunk
+    # (the Skellam-table path at N = 4 forms C and S without weights).
     # cos/sin at exact multiples of pi/2 are analytically 0 or +-1; snap the
     # float residue so cancellations (e.g. identical frames) are exact
     alphas = step_phases(n_steps)

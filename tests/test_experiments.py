@@ -14,6 +14,7 @@ from pdisim import (BinningPolicy, CellResult, DomainError, FidelityStats,
                     simulate_interferograms, wrap)
 from pdisim import experiments
 from pdisim.forward import frame_rates
+from pdisim.model import SkellamTable
 from pdisim.qudit import sample_fidelity
 from pdisim.reconstruct import unwrapped_phase
 from pdisim.sensor import MAX_POISSON_RATE
@@ -64,19 +65,27 @@ def test_sweep_stats_fields_consistent():
     assert 0.0 <= st.mean <= 1.0
 
 
-@pytest.mark.parametrize("n_bin, quantize", [
-    pytest.param(1, False, id="1"), pytest.param(4, False, id="4"),
-    pytest.param(8, False, id="8"), pytest.param(8, True, id="8-quantize")])
-def test_sweep_fast_path_matches_modular_pipeline(n_bin, quantize):
+@pytest.mark.parametrize("n_bin, quantize, illum, n_steps", [
+    pytest.param(1, False, 3.0, 4, id="1"),
+    pytest.param(4, False, 3.0, 4, id="4"),
+    pytest.param(8, False, 3.0, 4, id="8"),
+    pytest.param(8, True, 3.0, 4, id="8-quantize"),
+    pytest.param(1, False, 11.3, 4, id="1-illumination-11.3"),
+    pytest.param(4, False, 3.0, 5, id="4-n_steps-5")])
+def test_sweep_fast_path_matches_modular_pipeline(n_bin, quantize, illum,
+                                                  n_steps, monkeypatch):
     # the full-grid chain with rng.choice pixel picks: n_bin > 1 checks that
-    # reading the slit rates stands for reading n_bin distinct pixels
-    illum, sigma = 3.0, 0.5
+    # reading the slit rates stands for reading n_bin distinct pixels. Every
+    # grid takes the Skellam tables where it can (N = 4, not quantized)
+    monkeypatch.setattr(experiments, "_TABLE_MIN_DRAWS", 1)
+    sigma = 0.5
     reps = 400
+    psi = PsiConfig(n_steps=n_steps)
     grid = SweepGrid(illuminations=(illum,), sigmas=(sigma,), n_bins=(n_bin,),
                      repetitions=reps)
-    (cell,) = fidelity_sweep(SCENE, grid, seed=21, quantize=quantize)
+    (cell,) = fidelity_sweep(SCENE, grid, seed=21, quantize=quantize, psi=psi)
 
-    clean = simulate_interferograms(SCENE.field(), PsiConfig(), illum,
+    clean = simulate_interferograms(SCENE.field(), psi, illum,
                                     region=SCENE.region())
     fids = np.empty(reps)
     for r in range(reps):
@@ -131,10 +140,12 @@ def test_sweep_poisson_range_error_raises_before_any_draw(seed, noise_draws):
     assert len(noise_draws) == 4
 
 
-def _per_cell_sweep(grid, seed, psi=PsiConfig()):
+def _per_cell_sweep(grid, seed, table, psi=PsiConfig()):
     """The sweep one cell at a time, each from its own stream in chunks of
     _CHUNK repetitions, reading n_bin pixels of each uniform slit off the
-    slit's rates: what the blocked sweep must reproduce exactly."""
+    slit's rates: what the blocked sweep must reproduce exactly. With
+    `table`, each cell draws its (C, S) from a Skellam table of its rates,
+    then normals of sd sigma sqrt(2); otherwise it draws the N frames."""
     fld = SCENE.field()
     # the first pixel of each slit, taken from the full field
     slit_values = fld.values[SCENE.layout.slit_pixels(SCENE.grid)][:, :1]
@@ -142,14 +153,21 @@ def _per_cell_sweep(grid, seed, psi=PsiConfig()):
     for index, (illum, sigma, n_bin) in enumerate(grid.cells()):
         rates, ref = frame_rates(slit_values, psi.reference_for(fld),
                                  psi.n_steps, illum, slit_values)
+        c0, mu = c0_analytic(ref, psi.n_steps), float(np.angle(ref))
         rng = rng_stream(seed, index)
         fids = np.empty(grid.repetitions)
         for start in range(0, grid.repetitions, experiments._CHUNK):
             m = min(experiments._CHUNK, grid.repetitions - start)
-            noisy = sample_noise(np.repeat(rates[None], m, axis=0)
-                                 .repeat(n_bin, axis=-1), sigma, rng)
-            phase = unwrapped_phase(noisy, c0_analytic(ref, psi.n_steps),
-                                    float(np.angle(ref)))
+            if table:
+                shape = (m, 2, SCENE.layout.d, n_bin)
+                sums = SkellamTable(rates[:, :, 0]).draw(rng.random(shape))
+                if sigma > 0:
+                    sums += rng.normal(0.0, sigma * np.sqrt(2.0), size=shape)
+                phase = np.arctan2(sums[:, 1], sums[:, 0] - c0) + mu
+            else:
+                noisy = sample_noise(np.repeat(rates[None], m, axis=0)
+                                     .repeat(n_bin, axis=-1), sigma, rng)
+                phase = unwrapped_phase(noisy, c0, mu)
             fids[start:start + m] = sample_fidelity(SCENE.state, phase)
         std = float(fids.std(ddof=1)) if fids.size > 1 else 0.0
         results.append(CellResult(illum, sigma, n_bin, FidelityStats(
@@ -161,32 +179,123 @@ def _per_cell_sweep(grid, seed, psi=PsiConfig()):
 SIGMAS_20 = tuple(0.15 * k for k in range(1, 21))
 
 
-@pytest.mark.parametrize("sigmas, n_bins, reps", [
-    (SIGMAS_20, (1,), 16),     # blocks of 10 cells
-    ((0.2, 0.5, 3.0), (1, 4), 300),  # one cell per block, two chunks
+@pytest.mark.parametrize("sigmas, n_bins, reps, table", [
+    # blocks of 10 cells, 1 920 pixel draws per illumination: frames
+    pytest.param(SIGMAS_20, (1,), 16, False, id="sigmas0-n_bins0-16"),
+    # one cell per block, two chunks; the tables from here on
+    pytest.param((0.2, 0.5, 3.0), (1, 4), 300, True,
+                 id="sigmas1-n_bins1-300"),
+    pytest.param(SIGMAS_20, (1, 2), 128, True, id="blocks-of-2"),
+    pytest.param((0.0, 1.0), (1, 8), 300, True, id="sigma-0"),
 ])
-def test_sweep_blocks_equal_the_per_cell_sweep(sigmas, n_bins, reps):
+def test_sweep_blocks_equal_the_per_cell_sweep(sigmas, n_bins, reps, table):
     grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=sigmas, n_bins=n_bins,
                      repetitions=reps)
-    assert fidelity_sweep(SCENE, grid, seed=5, jobs=2) == _per_cell_sweep(grid, 5)
+    assert (fidelity_sweep(SCENE, grid, seed=5, jobs=2)
+            == _per_cell_sweep(grid, 5, table))
 
 
 def test_sweep_block_rows_stay_within_one_chunk(monkeypatch):
-    shapes = []
+    rows, tabled = [], []
+    skellam_sums = experiments._skellam_sums
 
-    def recording(frames, *args):
-        shapes.append(frames.shape[:2])
-        return unwrapped_phase(frames, *args)
+    def scoring(target, phase):
+        rows.append(phase.shape[:2])
+        return sample_fidelity(target, phase)
 
-    monkeypatch.setattr(experiments, "unwrapped_phase", recording)
+    def table_sums(table, shape, *args):
+        tabled.append(shape[0])
+        return skellam_sums(table, shape, *args)
+
+    monkeypatch.setattr(experiments, "sample_fidelity", scoring)
+    monkeypatch.setattr(experiments, "_skellam_sums", table_sums)
     for reps in (16, 100, 300):
         grid = SweepGrid(illuminations=(3.0,), sigmas=SIGMAS_20, n_bins=(1,),
                          repetitions=reps)
         fidelity_sweep(SCENE, grid, seed=1)
     # 20 cells split evenly into blocks of at most 256 // 16 = 16, then of
-    # 256 // 100 = 2; at 300 repetitions each cell is its own block
-    assert shapes == ([(10, 16)] * 2 + [(2, 100)] * 10
-                      + [(1, 256), (1, 44)] * 20)
+    # 256 // 100 = 2; at 300 repetitions each cell is its own block, and only
+    # there (36 000 pixel draws) are its (C, S) drawn from the tables
+    assert rows == ([(10, 16)] * 2 + [(2, 100)] * 10
+                    + [(1, 256), (1, 44)] * 20)
+    assert tabled == [256, 44] * 20
+
+
+def test_skellam_sums_have_the_moments_of_the_frame_sums():
+    # C = I_0 - I_2 and S = I_1 - I_3 of noisy frames: mean rate difference,
+    # variance rate sum + 2 sigma^2
+    sigma, n = 1.5, 40000
+    slit_values = SCENE.slit_values()
+    rates = frame_rates(slit_values, np.mean(SCENE.field().values), 4, 3.0,
+                        slit_values)[0][..., 0]
+    sums = experiments._skellam_sums(SkellamTable(rates), (n, 2, 6, 1), sigma,
+                                     rng_stream(8))[..., 0]
+    for half, (a, b) in enumerate(((0, 2), (1, 3))):
+        var = rates[a] + rates[b] + 2 * sigma ** 2
+        mean_se, var_se = np.sqrt(var / n), var * np.sqrt(2 / (n - 1))
+        assert np.all(abs(sums[:, half].mean(axis=0) - (rates[a] - rates[b]))
+                      < 4 * mean_se)
+        assert np.all(abs(sums[:, half].var(axis=0, ddof=1) - var) < 4 * var_se)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Rates (4, d) of every Skellam table the sweep builds."""
+    built = []
+
+    def counting(rates):
+        built.append(rates)
+        return SkellamTable(rates)
+
+    monkeypatch.setattr(experiments, "SkellamTable", counting)
+    return built
+
+
+# 128 x 2 x 6 x 15 = 23 040 pixel draws per illumination
+TABLE_GRID = dict(sigmas=(0.5, 1.0), n_bins=(1, 2, 4, 8), repetitions=128)
+
+
+@pytest.mark.parametrize("illum, reps, quantize, n_steps, tabled", [
+    pytest.param(3.0, 128, False, 4, True, id="table"),
+    pytest.param(3.0, 64, False, 4, False, id="few-draws"),
+    pytest.param(3.0, 128, True, 4, False, id="quantize"),
+    pytest.param(3.0, 128, False, 5, False, id="n_steps-5"),
+    # rates up to 7.9 x 200 photons, past the table's cap
+    pytest.param(200.0, 128, False, 4, False, id="rate-cap"),
+])
+def test_sweep_takes_the_tables_only_where_they_pay(
+        illum, reps, quantize, n_steps, tabled, noise_draws, table_builds):
+    grid = SweepGrid(illuminations=(illum,),
+                     **dict(TABLE_GRID, repetitions=reps))
+    fidelity_sweep(SCENE, grid, seed=2, quantize=quantize,
+                   psi=PsiConfig(n_steps=n_steps))
+    assert len(table_builds) == int(tabled)
+    assert (len(noise_draws) == 0) == tabled
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 8])
+def test_sweep_builds_one_table_per_illumination(jobs, table_builds):
+    # 24 blocks share the tables; the interpreter switches threads as often
+    # as it can, so an unguarded check-then-build would build one twice
+    grid = SweepGrid(illuminations=(1.7, 3.0, 11.3), **TABLE_GRID)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fidelity_sweep(SCENE, grid, seed=2, jobs=jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(table_builds) == 3
+
+
+def test_sweep_builds_no_table_for_a_block_that_fails_its_checks(
+        table_builds):
+    grid = SweepGrid(illuminations=(3.0,), **dict(TABLE_GRID, n_bins=(500,)))
+    with pytest.raises(SamplingError):
+        fidelity_sweep(SCENE, grid)
+    with pytest.raises(DomainError, match=r"^Poisson rates must be in"):
+        fidelity_sweep(SCENE, replace(grid, n_bins=(1,)),
+                       psi=PsiConfig(reference_override=1e9))
+    assert table_builds == []
 
 
 def test_sweep_jobs_independent_when_blocks_split_unevenly():
