@@ -21,7 +21,7 @@ from .qudit import (BinningPolicy, FidelityStats, bootstrap_fidelity,
 from .experiments import (CellResult, ContinuousCase, LensScene,
                           PhaseErrorStats, QuditScene, SweepGrid,
                           continuous_experiment, fidelity_sweep,
-                          phase_error_stats)
+                          phase_error_stats, sweep_threads)
 from .config import PhmapScene, RunConfig, parse_config, serialize_config
 
 __version__ = "0.1.0"

@@ -3,9 +3,9 @@
 Subcommands: simulate, reconstruct, qudit-experiment, sweep-map,
 continuous-experiment. Each writes its files under --out, which every one
 requires. Unless --quiet, a run that succeeds ends with one stderr line
-giving what it computed (its frame, cell or case count) and its wall time,
-which no file records. Exit codes: 0 success, 2 config error, 1 runtime
-failure.
+giving what it computed (its frame, cell or case count, and for a sweep the
+threads it ran on) and its wall time, which no file records. Exit codes:
+0 success, 2 config error, 1 runtime failure.
 """
 
 import argparse
@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__, io as pio
 from .config import RunConfig, parse_config, serialize_config
 from .errors import ConfigError, PdisimError
-from .experiments import LensScene, QuditScene, continuous_experiment, fidelity_sweep
+from .experiments import (READS_PER_THREAD, LensScene, QuditScene,
+                          continuous_experiment, fidelity_sweep, sweep_threads)
 from .reconstruct import c0_empirical, extract_phase
 from .sensor import apply_noise
 from .forward import simulate_interferograms
@@ -133,7 +134,8 @@ def cmd_sweep(args, subcommand: str, csv_name: str) -> str:
         rows,
     )
     _write_run_manifest(args.out, cfg, subcommand)
-    return f"{len(rows)} cells"
+    threads = sweep_threads(cfg.scene, cfg.sweep, args.jobs)
+    return f"{len(rows)} cells on {threads} thread{'s' * (threads > 1)}"
 
 
 def cmd_continuous(args) -> str:
@@ -182,8 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, help="override the RNG seed")
         p.add_argument("--out", help="output directory (required)")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="sweep worker threads, >= 1; changes only the "
-                            "sweeps, never results")
+                       help="most sweep threads, >= 1 (default: the CPU "
+                            "count); a sweep runs on one per "
+                            f"{READS_PER_THREAD} pixel reads (repetitions x "
+                            "sigmas x illuminations x slits x sum of n_bins), "
+                            "at least one and at most one per block; changes "
+                            "only the sweeps, never results")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the closing count and wall-time line")
 

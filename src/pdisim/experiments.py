@@ -26,11 +26,15 @@ input has one of these properties:
 
 The sweep's tasks are blocks of cells that share an illumination and n_bin;
 a block batches the cells' arithmetic and statistics, not their streams, so
-results are bit-identical for a fixed seed regardless of blocking, worker
-count or scheduling order. A sweep returns every cell or raises the error of
-its first failing block, in submission order: what could fail (the Poisson
-range of a block's frames, n_bin against the pixels per slit) is the same
-for all of a block's cells, and the grid has checked every sigma.
+results are bit-identical for a fixed seed regardless of blocking, thread
+count or scheduling order. numpy's draws release the GIL, but each block
+also runs Python that holds it, so a sweep runs on a second thread only
+when it reads enough pixels to repay it (sweep_threads), and on one thread
+it runs its blocks inline, in order. A sweep returns every cell or raises
+the error of its first failing block, in submission order: what could fail
+(the Poisson range of a block's frames, n_bin against the pixels per slit)
+is the same for all of a block's cells, and the grid has checked every
+sigma.
 """
 
 import concurrent.futures
@@ -74,6 +78,15 @@ _TABLE_MAX_RATE = 1024.0
 #: the rate cap; the default grid at 128 repetitions makes 46080, the
 #: 16-repetition map preview (n_bin 1) 1920.
 _TABLE_MIN_DRAWS = 16384
+
+#: Pixel reads (repetitions x sigmas x illuminations x d x sum of n_bins)
+#: of a sweep per thread it runs on. Measured on 2 cores, 21 alternating
+#: pairs each, 2 threads won against 1 in 0 pairs on the 20 x 20 map
+#: preview at 16 repetitions (38 400 reads; medians 85 and 64 ms), and on
+#: the default grid in 11 pairs at 128 repetitions (138 240 reads), 8 at
+#: 192, 14 at 256 (276 480), 18 at 384 and 19 at 2000 (2 160 000 reads;
+#: 321 and 370 ms). So 2 threads from 262 144 reads.
+READS_PER_THREAD = 131072
 
 #: Readout noise used when building the high-flux reference map.
 _REFERENCE_SIGMA = 0.2
@@ -285,24 +298,18 @@ def _run_block(indices, sigmas, illumination, n_bin, *, slit_values,
     return FidelityStats.per_row(fids)
 
 
-def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
-                   jobs: int = 1, quantize: bool = False,
-                   psi: PsiConfig = PsiConfig()) -> list[CellResult]:
-    """Run the full sweep on `jobs` threads: one CellResult per cell, in the
-    order of `grid.cells()`.
+def _illumination_reads(scene: QuditScene, grid: SweepGrid) -> int:
+    """Pixel reads of each illumination of a sweep: repetitions x sigmas x d
+    x the sum of n_bins."""
+    return (grid.repetitions * len(grid.sigmas) * scene.layout.d
+            * sum(grid.n_bins))
 
-    Each task is a block of cells that share the illumination and n_bin and
-    differ in sigma, at most as many as fill one chunk of repetitions; every
-    cell keeps its own stream, so the blocking never changes a result. A
-    block computes its frames, C0 and mu, and fails or succeeds whole.
-    numpy's random draws and ufuncs release the GIL, so threads run blocks
-    in parallel. An exception in a block, or an interrupt, cancels the
-    blocks still queued and propagates: the error raised is the first
-    failing block's in submission order, whatever `jobs` is.
-    """
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
-    fld = scene.field()
+
+def _blocks(grid: SweepGrid) -> list:
+    """The sweep's tasks in submission order, (cell indices, their sigmas,
+    illumination, n_bin): the cells that share an illumination and n_bin,
+    split evenly into blocks of at most as many as fill one chunk of
+    repetitions."""
     cells = list(grid.cells())
     groups = {}
     for index, (illum, _, n_bin) in enumerate(cells):
@@ -316,12 +323,65 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
             indices = group[len(group) * i // n:len(group) * (i + 1) // n]
             blocks.append((indices, [cells[index][1] for index in indices],
                            illum, n_bin))
+    return blocks
+
+
+def sweep_threads(scene: QuditScene, grid: SweepGrid, jobs: int) -> int:
+    """The number of threads `fidelity_sweep(scene, grid, jobs=jobs)` runs
+    on: one per READS_PER_THREAD pixel reads of the whole sweep, at least
+    one, and at most `jobs` and the sweep's number of blocks."""
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    reads = _illumination_reads(scene, grid) * len(grid.illuminations)
+    return min(jobs, len(_blocks(grid)), max(1, reads // READS_PER_THREAD))
+
+
+def _run_blocks(run, blocks, threads):
+    """run(*block) of every block, in order, on `threads` threads; inline in
+    the calling thread when that is one. An exception in a block, or an
+    interrupt, stops the blocks not yet started and propagates: the error
+    raised is the first failing block's in submission order."""
+    if threads == 1:
+        return [run(*block) for block in blocks]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        try:
+            futures = [pool.submit(run, *block) for block in blocks]
+            # one wake-up per sweep, not one per block taking the GIL from a
+            # worker; blocks start in order, so a failed one is reached below
+            concurrent.futures.wait(
+                futures, return_when=concurrent.futures.FIRST_EXCEPTION)
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
+                   jobs: int = 1, quantize: bool = False,
+                   psi: PsiConfig = PsiConfig()) -> list[CellResult]:
+    """Run the full sweep: one CellResult per cell, in the order of
+    `grid.cells()`.
+
+    Each task is a block of cells that share the illumination and n_bin and
+    differ in sigma, at most as many as fill one chunk of repetitions; every
+    cell keeps its own stream, so the blocking never changes a result. A
+    block computes its frames, C0 and mu, and fails or succeeds whole.
+    `jobs` bounds the threads: the sweep runs on sweep_threads(scene, grid,
+    jobs) of them, and on one it runs its blocks in order in the calling
+    thread. numpy's draws release the GIL, but a block's Python work holds
+    it, so a second thread pays only for sweeps of many pixel reads. An
+    exception in a block, or an interrupt, stops the blocks not yet started
+    and propagates: the error raised is the first failing block's in
+    submission order, whatever `jobs` is.
+    """
+    threads = sweep_threads(scene, grid, jobs)
+    fld = scene.field()
+    blocks = _blocks(grid)
     # the Skellam tables pay for their build when an illumination reads
     # enough pixels, counted over all of its cells
-    draws = (grid.repetitions * len(grid.sigmas) * scene.layout.d
-             * sum(grid.n_bins))
     tables = (_SkellamTables() if psi.n_steps == 4 and not quantize
-              and draws >= _TABLE_MIN_DRAWS else None)
+              and _illumination_reads(scene, grid) >= _TABLE_MIN_DRAWS
+              else None)
     # bound per call, not at import, so that a wrapper put on
     # experiments._run_block (a tracer) is the one that runs
     run = functools.partial(
@@ -330,20 +390,12 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
         reference=psi.reference_for(fld), psi=psi, seed=seed,
         target=scene.state, repetitions=grid.repetitions, quantize=quantize,
         tables=tables)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        try:
-            futures = [pool.submit(run, *block) for block in blocks]
-            # one wake-up per sweep, not one per block taking the GIL from a
-            # worker; blocks start in order, so a failed one is reached below
-            concurrent.futures.wait(
-                futures, return_when=concurrent.futures.FIRST_EXCEPTION)
-            stats = {}
-            for (indices, *_), future in zip(blocks, futures):
-                stats.update(zip(indices, future.result()))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return [CellResult(*cell, stats[index]) for index, cell in enumerate(cells)]
+    stats = {}
+    for (indices, *_), block_stats in zip(blocks,
+                                          _run_blocks(run, blocks, threads)):
+        stats.update(zip(indices, block_stats))
+    return [CellResult(*cell, stats[index])
+            for index, cell in enumerate(grid.cells())]
 
 
 def phase_error_stats(phase: np.ndarray, reference_phase: np.ndarray,

@@ -9,7 +9,7 @@ import pytest
 import pdisim
 from pdisim import (ConfigError, LensScene, NoiseParams, PsiConfig, QuditScene,
                     SweepGrid, continuous_experiment, parse_config)
-from pdisim import cli, io as pio
+from pdisim import cli, experiments, io as pio
 from pdisim.cli import main
 from pdisim.config import PhmapScene, serialize_config
 from pdisim.reconstruct import harmonic_sums
@@ -251,18 +251,21 @@ def all_output_bytes(directory):
     return blobs
 
 
-def test_cli_byte_identical_across_runs_and_jobs(tmp_path):
+def test_cli_byte_identical_across_runs_and_jobs(tmp_path, block_threads):
     cfg = write_cfg(tmp_path, MINIMAL +
                     "[sweep]\nilluminations = 1.7,3.0\nsigmas = 0.2,3.0\n"
                     "n_bins = 1,2\nrepetitions = 25\n")
     outs = []
     for name, jobs in (("a", "1"), ("b", "1"), ("c", "4")):
         out = tmp_path / name
+        block_threads.clear()
         rc = main(["qudit-experiment", "--config", cfg, "--seed", "31",
                    "--out", str(out), "--jobs", jobs, "--quiet"])
         assert rc == 0
         outs.append(all_output_bytes(out))
     assert outs[0] == outs[1] == outs[2]
+    # the last run's 4 blocks ran on more than one thread
+    assert len(set(block_threads)) > 1
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -426,8 +429,8 @@ CLOSING_LINES = [
     ("simulate", MINIMAL + "[noise]\nreadout_sigma = 0.5\n",
      r"4 noisy frames \(sigma=0\.5 e-\)"),
     ("reconstruct", None, "4 frames"),
-    ("qudit-experiment", MINIMAL + SMALL_SWEEP, "1 cells"),
-    ("sweep-map", MINIMAL + SMALL_SWEEP, "1 cells"),
+    ("qudit-experiment", MINIMAL + SMALL_SWEEP, "1 cells on 1 thread"),
+    ("sweep-map", MINIMAL + SMALL_SWEEP, "1 cells on 1 thread"),
     ("continuous-experiment", "[scene]\ntype = lens\ngrid_width = 16\n"
      "grid_height = 16\n[sweep]\nilluminations = 3.0\nsigmas = 0.5,3.0\n",
      "2 cases")]
@@ -456,6 +459,19 @@ def test_cli_run_ends_with_its_count_and_wall_time_unless_quiet(
             assert re.fullmatch(rf"{subcommand}: {what} in \d+\.\d\d s\n", err)
     # the line, and its timing, are in no written file
     assert outs[0] == outs[1]
+
+
+def test_cli_sweep_line_names_the_threads_it_ran_on(tmp_path, capsys,
+                                                     monkeypatch):
+    # 2 blocks of 120 pixel reads each, at --jobs 4
+    cfg = write_cfg(tmp_path, MINIMAL + "[sweep]\nilluminations = 1.7,3.0\n"
+                    "sigmas = 0.5\nn_bins = 1\nrepetitions = 20\n")
+    for reads_per_thread, threads in ((240, "1 thread"), (120, "2 threads")):
+        monkeypatch.setattr(experiments, "READS_PER_THREAD", reads_per_thread)
+        assert main(["qudit-experiment", "--config", cfg, "--jobs", "4",
+                     "--out", str(tmp_path / threads[0])]) == 0
+        assert re.fullmatch(rf"qudit-experiment: 2 cells on {threads} in "
+                            r"\d+\.\d\d s\n", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("subcommand, text", [

@@ -11,7 +11,7 @@ from pdisim import (BinningPolicy, CellResult, DomainError, FidelityStats,
                     SweepGrid, c0_analytic, circ_std, continuous_experiment,
                     extract_phase, extract_state, fidelity, fidelity_sweep,
                     phase_error_stats, rng_stream, sample_noise,
-                    simulate_interferograms, wrap)
+                    simulate_interferograms, sweep_threads, wrap)
 from pdisim import experiments
 from pdisim.forward import frame_rates
 from pdisim.model import SkellamTable
@@ -188,11 +188,13 @@ SIGMAS_20 = tuple(0.15 * k for k in range(1, 21))
     pytest.param(SIGMAS_20, (1, 2), 128, True, id="blocks-of-2"),
     pytest.param((0.0, 1.0), (1, 8), 300, True, id="sigma-0"),
 ])
-def test_sweep_blocks_equal_the_per_cell_sweep(sigmas, n_bins, reps, table):
+def test_sweep_blocks_equal_the_per_cell_sweep(sigmas, n_bins, reps, table,
+                                               block_threads):
     grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=sigmas, n_bins=n_bins,
                      repetitions=reps)
     assert (fidelity_sweep(SCENE, grid, seed=5, jobs=2)
             == _per_cell_sweep(grid, 5, table))
+    assert len(set(block_threads)) == 2
 
 
 def test_sweep_block_rows_stay_within_one_chunk(monkeypatch):
@@ -274,7 +276,8 @@ def test_sweep_takes_the_tables_only_where_they_pay(
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 8])
-def test_sweep_builds_one_table_per_illumination(jobs, table_builds):
+def test_sweep_builds_one_table_per_illumination(jobs, table_builds,
+                                                 block_threads):
     # 24 blocks share the tables; the interpreter switches threads as often
     # as it can, so an unguarded check-then-build would build one twice
     grid = SweepGrid(illuminations=(1.7, 3.0, 11.3), **TABLE_GRID)
@@ -285,6 +288,7 @@ def test_sweep_builds_one_table_per_illumination(jobs, table_builds):
     finally:
         sys.setswitchinterval(interval)
     assert len(table_builds) == 3
+    assert (len(set(block_threads)) > 1) == (jobs > 1)
 
 
 def test_sweep_builds_no_table_for_a_block_that_fails_its_checks(
@@ -298,25 +302,29 @@ def test_sweep_builds_no_table_for_a_block_that_fails_its_checks(
     assert table_builds == []
 
 
-def test_sweep_jobs_independent_when_blocks_split_unevenly():
+def test_sweep_jobs_independent_when_blocks_split_unevenly(block_threads):
     # 8 blocks of 10 cells on 3 threads
     grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=SIGMAS_20, n_bins=(1, 2),
                      repetitions=16)
-    assert (fidelity_sweep(SCENE, grid, seed=6, jobs=1)
-            == fidelity_sweep(SCENE, grid, seed=6, jobs=3))
+    serial = fidelity_sweep(SCENE, grid, seed=6, jobs=1)
+    block_threads.clear()
+    assert fidelity_sweep(SCENE, grid, seed=6, jobs=3) == serial
+    assert len(set(block_threads)) > 1
 
 
-def test_sweep_deterministic_and_jobs_independent():
+def test_sweep_deterministic_and_jobs_independent(block_threads):
     grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=(0.2, 3.0),
                      n_bins=(1, 2), repetitions=50)
     a = fidelity_sweep(SCENE, grid, seed=9, jobs=1)
     b = fidelity_sweep(SCENE, grid, seed=9, jobs=1)
+    block_threads.clear()
     c = fidelity_sweep(SCENE, grid, seed=9, jobs=4)
     assert a == b == c
+    assert len(set(block_threads)) > 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_sweep_raises_the_first_failing_blocks_error(jobs):
+def test_sweep_raises_the_first_failing_blocks_error(jobs, block_threads):
     # blocks in submission order: (1, 1) runs, (1, 500) reads more pixels
     # than a slit has, (3, 1) and (3, 500) fail the Poisson range check
     grid = SweepGrid(illuminations=(1.0, 3.0), sigmas=(0.2,), n_bins=(1, 500),
@@ -325,6 +333,7 @@ def test_sweep_raises_the_first_failing_blocks_error(jobs):
         fidelity_sweep(SCENE, grid, seed=4, jobs=jobs,
                        psi=PsiConfig(reference_override=1e9))
     assert str(swept.value) == "n_bin = 500 exceeds the 100 pixels per slit"
+    assert (len(set(block_threads)) > 1) == (jobs > 1)
 
 
 def test_sweep_checks_n_bin_after_the_poisson_range():
@@ -341,14 +350,60 @@ def test_sweep_rejects_fewer_than_one_job():
     for jobs in (0, -3):
         with pytest.raises(DomainError):
             fidelity_sweep(SCENE, grid, jobs=jobs)
+        with pytest.raises(DomainError):
+            sweep_threads(SCENE, grid, jobs)
 
 
-def test_sweep_threads_under_fast_switching_match_serial():
+MAP_PREVIEW = SweepGrid(
+    illuminations=tuple(float(x) for x in np.geomspace(1.0, 20.0, 20)),
+    sigmas=tuple(float(x) for x in np.linspace(0.1, 3.0, 20)), n_bins=(1,),
+    repetitions=16)
+
+
+@pytest.mark.parametrize("grid, blocks, threads", [
+    # 38 400 pixel reads in 40 blocks
+    pytest.param(MAP_PREVIEW, 40, {2: 1, 8: 1}, id="map-preview"),
+    # 138 240 reads in 24 blocks
+    pytest.param(SweepGrid(repetitions=128), 24, {2: 1, 8: 1}, id="default-128"),
+    # 2 160 000 reads in 48 blocks
+    pytest.param(SweepGrid(), 48, {2: 2, 3: 3, 64: 16}, id="default-2000"),
+    # 4 800 000 reads in 2 blocks
+    pytest.param(SweepGrid(illuminations=(3.0,), sigmas=(0.2, 0.5),
+                           n_bins=(4,), repetitions=100000), 2,
+                 {2: 2, 8: 2}, id="two-blocks"),
+])
+def test_sweep_threads_follow_the_reads_up_to_jobs_and_blocks(grid, blocks,
+                                                              threads):
+    assert len(experiments._blocks(grid)) == blocks
+    assert {jobs: sweep_threads(SCENE, grid, jobs) for jobs in threads} == threads
+    assert sweep_threads(SCENE, grid, 1) == 1
+
+
+def test_sweep_runs_its_blocks_inline_on_one_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    callers = []
+    run_block = experiments._run_block
+
+    def recording(*args, **kwargs):
+        callers.append(threading.get_ident())
+        return run_block(*args, **kwargs)
+
+    monkeypatch.setattr(experiments.concurrent.futures, "ThreadPoolExecutor",
+                        no_pool)
+    monkeypatch.setattr(experiments, "_run_block", recording)
+    assert len(fidelity_sweep(SCENE, MAP_PREVIEW, seed=1, jobs=2)) == 400
+    assert set(callers) == {threading.get_ident()} and len(callers) == 40
+
+
+def test_sweep_threads_under_fast_switching_match_serial(block_threads):
     # 8 threads on a small grid, with the interpreter switching threads as
     # often as it can: cells must not interfere through shared state.
     grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=(0.2, 3.0),
                      n_bins=(1, 4), repetitions=300)
     serial = fidelity_sweep(SCENE, grid, seed=5, jobs=1)
+    block_threads.clear()
     threaded = []
     sweep = threading.Thread(
         target=lambda: threaded.append(fidelity_sweep(SCENE, grid, seed=5, jobs=8)),
@@ -362,28 +417,37 @@ def test_sweep_threads_under_fast_switching_match_serial():
         sys.setswitchinterval(interval)
     assert not sweep.is_alive()
     assert threaded == [serial]
+    assert len(set(block_threads)) > 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
 def test_uncaught_cell_error_cancels_queued_cells(monkeypatch, exc_type, jobs):
-    started = []
+    started, idents = [], set()
 
     def block(indices, *args, **kwargs):
         started.append(indices[0])
+        idents.add(threading.get_ident())
+        # the block of cell 0 fails after the other workers took up a block
+        time.sleep(0.05 if indices[0] == 0 else 0.2)
         if indices[0] == 0:
             raise exc_type("stop")
-        time.sleep(0.2)  # time for the sweep to cancel the queue
 
+    monkeypatch.setattr(experiments, "READS_PER_THREAD", 1)
     monkeypatch.setattr(experiments, "_run_block", block)
     grid = SweepGrid(illuminations=(1.0, 2.0, 3.0, 4.0), sigmas=(0.2, 0.5),
                      n_bins=(1, 2), repetitions=1)
     with pytest.raises(exc_type):
         fidelity_sweep(SCENE, grid, jobs=jobs)
-    # of the 8 blocks (one per illumination and n_bin): the block of cell 0,
-    # the blocks running beside it, and at most one block that its worker
-    # took up before the cancel; none of those queued after them
-    assert started[0] == 0 and len(started) <= 1 + jobs
+    assert len(idents) == jobs
+    # of the 8 blocks (one per illumination and n_bin): inline, the block of
+    # cell 0 alone; on threads, also the blocks running beside it and at
+    # most one block that its worker took up before the cancel, and none of
+    # those queued after them
+    if jobs == 1:
+        assert started == [0]
+    else:
+        assert started[0] == 0 and len(started) <= 1 + jobs
 
 
 def test_fidelity_map_shape_and_corner():
