@@ -12,9 +12,10 @@ pixels are read changes no number. The phase needs only the harmonic sums
 n_1 - n_3 are Skellam variates, so a cell draws each from an exact
 inverse-CDF table of its slit (model.SkellamTable), one uniform apiece, and
 adds one normal of sd sigma sqrt(2) for the readout noise of two frames.
-Each illumination's table is built once per sweep. A sweep draws the N
-frames of each read pixel instead (Poisson, then normal), whenever its
-input has one of these properties:
+Before any block runs, a sweep prepares each distinct illumination once:
+the frames of its slits, their checks, C0, mu and its table. A sweep draws
+the N frames of each read pixel instead (Poisson, then normal), whenever
+its input has one of these properties:
 
 - N != 4 phase steps;
 - quantize: each frame is rounded to whole electrons, so C and S are no
@@ -32,14 +33,13 @@ also runs Python that holds it, so a sweep runs on a second thread only
 when it reads enough pixels to repay it (sweep_threads), and on one thread
 it runs its blocks inline, in order. A sweep returns every cell or raises
 the error of its first failing block, in submission order: what could fail
-(the Poisson range of a block's frames, n_bin against the pixels per slit)
-is the same for all of a block's cells, and the grid has checked every
-sigma.
+(the Poisson range of an illumination's frames, n_bin against the pixels
+per slit) is checked while the illuminations are prepared, so such an error
+is raised before any block runs, and the grid has checked every sigma.
 """
 
 import concurrent.futures
 import functools
-import threading
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -230,58 +230,58 @@ def _skellam_sums(table, shape, sigma, rng):
     return sums
 
 
-class _SkellamTables:
-    """The Skellam table of each illumination of one sweep, built once, by
-    the first of its blocks to ask, after that block's checks, and freed
-    with the sweep: None where a rate exceeds _TABLE_MAX_RATE."""
+def _prepare(scene: QuditScene, grid: SweepGrid, psi: PsiConfig,
+             quantize: bool) -> dict:
+    """Each distinct illumination of a sweep, prepared in grid order before
+    any block runs, keyed by illumination: a tuple of its slits' noiseless
+    frames `rates` (N, d, 1), C0, mu and Skellam table (None where its cells
+    draw frames). After an illumination's frames it checks them against
+    numpy's Poisson range, then every n_bin against the pixels per slit (the
+    pixels are read without replacement), and so raises the error of the
+    first block that would fail."""
+    slits = scene.slit_values()
+    reference = psi.reference_for(scene.field())
+    draws = _illumination_reads(scene, grid)
+    prepared = {}
+    for illum in grid.illuminations:
+        if illum in prepared:
+            continue
+        # mean frame 0 over the slits sets the illumination scale
+        rates, ref = frame_rates(slits, reference, psi.n_steps, illum, slits)
+        check_poisson_rates(rates)
+        for n_bin in grid.n_bins:
+            if n_bin > scene.layout.pixels_per_slit:
+                raise SamplingError(f"n_bin = {n_bin} exceeds the "
+                                    f"{scene.layout.pixels_per_slit} pixels "
+                                    "per slit")
+        # a table repays its build over enough draws, and stays small
+        table = (SkellamTable(rates[..., 0])
+                 if psi.n_steps == 4 and not quantize
+                 and draws >= _TABLE_MIN_DRAWS
+                 and rates.max() <= _TABLE_MAX_RATE else None)
+        prepared[illum] = (rates, c0_analytic(ref, psi.n_steps),
+                           float(np.angle(ref)), table)
+    return prepared
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._tables = {}
 
-    def get(self, illumination, rates):
-        with self._lock:
-            if illumination not in self._tables:
-                self._tables[illumination] = (
-                    SkellamTable(rates[..., 0])
-                    if rates.max() <= _TABLE_MAX_RATE else None)
-            return self._tables[illumination]
-
-
-def _run_block(indices, sigmas, illumination, n_bin, *, slit_values,
-               pixels_per_slit, reference, psi, seed, target, repetitions,
-               quantize, tables):
+def _run_block(indices, sigmas, lit, n_bin, *, seed, target, repetitions,
+               quantize):
     """Monte-Carlo fidelity of the sweep cells `indices`, one per readout
-    sigma in `sigmas`, at `illumination` and `n_bin`: one FidelityStats per
-    cell.
+    sigma in `sigmas`, at `n_bin` and the prepared illumination `lit`
+    (rates, C0, mu, table; see _prepare): one FidelityStats per cell.
 
-    The block computes the noiseless frames (N, d, 1) of the uniform slits
-    `slit_values` (d, 1), checks them against numpy's Poisson range, then
-    n_bin against `pixels_per_slit` (the pixels are read without
-    replacement), and computes C0 and mu. Every pixel of a slit has the
-    slit's rates, so the n_bin distinct pixels a state reads have i.i.d.
-    readings whichever they are. Per chunk of repetitions each cell draws,
-    from its own stream, so that it gets the numbers it would get alone:
-    with a Skellam table from `tables` (a _SkellamTables, or None for the
-    per-frame path), the (C, S) of its read pixels (_skellam_sums), and
-    arctan2(S, C - C0) + mu is their phase; otherwise the noisy frames
-    (m, N, d, n_bin) of its read pixels (sample_noise: Poisson, then
-    normal), inverted by unwrapped_phase. The phase, the scoring and the
-    statistics run once over the stacked cells. The cells share the
-    illumination, n_bin and rates, and the grid has checked every sigma, so
-    an error (a PdisimError) is the whole block's.
+    Every pixel of a slit has the slit's rates, so the n_bin distinct pixels
+    a state reads have i.i.d. readings whichever they are. Per chunk of
+    repetitions each cell draws, from its own stream, so that it gets the
+    numbers it would get alone: with a table, the (C, S) of its read pixels
+    (_skellam_sums), and arctan2(S, C - C0) + mu is their phase; without,
+    the noisy frames (m, N, d, n_bin) of its read pixels (sample_noise:
+    Poisson, then normal), inverted by unwrapped_phase. The phase, the
+    scoring and the statistics run once over the stacked cells.
     """
+    rates, c0, mu, table = lit
     rngs = [rng_stream(seed, index) for index in indices]
     fids = np.empty((len(indices), repetitions))
-    # mean frame 0 over the slits sets the illumination scale
-    rates, ref = frame_rates(slit_values, reference, psi.n_steps, illumination,
-                             slit_values)
-    check_poisson_rates(rates)
-    if n_bin > pixels_per_slit:
-        raise SamplingError(f"n_bin = {n_bin} exceeds the {pixels_per_slit} "
-                            "pixels per slit")
-    c0, mu = c0_analytic(ref, psi.n_steps), float(np.angle(ref))
-    table = tables.get(illumination, rates) if tables is not None else None
     for start in range(0, repetitions, _CHUNK):
         m = min(_CHUNK, repetitions - start)
         if table is None:
@@ -364,32 +364,26 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
 
     Each task is a block of cells that share the illumination and n_bin and
     differ in sigma, at most as many as fill one chunk of repetitions; every
-    cell keeps its own stream, so the blocking never changes a result. A
-    block computes its frames, C0 and mu, and fails or succeeds whole.
-    `jobs` bounds the threads: the sweep runs on sweep_threads(scene, grid,
-    jobs) of them, and on one it runs its blocks in order in the calling
-    thread. numpy's draws release the GIL, but a block's Python work holds
-    it, so a second thread pays only for sweeps of many pixel reads. An
-    exception in a block, or an interrupt, stops the blocks not yet started
-    and propagates: the error raised is the first failing block's in
-    submission order, whatever `jobs` is.
+    cell keeps its own stream, so the blocking never changes a result.
+    Before any block runs, the sweep prepares each distinct illumination
+    once, in the calling thread (_prepare): its frames, their checks, C0, mu
+    and its Skellam table. A failing check raises there, with the error of
+    the first block that would fail, whatever `jobs` is. `jobs` bounds the
+    threads: the sweep runs on sweep_threads(scene, grid, jobs) of them, and
+    on one it runs its blocks in order in the calling thread. numpy's draws
+    release the GIL, but a block's Python work holds it, so a second thread
+    pays only for sweeps of many pixel reads. An exception in a block, or an
+    interrupt, stops the blocks not yet started and propagates: the error
+    raised is the first failing block's in submission order.
     """
     threads = sweep_threads(scene, grid, jobs)
-    fld = scene.field()
-    blocks = _blocks(grid)
-    # the Skellam tables pay for their build when an illumination reads
-    # enough pixels, counted over all of its cells
-    tables = (_SkellamTables() if psi.n_steps == 4 and not quantize
-              and _illumination_reads(scene, grid) >= _TABLE_MIN_DRAWS
-              else None)
+    prepared = _prepare(scene, grid, psi, quantize)
+    blocks = [(indices, sigmas, prepared[illum], n_bin)
+              for indices, sigmas, illum, n_bin in _blocks(grid)]
     # bound per call, not at import, so that a wrapper put on
     # experiments._run_block (a tracer) is the one that runs
-    run = functools.partial(
-        _run_block, slit_values=scene.slit_values(),
-        pixels_per_slit=scene.layout.pixels_per_slit,
-        reference=psi.reference_for(fld), psi=psi, seed=seed,
-        target=scene.state, repetitions=grid.repetitions, quantize=quantize,
-        tables=tables)
+    run = functools.partial(_run_block, seed=seed, target=scene.state,
+                            repetitions=grid.repetitions, quantize=quantize)
     stats = {}
     for (indices, *_), block_stats in zip(blocks,
                                           _run_blocks(run, blocks, threads)):

@@ -72,7 +72,7 @@ def frame_rates(values: np.ndarray, reference: complex, n_steps: int,
     """Noiseless frames (N, rows, cols) of a 2D pixel set `values` (a full
     grid, or the (d, 1) values of uniform slits), scaled so that frame 0
     averages `illumination` over `region_values`; also returns the scaled
-    reference.
+    reference. DomainError where a rate overflows the float range.
     """
     if illumination < 0:
         raise DomainError(f"illumination must be >= 0, got {illumination}")
@@ -86,8 +86,16 @@ def frame_rates(values: np.ndarray, reference: complex, n_steps: int,
         raise DegenerateReferenceError("field is zero over the analysis region")
     root_scale = np.sqrt(illumination / mean_i0)
     scaled_ref = reference * root_scale
-    shifts = scaled_ref * (np.exp(1j * step_phases(n_steps)) - 1.0)
-    return np.abs((values * root_scale)[None] + shifts[:, None, None]) ** 2, scaled_ref
+    # a huge reference overflows to inf (or nan, where inf meets 0):
+    # rejected below as a whole, not warned about per operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifts = scaled_ref * (np.exp(1j * step_phases(n_steps)) - 1.0)
+        rates = np.abs((values * root_scale)[None] + shifts[:, None, None]) ** 2
+    if not np.isfinite(rates).all():
+        raise DomainError(f"frame rates at illumination {illumination:g} "
+                          "overflow the float range: the reference amplitude "
+                          "or the illumination is too large")
+    return rates, scaled_ref
 
 
 def simulate_interferograms(field: ComplexField, config: PsiConfig,

@@ -12,8 +12,9 @@ import os
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .forward import InterferogramSet, step_phases
+from .reconstruct import c0_analytic
 
 _MAP_MAGIC = {"PHMAP", "AMMAP"}
 
@@ -93,7 +94,7 @@ def write_interferogram_set(directory, iset):
 def read_interferogram_set(manifest_path):
     """Load an InterferogramSet from its manifest file. Its `alphas` must be
     the equal steps `step_phases(n_steps)` within 1e-12, the only steps that
-    the reconstruction inverts."""
+    the reconstruction inverts, and its reference must give a finite C0."""
     directory = os.path.dirname(os.path.abspath(manifest_path))
     keys = {}
     frames = []
@@ -128,6 +129,10 @@ def read_interferogram_set(manifest_path):
                                      zip(alphas, step_phases(n_steps))):
         raise ShapeError(f"{manifest_path}: alphas must be the {n_steps} equal "
                          f"steps 2 pi n / {n_steps}")
+    try:
+        c0_analytic(reference, n_steps)
+    except DomainError as exc:
+        raise DomainError(f"{manifest_path}: {exc}") from None
     if len(frames) != n_steps:
         raise ShapeError(
             f"{manifest_path}: manifest lists {len(frames)} frames, n_steps={n_steps}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circular import wrap
-from .errors import EstimationError, ShapeError
+from .errors import DomainError, EstimationError, ShapeError
 from .forward import InterferogramSet, step_phases
 
 
@@ -67,8 +67,16 @@ def unwrapped_phase(frames: np.ndarray, c0: float, mu: float) -> np.ndarray:
 
 
 def c0_analytic(reference: complex, n_steps: int) -> float:
-    """C0 = -N |K|^2 from a known reference amplitude."""
-    return -n_steps * abs(reference) ** 2
+    """C0 = -N |K|^2 from a known reference amplitude; DomainError where
+    that is not a finite float."""
+    try:
+        c0 = -n_steps * abs(reference) ** 2
+    except OverflowError:
+        c0 = -np.inf
+    if not np.isfinite(c0):
+        raise DomainError(f"reference amplitude {reference!r} gives no finite "
+                          f"C0 = -N |K|^2 at N = {n_steps}")
+    return c0
 
 
 def c0_empirical(frames: np.ndarray, dark_region: np.ndarray) -> float:

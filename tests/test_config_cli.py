@@ -491,6 +491,25 @@ def test_cli_failed_run_leaves_no_manifest(tmp_path, capsys, subcommand, text):
     assert not (out / "manifest.txt.tmp").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("subcommand, text", [
+    ("simulate", MINIMAL),
+    ("qudit-experiment", MINIMAL + SMALL_SWEEP),
+    ("sweep-map", MINIMAL + SMALL_SWEEP),
+    ("continuous-experiment", "[scene]\ntype = lens\ngrid_width = 16\n"
+                              "grid_height = 16\n")],
+    ids=["simulate", "qudit-experiment", "sweep-map", "continuous-experiment"])
+def test_cli_reference_that_overflows_the_frames_fails_the_run(
+        tmp_path, capsys, subcommand, text):
+    # |K|^2 of this reference is past the float range: no frame is finite
+    cfg = write_cfg(tmp_path, text + "[psi]\nreference_re = 1e300\n")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+    assert_one_line_error(capsys, "overflow the float range")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["simulate", "qudit-experiment",
                                         "sweep-map", "continuous-experiment"])
 def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys,
@@ -641,6 +660,28 @@ def test_cli_manifest_with_other_steps_is_an_error(tmp_path, capsys, alphas):
                                                     f"alphas = {alphas}\n")
     assert rc == 1
     assert_one_line_error(capsys, str(manifest), "alphas")
+    assert not rec.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("reference_re, reference_im", [
+    ("1.7320508075688777e+300", "0.0"), ("1.7e+308", "1.7e+308"),
+    ("nan", "0.0")], ids=["square-overflows", "modulus-overflows", "nan"])
+def test_cli_manifest_reference_without_a_finite_c0_is_an_error(
+        tmp_path, capsys, reference_re, reference_im):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"),
+                 "--quiet"]) == 0
+    manifest = tmp_path / "sim" / "frames" / "manifest.txt"
+    text = re.sub(r"reference_re = .*\nreference_im = .*\n",
+                  f"reference_re = {reference_re}\n"
+                  f"reference_im = {reference_im}\n", manifest.read_text())
+    assert f"reference_re = {reference_re}\n" in text
+    manifest.write_text(text)
+    capsys.readouterr()
+    rec = tmp_path / "rec"
+    assert main(["reconstruct", str(manifest), "--out", str(rec)]) == 1
+    assert_one_line_error(capsys, f"error: {manifest}: ", "C0")
     assert not rec.exists()
 
 

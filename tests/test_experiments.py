@@ -135,9 +135,9 @@ def test_sweep_poisson_range_error_raises_before_any_draw(seed, noise_draws):
                      n_bins=(1, 2), repetitions=5)
     with pytest.raises(DomainError, match=r"^Poisson rates must be in \[0, "):
         fidelity_sweep(SCENE, grid, seed=seed, psi=psi)
-    # checked per block, before any draw: on one thread the two blocks at
-    # illumination 1 run first, one draw per cell, and the failing ones none
-    assert len(noise_draws) == 4
+    # checked per illumination, before any block runs: not even the blocks
+    # at illumination 1, which pass, draw
+    assert len(noise_draws) == 0
 
 
 def _per_cell_sweep(grid, seed, table, psi=PsiConfig()):
@@ -179,18 +179,22 @@ def _per_cell_sweep(grid, seed, table, psi=PsiConfig()):
 SIGMAS_20 = tuple(0.15 * k for k in range(1, 21))
 
 
-@pytest.mark.parametrize("sigmas, n_bins, reps, table", [
+@pytest.mark.parametrize("illums, sigmas, n_bins, reps, table", [
     # blocks of 10 cells, 1 920 pixel draws per illumination: frames
-    pytest.param(SIGMAS_20, (1,), 16, False, id="sigmas0-n_bins0-16"),
+    pytest.param((1.7, 3.0), SIGMAS_20, (1,), 16, False,
+                 id="sigmas0-n_bins0-16"),
     # one cell per block, two chunks; the tables from here on
-    pytest.param((0.2, 0.5, 3.0), (1, 4), 300, True,
+    pytest.param((1.7, 3.0), (0.2, 0.5, 3.0), (1, 4), 300, True,
                  id="sigmas1-n_bins1-300"),
-    pytest.param(SIGMAS_20, (1, 2), 128, True, id="blocks-of-2"),
-    pytest.param((0.0, 1.0), (1, 8), 300, True, id="sigma-0"),
+    pytest.param((1.7, 3.0), SIGMAS_20, (1, 2), 128, True, id="blocks-of-2"),
+    pytest.param((1.7, 3.0), (0.0, 1.0), (1, 8), 300, True, id="sigma-0"),
+    # an illumination listed twice shares its table and its blocks
+    pytest.param((1.7, 3.0, 1.7), (0.2, 0.5, 3.0), (1, 4), 300, True,
+                 id="repeated-illumination"),
 ])
-def test_sweep_blocks_equal_the_per_cell_sweep(sigmas, n_bins, reps, table,
-                                               block_threads):
-    grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=sigmas, n_bins=n_bins,
+def test_sweep_blocks_equal_the_per_cell_sweep(illums, sigmas, n_bins, reps,
+                                               table, block_threads):
+    grid = SweepGrid(illuminations=illums, sigmas=sigmas, n_bins=n_bins,
                      repetitions=reps)
     assert (fidelity_sweep(SCENE, grid, seed=5, jobs=2)
             == _per_cell_sweep(grid, 5, table))
@@ -275,19 +279,23 @@ def test_sweep_takes_the_tables_only_where_they_pay(
     assert (len(noise_draws) == 0) == tabled
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 8])
-def test_sweep_builds_one_table_per_illumination(jobs, table_builds,
+@pytest.mark.parametrize("jobs, illums", [
+    *(pytest.param(jobs, (1.7, 3.0, 11.3), id=str(jobs)) for jobs in (1, 2, 8)),
+    *(pytest.param(jobs, (1.7, 3.0, 1.7), id=f"{jobs}-repeated-illumination")
+      for jobs in (1, 2, 8))])
+def test_sweep_builds_one_table_per_illumination(jobs, illums, table_builds,
                                                  block_threads):
-    # 24 blocks share the tables; the interpreter switches threads as often
-    # as it can, so an unguarded check-then-build would build one twice
-    grid = SweepGrid(illuminations=(1.7, 3.0, 11.3), **TABLE_GRID)
+    # the blocks share the tables, built before any block runs, while the
+    # interpreter switches threads as often as it can; an illumination
+    # listed twice is prepared once
+    grid = SweepGrid(illuminations=illums, **TABLE_GRID)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         fidelity_sweep(SCENE, grid, seed=2, jobs=jobs)
     finally:
         sys.setswitchinterval(interval)
-    assert len(table_builds) == 3
+    assert len(table_builds) == len(set(illums))
     assert (len(set(block_threads)) > 1) == (jobs > 1)
 
 
@@ -325,15 +333,16 @@ def test_sweep_deterministic_and_jobs_independent(block_threads):
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_sweep_raises_the_first_failing_blocks_error(jobs, block_threads):
-    # blocks in submission order: (1, 1) runs, (1, 500) reads more pixels
-    # than a slit has, (3, 1) and (3, 500) fail the Poisson range check
+    # blocks in submission order: (1, 1) would run, (1, 500) reads more
+    # pixels than a slit has, (3, 1) and (3, 500) fail the Poisson range
+    # check; all of it is checked before any block runs
     grid = SweepGrid(illuminations=(1.0, 3.0), sigmas=(0.2,), n_bins=(1, 500),
                      repetitions=5)
     with pytest.raises(SamplingError) as swept:
         fidelity_sweep(SCENE, grid, seed=4, jobs=jobs,
                        psi=PsiConfig(reference_override=1e9))
     assert str(swept.value) == "n_bin = 500 exceeds the 100 pixels per slit"
-    assert (len(set(block_threads)) > 1) == (jobs > 1)
+    assert block_threads == []
 
 
 def test_sweep_checks_n_bin_after_the_poisson_range():
