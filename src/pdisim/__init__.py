@@ -20,8 +20,8 @@ from .qudit import (BinningPolicy, FidelityStats, bootstrap_fidelity,
                     extract_state, fidelity)
 from .experiments import (CellResult, ContinuousCase, LensScene,
                           PhaseErrorStats, QuditScene, SweepGrid,
-                          continuous_experiment, fidelity_sweep,
-                          phase_error_stats, sweep_threads)
+                          continuous_experiment, continuous_threads,
+                          fidelity_sweep, phase_error_stats, sweep_threads)
 from .config import PhmapScene, RunConfig, parse_config, serialize_config
 
 __version__ = "0.1.0"

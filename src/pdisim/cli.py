@@ -3,9 +3,9 @@
 Subcommands: simulate, reconstruct, qudit-experiment, sweep-map,
 continuous-experiment. Each writes its files under --out, which every one
 requires. Unless --quiet, a run that succeeds ends with one stderr line
-giving what it computed (its frame, cell or case count, and for a sweep the
-threads it ran on) and its wall time, which no file records. Exit codes:
-0 success, 2 config error, 1 runtime failure.
+giving what it computed (its frame, cell or case count, and for a sweep or
+continuous-experiment the threads it ran on) and its wall time, which no
+file records. Exit codes: 0 success, 2 config error, 1 runtime failure.
 """
 
 import argparse
@@ -22,7 +22,8 @@ from . import __version__, io as pio
 from .config import RunConfig, parse_config, serialize_config
 from .errors import ConfigError, PdisimError
 from .experiments import (READS_PER_THREAD, LensScene, QuditScene,
-                          continuous_experiment, fidelity_sweep, sweep_threads)
+                          continuous_experiment, continuous_threads,
+                          fidelity_sweep, sweep_threads)
 from .reconstruct import c0_empirical, extract_phase
 from .sensor import apply_noise
 from .forward import simulate_interferograms
@@ -114,6 +115,11 @@ def _noise_labels(grid) -> dict:
     return dict(zip(grid.sigmas, grid.nsamps or grid.sigmas))
 
 
+def _on(threads: int) -> str:
+    """The closing line's thread count: ' on 1 thread', ' on 2 threads'."""
+    return f" on {threads} thread{'s' * (threads > 1)}"
+
+
 def cmd_sweep(args, subcommand: str, csv_name: str) -> str:
     """Sweep the configured grid into `csv_name`, one row per cell. A failing
     sweep raises its first failing block's error, and no table is written."""
@@ -135,7 +141,7 @@ def cmd_sweep(args, subcommand: str, csv_name: str) -> str:
     )
     _write_run_manifest(args.out, cfg, subcommand)
     threads = sweep_threads(cfg.scene, cfg.sweep, args.jobs)
-    return f"{len(rows)} cells on {threads} thread{'s' * (threads > 1)}"
+    return f"{len(rows)} cells{_on(threads)}"
 
 
 def cmd_continuous(args) -> str:
@@ -146,6 +152,7 @@ def cmd_continuous(args) -> str:
         cfg.scene, cfg.sweep.illuminations, sigmas=cfg.sweep.sigmas,
         reference_illumination=cfg.reference_illumination,
         seed=cfg.noise.seed, quantize=cfg.noise.quantize, psi=cfg.psi,
+        jobs=args.jobs,
     )
     os.makedirs(args.out, exist_ok=True)
     pio.write_phase_map(os.path.join(args.out, "reference.phmap"), ref_phase)
@@ -167,7 +174,9 @@ def cmd_continuous(args) -> str:
                   ["illumination", "readout_sigma_or_nsamp", "circ_std",
                    "n_pixels"], stat_rows)
     _write_run_manifest(args.out, cfg, "continuous-experiment")
-    return f"{len(cases)} cases"
+    threads = continuous_threads(cfg.scene, cfg.sweep.illuminations,
+                                 cfg.sweep.sigmas, args.jobs, psi=cfg.psi)
+    return f"{len(cases)} cases{_on(threads)}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,12 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, help="override the RNG seed")
         p.add_argument("--out", help="output directory (required)")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="most sweep threads, >= 1 (default: the CPU "
-                            "count); a sweep runs on one per "
+                       help="most threads, >= 1 (default: the CPU count); a "
+                            "sweep runs on one per "
                             f"{READS_PER_THREAD} pixel reads (repetitions x "
                             "sigmas x illuminations x slits x sum of n_bins), "
-                            "at least one and at most one per block; changes "
-                            "only the sweeps, never results")
+                            "at most one per block, and continuous-experiment "
+                            f"on one per {READS_PER_THREAD} frame values "
+                            "(runs x steps x pixels), at most one per run, "
+                            "each on at least one; changes wall time only, "
+                            "never results")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the closing count and wall-time line")
 

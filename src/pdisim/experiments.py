@@ -36,10 +36,15 @@ the error of its first failing block, in submission order: what could fail
 (the Poisson range of an illumination's frames, n_bin against the pixels
 per slit) is checked while the illuminations are prepared, so such an error
 is raised before any block runs, and the grid has checked every sigma.
+
+The continuous study's runs (the reference, then each illumination and
+sigma) each draw from their own stream (seed, run index), so they too run
+on threads (continuous_threads) with results independent of the thread
+count, and then score each case against the reference the same way.
 """
 
-import concurrent.futures
 import functools
+import threading
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -79,13 +84,17 @@ _TABLE_MAX_RATE = 1024.0
 #: 16-repetition map preview (n_bin 1) 1920.
 _TABLE_MIN_DRAWS = 16384
 
-#: Pixel reads (repetitions x sigmas x illuminations x d x sum of n_bins)
-#: of a sweep per thread it runs on. Measured on 2 cores, 21 alternating
-#: pairs each, 2 threads won against 1 in 0 pairs on the 20 x 20 map
-#: preview at 16 repetitions (38 400 reads; medians 85 and 64 ms), and on
-#: the default grid in 11 pairs at 128 repetitions (138 240 reads), 8 at
-#: 192, 14 at 256 (276 480), 18 at 384 and 19 at 2000 (2 160 000 reads;
-#: 321 and 370 ms). So 2 threads from 262 144 reads.
+#: Work per thread: pixel reads (repetitions x sigmas x illuminations x d x
+#: sum of n_bins) of a sweep, or frame values (runs x N x pixels) of the
+#: continuous study. Measured on 2 cores, 21 alternating pairs each, 2
+#: threads won against 1 in 0 pairs on the 20 x 20 map preview at 16
+#: repetitions (38 400 reads; medians 85 and 64 ms), and on the default grid
+#: in 11 pairs at 128 repetitions (138 240 reads), 8 at 192, 14 at 256
+#: (276 480), 18 at 384 and 19 at 2000 (2 160 000 reads; 321 and 370 ms).
+#: So 2 threads from 262 144 reads. The continuous study (40 pairs each)
+#: won on 2 threads in 40 pairs on the default 128 x 128 lens (458 752
+#: values; 42 and 69 ms), 39 on 64 x 64 (114 688; 12 and 15 ms), which this
+#: runs inline, and 8 on 32 x 32 (28 672; 7.6 and 7.1 ms).
 READS_PER_THREAD = 131072
 
 #: Readout noise used when building the high-flux reference map.
@@ -187,6 +196,29 @@ class SweepGrid:
             for sigma in self.sigmas:
                 for n_bin in self.n_bins:
                     yield illum, sigma, n_bin
+
+    @functools.cached_property
+    def _blocks(self) -> tuple:
+        """The sweep's tasks in submission order, (cell indices, their
+        sigmas, illumination, n_bin): the cells that share an illumination
+        and n_bin, split evenly into blocks of at most as many as fill one
+        chunk of repetitions. Built once per grid."""
+        cells = list(self.cells())
+        groups = {}
+        for index, (illum, _, n_bin) in enumerate(cells):
+            groups.setdefault((illum, n_bin), []).append(index)
+        # no block's chunk holds more rows than one cell's chunk of _CHUNK
+        per_block = _CHUNK // min(_CHUNK, self.repetitions)
+        blocks = []
+        for (illum, n_bin), group in groups.items():
+            n = -(-len(group) // per_block)
+            for i in range(n):
+                indices = tuple(group[len(group) * i // n:
+                                      len(group) * (i + 1) // n])
+                blocks.append((indices, tuple(cells[index][1]
+                                              for index in indices),
+                               illum, n_bin))
+        return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -305,55 +337,62 @@ def _illumination_reads(scene: QuditScene, grid: SweepGrid) -> int:
             * sum(grid.n_bins))
 
 
-def _blocks(grid: SweepGrid) -> list:
-    """The sweep's tasks in submission order, (cell indices, their sigmas,
-    illumination, n_bin): the cells that share an illumination and n_bin,
-    split evenly into blocks of at most as many as fill one chunk of
-    repetitions."""
-    cells = list(grid.cells())
-    groups = {}
-    for index, (illum, _, n_bin) in enumerate(cells):
-        groups.setdefault((illum, n_bin), []).append(index)
-    # no block's chunk holds more rows than one cell's chunk of _CHUNK
-    per_block = _CHUNK // min(_CHUNK, grid.repetitions)
-    blocks = []
-    for (illum, n_bin), group in groups.items():
-        n = -(-len(group) // per_block)
-        for i in range(n):
-            indices = group[len(group) * i // n:len(group) * (i + 1) // n]
-            blocks.append((indices, [cells[index][1] for index in indices],
-                           illum, n_bin))
-    return blocks
+def _threads(work: int, tasks: int, jobs: int) -> int:
+    """Threads for `tasks` tasks that do `work` in all (see
+    READS_PER_THREAD): one per READS_PER_THREAD, at least one, and at most
+    `jobs` and `tasks`."""
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, tasks, max(1, work // READS_PER_THREAD))
 
 
 def sweep_threads(scene: QuditScene, grid: SweepGrid, jobs: int) -> int:
     """The number of threads `fidelity_sweep(scene, grid, jobs=jobs)` runs
     on: one per READS_PER_THREAD pixel reads of the whole sweep, at least
     one, and at most `jobs` and the sweep's number of blocks."""
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
     reads = _illumination_reads(scene, grid) * len(grid.illuminations)
-    return min(jobs, len(_blocks(grid)), max(1, reads // READS_PER_THREAD))
+    return _threads(reads, len(grid._blocks), jobs)
 
 
-def _run_blocks(run, blocks, threads):
-    """run(*block) of every block, in order, on `threads` threads; inline in
-    the calling thread when that is one. An exception in a block, or an
-    interrupt, stops the blocks not yet started and propagates: the error
-    raised is the first failing block's in submission order."""
+def _run_tasks(run, tasks, threads):
+    """run(*task) of every task (a sweep's blocks, the continuous study's
+    runs), in order, on `threads` threads: the calling thread and threads -
+    1 workers, each taking the next task not yet started; inline in the
+    calling thread when that is one. On glibc each worker thread allocates
+    from a malloc arena of its own, which keeps the memory it frees, so the
+    calling thread working too saves one arena. A task's exception, or an
+    interrupt, stops the tasks not yet started; once the started ones end,
+    the error raised is the first failing task's in submission order."""
     if threads == 1:
-        return [run(*block) for block in blocks]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        try:
-            futures = [pool.submit(run, *block) for block in blocks]
-            # one wake-up per sweep, not one per block taking the GIL from a
-            # worker; blocks start in order, so a failed one is reached below
-            concurrent.futures.wait(
-                futures, return_when=concurrent.futures.FIRST_EXCEPTION)
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        return [run(*task) for task in tasks]
+    results, failures = [None] * len(tasks), {}
+    order, lock = iter(range(len(tasks))), threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                index = None if failures else next(order, None)
+            if index is None:
+                return
+            try:
+                results[index] = run(*tasks[index])
+            except BaseException as exc:
+                with lock:
+                    failures[index] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
+    finally:
+        with lock:  # an interrupt outside a task stops the workers too
+            order = iter(())
+        for worker in workers:
+            worker.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
@@ -379,14 +418,14 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
     threads = sweep_threads(scene, grid, jobs)
     prepared = _prepare(scene, grid, psi, quantize)
     blocks = [(indices, sigmas, prepared[illum], n_bin)
-              for indices, sigmas, illum, n_bin in _blocks(grid)]
+              for indices, sigmas, illum, n_bin in grid._blocks]
     # bound per call, not at import, so that a wrapper put on
     # experiments._run_block (a tracer) is the one that runs
     run = functools.partial(_run_block, seed=seed, target=scene.state,
                             repetitions=grid.repetitions, quantize=quantize)
     stats = {}
     for (indices, *_), block_stats in zip(blocks,
-                                          _run_blocks(run, blocks, threads)):
+                                          _run_tasks(run, blocks, threads)):
         stats.update(zip(indices, block_stats))
     return [CellResult(*cell, stats[index])
             for index, cell in enumerate(grid.cells())]
@@ -409,38 +448,64 @@ def phase_error_stats(phase: np.ndarray, reference_phase: np.ndarray,
     )
 
 
+def continuous_threads(scene: LensScene, illuminations, sigmas, jobs: int,
+                       psi: PsiConfig = PsiConfig()) -> int:
+    """The number of threads `continuous_experiment` runs on for these
+    arguments: one per READS_PER_THREAD frame values of its runs (1 +
+    illuminations x sigmas, each N x pixels), at least one, and at most
+    `jobs` and the number of runs."""
+    runs = 1 + len(illuminations) * len(sigmas)
+    return _threads(runs * psi.n_steps * scene.grid.n_pixels, runs, jobs)
+
+
+def _continuous_run(stream, illumination, sigma, quantize, *, fld, region,
+                    psi, seed):
+    """The reconstructed phase map of `fld` at `illumination`, with readout
+    noise `sigma` drawn from stream (seed, stream)."""
+    clean = simulate_interferograms(fld, psi, illumination, region=region)
+    noisy = replace(clean, frames=sample_noise(
+        clean.frames, sigma, rng_stream(seed, stream), quantize=quantize))
+    del clean  # its frames are freed before the reconstruction runs
+    return extract_phase(noisy).phase
+
+
 def continuous_experiment(scene: LensScene, illuminations,
                           sigmas=(3.0, 0.2),
                           reference_illumination: float = 500.0,
                           seed: int = 0, quantize: bool = False,
-                          psi: PsiConfig = PsiConfig()):
+                          psi: PsiConfig = PsiConfig(), jobs: int = 1):
     """Continuous-phase study against a high-flux reference map.
 
     Builds the reference reconstruction at `reference_illumination` (readout
     noise 0.2 e-, never quantized), then for each illumination and each of
     `sigmas` records the per-pixel wrapped phase difference. Run k, the
-    reference first, draws its noise from stream (seed, k). Returns
-    (reference phase map, list of ContinuousCase, illumination-major).
+    reference first, draws its noise from stream (seed, k). The runs, and
+    then the cases' statistics, run on continuous_threads(scene,
+    illuminations, sigmas, jobs, psi) threads, in order in the calling
+    thread when that is one; the results do not depend on it. A failing run
+    stops the runs not yet started, and the error raised is the first
+    failing run's, in run order. Returns (reference phase map, list of
+    ContinuousCase, illumination-major).
     """
     illuminations = tuple(illuminations)
+    threads = continuous_threads(scene, illuminations, sigmas, jobs, psi)
     if reference_illumination < max(illuminations):
         raise DomainError(
             "reference illumination must be at least the largest test illumination"
         )
     fld = scene.field()
-    region = scene.region()
     runs = [(reference_illumination, _REFERENCE_SIGMA, False)] + [
         (illum, sigma, quantize) for illum in illuminations for sigma in sigmas]
-    phases = []
-    for stream, (illum, sigma, quant) in enumerate(runs):
-        clean = simulate_interferograms(fld, psi, illum, region=region)
-        noisy = sample_noise(clean.frames, sigma, rng_stream(seed, stream),
-                             quantize=quant)
-        phases.append(extract_phase(replace(clean, frames=noisy)).phase)
-        del clean, noisy  # freed before the next run builds its frames
-    support = fld.amplitude > 0
-    cases = [ContinuousCase(illumination=illum, sigma=sigma,
-                            stats=phase_error_stats(phase, phases[0], support),
-                            phase_map=phase)
-             for (illum, sigma, _), phase in zip(runs[1:], phases[1:])]
-    return phases[0], cases
+    # bound per call, so that a wrapper put on experiments._continuous_run
+    # is the one that runs
+    run = functools.partial(_continuous_run, fld=fld, region=scene.region(),
+                            psi=psi, seed=seed)
+    reference, *phases = _run_tasks(
+        run, [(stream, *args) for stream, args in enumerate(runs)], threads)
+    score = functools.partial(phase_error_stats, reference_phase=reference,
+                              support=fld.amplitude > 0)
+    stats = _run_tasks(score, [(phase,) for phase in phases], threads)
+    return reference, [ContinuousCase(illumination=illum, sigma=sigma,
+                                      stats=case_stats, phase_map=phase)
+                       for (illum, sigma, _), case_stats, phase
+                       in zip(runs[1:], stats, phases)]

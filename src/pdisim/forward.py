@@ -90,7 +90,13 @@ def frame_rates(values: np.ndarray, reference: complex, n_steps: int,
     # rejected below as a whole, not warned about per operation
     with np.errstate(over="ignore", invalid="ignore"):
         shifts = scaled_ref * (np.exp(1j * step_phases(n_steps)) - 1.0)
-        rates = np.abs((values * root_scale)[None] + shifts[:, None, None]) ** 2
+        rates = np.empty((n_steps,) + values.shape)
+        # one step at a time, in place: no complex (N, rows, cols) array
+        for rate, shift in zip(rates, shifts):
+            amplitude = values * root_scale
+            amplitude += shift
+            np.abs(amplitude, out=rate)
+        np.square(rates, out=rates)
     if not np.isfinite(rates).all():
         raise DomainError(f"frame rates at illumination {illumination:g} "
                           "overflow the float range: the reference amplitude "

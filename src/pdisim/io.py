@@ -2,7 +2,8 @@
 
 Phase maps: text header ``PHMAP <width> <height>\\n`` followed by
 width*height little-endian float32, row-major, radians. Amplitude maps are
-identical with header ``AMMAP``; a reader names the kind it expects.
+identical with header ``AMMAP``; a reader names the kind it expects, and
+rejects a map holding a NaN or infinite value.
 Interferogram sets are one AMMAP file per frame plus a line-oriented
 manifest; its ``alphas`` line must list the N equal steps 2 pi n / N. CSV
 tables write every float in shortest round-trip form (``fmt_float``).
@@ -33,7 +34,8 @@ def write_map(path, data: np.ndarray, kind: str):
 
 
 def read_map(path, kind: str) -> np.ndarray:
-    """Read a PHMAP/AMMAP file whose header must name `kind`."""
+    """Read a PHMAP/AMMAP file whose header must name `kind` and whose
+    values must all be finite."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").split()
         if len(header) != 3 or header[0] not in _MAP_MAGIC:
@@ -51,8 +53,12 @@ def read_map(path, kind: str) -> np.ndarray:
         if payload != 4 * width * height:
             raise ShapeError(f"{path}: header says {width} x {height} float32, "
                              f"payload has {payload} bytes")
-        raw = fh.read(payload)
-        return np.frombuffer(raw, dtype="<f4").astype(float).reshape(height, width)
+        values = np.frombuffer(fh.read(payload), dtype="<f4")
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise DomainError(f"{path}: {bad} of {values.size} values are NaN or "
+                          "infinite")
+    return values.astype(float).reshape(height, width)
 
 
 def write_phase_map(path, phase):

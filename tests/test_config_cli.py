@@ -433,7 +433,7 @@ CLOSING_LINES = [
     ("sweep-map", MINIMAL + SMALL_SWEEP, "1 cells on 1 thread"),
     ("continuous-experiment", "[scene]\ntype = lens\ngrid_width = 16\n"
      "grid_height = 16\n[sweep]\nilluminations = 3.0\nsigmas = 0.5,3.0\n",
-     "2 cases")]
+     "2 cases on 1 thread")]
 
 
 @pytest.mark.parametrize("subcommand, text, what", CLOSING_LINES,
@@ -472,6 +472,69 @@ def test_cli_sweep_line_names_the_threads_it_ran_on(tmp_path, capsys,
                      "--out", str(tmp_path / threads[0])]) == 0
         assert re.fullmatch(rf"qudit-experiment: 2 cells on {threads} in "
                             r"\d+\.\d\d s\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("size, threads", [
+    # 7 runs x 4 frames x 16 384 pixels = 458 752 frame values
+    pytest.param(128, {1: "1 thread", 2: "2 threads", 3: "3 threads"},
+                 id="default-lens"),
+    # 7 x 4 x 1 024 = 28 672: inline at every --jobs
+    pytest.param(32, {1: "1 thread", 2: "1 thread", 3: "1 thread"},
+                 id="32x32-lens")])
+def test_cli_continuous_line_names_its_threads_and_outputs_do_not_depend_on_them(
+        tmp_path, capsys, size, threads):
+    cfg = write_cfg(tmp_path, f"[scene]\ntype = lens\ngrid_width = {size}\n"
+                              f"grid_height = {size}\n")
+    capsys.readouterr()
+    outs = []
+    for jobs, on in threads.items():
+        for quiet in ([], ["--quiet"]):
+            out = tmp_path / f"{jobs}{''.join(quiet)}"
+            assert main(["continuous-experiment", "--config", cfg, "--seed", "11",
+                         "--jobs", str(jobs), "--out", str(out), *quiet]) == 0
+            err = capsys.readouterr().err
+            if quiet:
+                assert err == ""
+            else:
+                assert re.fullmatch(rf"continuous-experiment: 6 cases on {on} "
+                                    r"in \d+\.\d\d s\n", err)
+            outs.append(all_output_bytes(out))
+    assert len(outs[0]) == 1 + 6 * 2 + 2
+    assert all(out == outs[0] for out in outs)
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_cli_continuous_run_past_the_poisson_limit_fails_alike_at_any_jobs(
+        tmp_path, capsys, run_threads, jobs):
+    # with this reference only the reference run (500 phot/px) is past the
+    # Poisson limit; every run is given its own thread where --jobs allows
+    cfg = write_cfg(tmp_path, "[scene]\ntype = lens\ngrid_width = 16\n"
+                              "grid_height = 16\n[psi]\nreference_re = 1e8\n")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["continuous-experiment", "--config", cfg, "--jobs", jobs,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: Poisson rates must be in [0, 9.22337e+18]\n")
+    assert not out.exists()
+    assert (len(set(run_threads)) > 1) == (jobs == "3")
+
+
+def test_cli_sweep_builds_its_block_list_once(tmp_path, monkeypatch):
+    blocks = experiments.SweepGrid.__dict__["_blocks"]
+    build, builds = blocks.func, []
+
+    def counting(grid):
+        builds.append(grid)
+        return build(grid)
+
+    monkeypatch.setattr(blocks, "func", counting)
+    cfg = write_cfg(tmp_path, MINIMAL + SMALL_SWEEP)
+    for subcommand in ("sweep-map", "qudit-experiment"):
+        builds.clear()
+        assert main([subcommand, "--config", cfg, "--jobs", "2",
+                     "--out", str(tmp_path / subcommand)]) == 0
+        assert len(builds) == 1
 
 
 @pytest.mark.parametrize("subcommand, text", [
@@ -693,6 +756,48 @@ def test_cli_bad_map_header_is_an_error(tmp_path, capsys):
                "--quiet"])
     assert rc == 1
     assert_one_line_error(capsys, str(path))
+
+
+NON_FINITE = [pytest.param(value, id=name) for name, value in
+              (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf))]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_cli_frame_with_a_non_finite_value_is_an_error(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"),
+                 "--quiet"]) == 0
+    frame = tmp_path / "sim" / "frames" / "frame_1.ammap"
+    raw = frame.read_bytes()
+    header = raw[:raw.index(b"\n") + 1]
+    frame.write_bytes(header + np.full((len(raw) - len(header)) // 4, value,
+                                       dtype="<f4").tobytes())
+    capsys.readouterr()
+    rec = tmp_path / "rec"
+    assert main(["reconstruct", str(tmp_path / "sim" / "frames" / "manifest.txt"),
+                 "--out", str(rec)]) == 1
+    assert_one_line_error(capsys, f"error: {frame}: ", "NaN or infinite")
+    assert not rec.exists()
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("which", ["phase", "amplitude"])
+def test_cli_scene_map_with_a_non_finite_value_is_an_error(tmp_path, capsys,
+                                                          which, value):
+    maps = {"phase": np.zeros((8, 8)), "amplitude": np.ones((8, 8))}
+    maps[which][3, 5] = value
+    phase, amplitude = tmp_path / "p.phmap", tmp_path / "a.ammap"
+    pio.write_phase_map(phase, maps["phase"])
+    pio.write_amplitude_map(amplitude, maps["amplitude"])
+    cfg = write_cfg(tmp_path, f"[scene]\ntype = phmap\nphase_map = {phase}\n"
+                              f"amplitude_map = {amplitude}\n")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    bad = phase if which == "phase" else amplitude
+    assert_one_line_error(capsys, f"error: {bad}: 1 of 64 values")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lines, key", [

@@ -9,10 +9,11 @@ import pytest
 from pdisim import (BinningPolicy, CellResult, DomainError, FidelityStats,
                     LensScene, PsiConfig, QuditScene, SamplingError,
                     SweepGrid, c0_analytic, circ_std, continuous_experiment,
-                    extract_phase, extract_state, fidelity, fidelity_sweep,
-                    phase_error_stats, rng_stream, sample_noise,
-                    simulate_interferograms, sweep_threads, wrap)
+                    continuous_threads, extract_phase, extract_state,
+                    fidelity, fidelity_sweep, phase_error_stats, rng_stream,
+                    sample_noise, simulate_interferograms, sweep_threads, wrap)
 from pdisim import experiments
+from pdisim.field import GridSpec
 from pdisim.forward import frame_rates
 from pdisim.model import SkellamTable
 from pdisim.qudit import sample_fidelity
@@ -383,14 +384,14 @@ MAP_PREVIEW = SweepGrid(
 ])
 def test_sweep_threads_follow_the_reads_up_to_jobs_and_blocks(grid, blocks,
                                                               threads):
-    assert len(experiments._blocks(grid)) == blocks
+    assert len(grid._blocks) == blocks
     assert {jobs: sweep_threads(SCENE, grid, jobs) for jobs in threads} == threads
     assert sweep_threads(SCENE, grid, 1) == 1
 
 
 def test_sweep_runs_its_blocks_inline_on_one_thread(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was created")
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a worker thread was created")
 
     callers = []
     run_block = experiments._run_block
@@ -399,8 +400,7 @@ def test_sweep_runs_its_blocks_inline_on_one_thread(monkeypatch):
         callers.append(threading.get_ident())
         return run_block(*args, **kwargs)
 
-    monkeypatch.setattr(experiments.concurrent.futures, "ThreadPoolExecutor",
-                        no_pool)
+    monkeypatch.setattr(experiments.threading, "Thread", no_thread)
     monkeypatch.setattr(experiments, "_run_block", recording)
     assert len(fidelity_sweep(SCENE, MAP_PREVIEW, seed=1, jobs=2)) == 400
     assert set(callers) == {threading.get_ident()} and len(callers) == 40
@@ -526,6 +526,106 @@ def test_continuous_case_layout():
 def test_continuous_requires_high_reference():
     with pytest.raises(DomainError):
         continuous_experiment(LensScene(), (4.0,), reference_illumination=1.0)
+
+
+SMALL_LENS = LensScene(grid=GridSpec(32, 32))
+
+
+def continuous_outputs(ref, cases):
+    """Every number of a continuous study, comparable with ==."""
+    return ref.tobytes(), [(c.illumination, c.sigma, c.phase_map.tobytes(),
+                            c.stats.counts.tolist(), c.stats.circ_std,
+                            c.stats.n_pixels) for c in cases]
+
+
+@pytest.mark.parametrize("quantize", [False, True])
+def test_continuous_results_do_not_depend_on_jobs(run_threads, quantize):
+    outputs = {}
+    for jobs in (1, 2, 3):
+        run_threads.clear()
+        outputs[jobs] = continuous_outputs(*continuous_experiment(
+            SMALL_LENS, (1.7, 3.0), sigmas=(3.0, 0.2), seed=11,
+            quantize=quantize, jobs=jobs))
+        assert len(run_threads) == 5
+        assert (len(set(run_threads)) > 1) == (jobs > 1)
+    assert outputs[1] == outputs[2] == outputs[3]
+
+
+def test_continuous_threads_under_fast_switching_match_serial(run_threads):
+    # 7 runs on 7 threads, with the interpreter switching threads as often
+    # as it can: runs must not interfere through shared state
+    serial = continuous_outputs(*continuous_experiment(
+        SMALL_LENS, (1.7, 3.0, 11.3), seed=5))
+    run_threads.clear()
+    threaded = []
+    study = threading.Thread(target=lambda: threaded.append(continuous_outputs(
+        *continuous_experiment(SMALL_LENS, (1.7, 3.0, 11.3), seed=5, jobs=8))),
+        daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        study.start()
+        study.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not study.is_alive()
+    assert threaded == [serial]
+    assert len(set(run_threads)) > 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_continuous_raises_the_first_failing_runs_error(monkeypatch, jobs):
+    # runs 2 and 4 fail, run 4 first: the error raised is run 2's, and no
+    # run after the failures starts
+    monkeypatch.setattr(experiments, "READS_PER_THREAD", 1)
+    started = []
+
+    def run(stream, *args, **kwargs):
+        started.append(stream)
+        time.sleep({2: 0.2, 4: 0.0}.get(stream, 0.05))
+        if stream in (2, 4):
+            raise DomainError(f"run {stream}")
+        return np.zeros(SMALL_LENS.grid.shape)
+
+    monkeypatch.setattr(experiments, "_continuous_run", run)
+    with pytest.raises(DomainError, match=r"^run 2$"):
+        continuous_experiment(SMALL_LENS, (1.0, 2.0, 3.0), sigmas=(0.2, 0.5),
+                              jobs=jobs)
+    assert 6 not in started and len(started) <= 3 + jobs
+
+
+def test_continuous_runs_inline_on_one_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a worker thread was created")
+
+    monkeypatch.setattr(experiments.threading, "Thread", no_thread)
+    _, cases = continuous_experiment(SMALL_LENS, (1.7, 3.0, 11.3), jobs=2)
+    assert len(cases) == 6
+
+
+@pytest.mark.parametrize("scene, threads", [
+    # 7 runs x 4 frames x 16 384 pixels = 458 752 frame values
+    pytest.param(LensScene(), {1: 1, 2: 2, 3: 3, 64: 3}, id="default-lens"),
+    # 7 x 4 x 1 024 = 28 672
+    pytest.param(SMALL_LENS, {1: 1, 2: 1, 64: 1}, id="32x32-lens"),
+    # 7 x 4 x 1 048 576: at most one thread per run
+    pytest.param(LensScene(grid=GridSpec(1024, 1024)), {2: 2, 64: 7},
+                 id="1024x1024-lens")])
+def test_continuous_threads_follow_the_frame_values_up_to_jobs_and_runs(
+        scene, threads):
+    assert {jobs: continuous_threads(scene, (1.7, 3.0, 11.3), (3.0, 0.2), jobs)
+            for jobs in threads} == threads
+    # N = 3 steps: 7 x 3 x 16 384 = 344 064 frame values
+    assert continuous_threads(LensScene(), (1.7, 3.0, 11.3), (3.0, 0.2), 8,
+                              psi=PsiConfig(n_steps=3)) == 2
+
+
+def test_continuous_rejects_fewer_than_one_job():
+    for jobs in (0, -3):
+        with pytest.raises(DomainError):
+            continuous_experiment(SMALL_LENS, (3.0,), jobs=jobs)
+        with pytest.raises(DomainError):
+            continuous_threads(SMALL_LENS, (3.0,), (0.2,), jobs)
 
 
 def test_binning_improves_fidelity_low_flux():

@@ -3,7 +3,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from pdisim import PsiConfig, QuditScene, ShapeError, simulate_interferograms
+from pdisim import (DomainError, PsiConfig, QuditScene, ShapeError,
+                    simulate_interferograms)
 from pdisim import io as pio
 
 
@@ -37,6 +38,18 @@ def test_map_truncation_detected(tmp_path):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(ShapeError):
         pio.read_map(path, "PHMAP")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_map_with_a_non_finite_value_is_rejected(tmp_path, value):
+    path = tmp_path / "m.ammap"
+    data = np.ones((3, 4))
+    data[2, 1] = value
+    pio.write_amplitude_map(path, data)
+    with pytest.raises(DomainError, match=r"^.*m\.ammap: 1 of 12 values are "
+                                          r"NaN or infinite$"):
+        pio.read_map(path, "AMMAP")
 
 
 def test_interferogram_set_roundtrip(tmp_path):
