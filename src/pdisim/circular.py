@@ -26,6 +26,16 @@ def circ_mean(angles, axis=None):
     return np.angle(phasors.sum(axis=axis))
 
 
+def unit(z):
+    """z / |z| of the complex array z, in place; 1 where z = 0 (angle 0)."""
+    norm = np.abs(z)
+    zero = norm == 0
+    z[zero] = norm[zero] = 1.0
+    z.real /= norm
+    z.imag /= norm
+    return z
+
+
 def resultant_length(angles, axis=None):
     """Mean resultant length R-bar in [0, 1]; clipped, since the rounded
     mean of equal unit phasors can exceed 1 by an ulp."""

@@ -12,30 +12,19 @@ pixels are read changes no number. The phase needs only the harmonic sums
 n_1 - n_3 are Skellam variates, so a cell draws each from an exact
 inverse-CDF table of its slit (model.SkellamTable), one uniform apiece, and
 adds one normal of sd sigma sqrt(2) for the readout noise of two frames.
-Before any block runs, a sweep prepares each distinct illumination once:
-the frames of its slits, their checks, C0, mu and its table. A sweep draws
-the N frames of each read pixel instead (Poisson, then normal), whenever
-its input has one of these properties:
+It draws the N frames of each read pixel instead (Poisson, then normal),
+and takes their harmonic sums, at N != 4, with quantize (rounded frames
+make C and S no sum of counts and one normal), at frame rates above
+_TABLE_MAX_RATE (a large table), or below _TABLE_MIN_DRAWS pixel draws per
+illumination (too few to repay a table). Either way each read pixel is
+scored as the unit phasor of its phase (reconstruct.unit_phasors), with no
+arctan2, and each state by the direction of its slits' phasor sums
+(qudit.sample_fidelity).
 
-- N != 4 phase steps;
-- quantize: each frame is rounded to whole electrons, so C and S are no
-  sum of counts and one normal;
-- an illumination whose frame rates exceed _TABLE_MAX_RATE, whose table
-  would be large;
-- fewer than _TABLE_MIN_DRAWS pixel draws per illumination (repetitions x
-  sigmas x d x the sum of n_bins), too few to repay building the table.
-
-The sweep's tasks are blocks of cells that share an illumination and n_bin;
-a block batches the cells' arithmetic and statistics, not their streams, so
-results are bit-identical for a fixed seed regardless of blocking, thread
-count or scheduling order. numpy's draws release the GIL, but each block
-also runs Python that holds it, so a sweep runs on a second thread only
-when it reads enough pixels to repay it (sweep_threads), and on one thread
-it runs its blocks inline, in order. A sweep returns every cell or raises
-the error of its first failing block, in submission order: what could fail
-(the Poisson range of an illumination's frames, n_bin against the pixels
-per slit) is checked while the illuminations are prepared, so such an error
-is raised before any block runs, and the grid has checked every sigma.
+The sweep's tasks are blocks of cells that share an illumination and n_bin
+(see fidelity_sweep). A block batches its cells' table draw, arithmetic and
+statistics, not their streams, so results are bit-identical for a fixed
+seed regardless of blocking, thread count or scheduling order.
 
 The continuous study's runs (the reference, then each illumination and
 sigma) each draw from their own stream (seed, run index), so they too run
@@ -56,32 +45,28 @@ from .field import (ComplexField, GridSpec, QuditState, SlitLayout,
 from .forward import PsiConfig, frame_rates, simulate_interferograms
 from .model import SkellamTable
 from .qudit import FidelityStats, sample_fidelity
-from .reconstruct import c0_analytic, extract_phase, unwrapped_phase
+from .reconstruct import c0_analytic, extract_phase, harmonic_sums, unit_phasors
 from .sensor import check_poisson_rates, rng_stream, readout_sigmas, sample_noise
 
-#: Fixed vectorization chunk (repetitions per draw from a cell's stream).
-#: Part of the determinism contract: results must not depend on worker
-#: count, so the chunking must not either. On the default grid (2 cores),
-#: chunks of 128 to 2048 ran within about 10 % of each other when every
-#: cell drew its frames. A chunk at n_bin 8 holds 256 x 2 x 6 x 8 uniforms
-#: and as many normals (0.2 MB each) on the table path, or 256 x 4 x 6 x 8
-#: frame values (0.4 MB) on the per-frame path. It also bounds a block's
-#: rows: a block stacks at most max(1, _CHUNK // repetitions) cells, so its
-#: chunk is never larger than one cell's.
+#: Fixed vectorization chunk (repetitions per draw from a cell's stream):
+#: part of the determinism contract, so it must not depend on worker count.
+#: Chunks of 128 to 2048 ran within about 10 % of each other on the default
+#: grid (2 cores) when every cell drew its frames. A block stacks at most
+#: max(1, _CHUNK // repetitions) cells, so its chunk (at n_bin 8 on the
+#: table path, 256 x 2 x 6 x 8 uniforms, 0.2 MB) is no larger than a cell's.
 _CHUNK = 256
 
 #: Largest frame rate (photons) of an illumination drawn from a Skellam
 #: table. A table's rows grow as the square root of the rates: on the
-#: default 6-slit scene (2 cores) it held 85 KB and built in 0.5-0.6 ms at
-#: 11.3 phot/px (largest rate 89), and 0.35 MB in 1.2-1.3 ms at this cap.
+#: default 6-slit scene (2 cores) it holds 120 KB and builds in 0.4-0.7 ms
+#: at 11.3 phot/px (largest rate 89), and 0.5 MB in about 2 ms at this cap.
 _TABLE_MAX_RATE = 1024.0
 
 #: Fewest pixel draws (repetitions x sigmas x d x sum of n_bins) of an
-#: illumination for which its table is built. Measured on 256-repetition
-#: chunks, a table draw of (C, S) saved 130-350 ns per read pixel against
-#: 4 Poisson and 4 normal frame values, so 16384 draws repay even a build at
-#: the rate cap; the default grid at 128 repetitions makes 46080, the
-#: 16-repetition map preview (n_bin 1) 1920.
+#: illumination for which its table is built. On 256-repetition chunks a
+#: table draw of (C, S) saved 130-350 ns per read pixel against 4 Poisson
+#: and 4 normal frame values, which repays even a build at the rate cap; the
+#: default grid at 128 repetitions makes 46080, the map preview (n_bin 1) 1920.
 _TABLE_MIN_DRAWS = 16384
 
 #: Work per thread: pixel reads (repetitions x sigmas x illuminations x d x
@@ -251,26 +236,27 @@ class ContinuousCase:
     phase_map: np.ndarray
 
 
-def _skellam_sums(table, shape, sigma, rng):
-    """One cell's (C, S) of its read pixels, shaped (m, 2, d, n_bin), at
-    N = 4: the counts n_0 - n_2 and n_1 - n_3 drawn from `table` by
-    uniforms, then, if sigma > 0, the readout noise e_0 - e_2 and e_1 - e_3,
+def _skellam_sums(table, shape, sigmas, rngs):
+    """The harmonic sums C, S, each (cells, m, d, n_bin), of the read pixels
+    of a block's cells at N = 4, shape being (m, 2, d, n_bin): the uniforms
+    of each cell from its stream, drawn through `table` at once, then, where
+    sigma > 0, its readout noise e_0 - e_2 and e_1 - e_3 from its stream,
     normal with sd sigma sqrt(2)."""
-    sums = table.draw(rng.random(shape))
-    if sigma > 0:
-        sums += rng.normal(0.0, sigma * np.sqrt(2.0), size=shape)
-    return sums
+    sums = table.draw(np.stack([rng.random(shape) for rng in rngs]))
+    for sigma, rng, cell in zip(sigmas, rngs, sums):
+        if sigma > 0:
+            cell += rng.normal(0.0, sigma * np.sqrt(2.0), size=shape)
+    return sums[:, :, 0], sums[:, :, 1]
 
 
 def _prepare(scene: QuditScene, grid: SweepGrid, psi: PsiConfig,
              quantize: bool) -> dict:
-    """Each distinct illumination of a sweep, prepared in grid order before
-    any block runs, keyed by illumination: a tuple of its slits' noiseless
-    frames `rates` (N, d, 1), C0, mu and Skellam table (None where its cells
-    draw frames). After an illumination's frames it checks them against
-    numpy's Poisson range, then every n_bin against the pixels per slit (the
-    pixels are read without replacement), and so raises the error of the
-    first block that would fail."""
+    """Each distinct illumination of a sweep, keyed by illumination, as
+    (rates, C0, mu, table): its slits' noiseless frames (N, d, 1), and its
+    Skellam table or None where its cells draw frames. Prepared in grid
+    order before any block runs, each checks its frames against numpy's
+    Poisson range, then every n_bin against the pixels per slit (read
+    without replacement), so it raises the first failing block's error."""
     slits = scene.slit_values()
     reference = psi.reference_for(scene.field())
     draws = _illumination_reads(scene, grid)
@@ -302,14 +288,11 @@ def _run_block(indices, sigmas, lit, n_bin, *, seed, target, repetitions,
     sigma in `sigmas`, at `n_bin` and the prepared illumination `lit`
     (rates, C0, mu, table; see _prepare): one FidelityStats per cell.
 
-    Every pixel of a slit has the slit's rates, so the n_bin distinct pixels
-    a state reads have i.i.d. readings whichever they are. Per chunk of
-    repetitions each cell draws, from its own stream, so that it gets the
-    numbers it would get alone: with a table, the (C, S) of its read pixels
-    (_skellam_sums), and arctan2(S, C - C0) + mu is their phase; without,
-    the noisy frames (m, N, d, n_bin) of its read pixels (sample_noise:
-    Poisson, then normal), inverted by unwrapped_phase. The phase, the
-    scoring and the statistics run once over the stacked cells.
+    Per chunk of repetitions each cell draws from its own stream what it
+    would draw alone: with a table, the (C, S) of its read pixels
+    (_skellam_sums, one table draw for the block); without, their noisy
+    frames (sample_noise), whose harmonic_sums give (C, S). unit_phasors and
+    sample_fidelity score them, and the statistics run, over all the cells.
     """
     rates, c0, mu, table = lit
     rngs = [rng_stream(seed, index) for index in indices]
@@ -318,15 +301,14 @@ def _run_block(indices, sigmas, lit, n_bin, *, seed, target, repetitions,
         m = min(_CHUNK, repetitions - start)
         if table is None:
             read = np.broadcast_to(rates, (m,) + rates.shape[:-1] + (n_bin,))
-            noisy = np.stack([sample_noise(read, sigma, rng, quantize=quantize)
-                              for sigma, rng in zip(sigmas, rngs)])
-            phase = unwrapped_phase(noisy, c0, mu)
+            c, s = harmonic_sums(np.stack([
+                sample_noise(read, sigma, rng, quantize=quantize)
+                for sigma, rng in zip(sigmas, rngs)]))
         else:
-            shape = (m, 2) + rates.shape[1:-1] + (n_bin,)
-            sums = np.stack([_skellam_sums(table, shape, sigma, rng)
-                             for sigma, rng in zip(sigmas, rngs)])
-            phase = np.arctan2(sums[:, :, 1], sums[:, :, 0] - c0) + mu
-        fids[:, start:start + m] = sample_fidelity(target, phase)
+            c, s = _skellam_sums(table, (m, 2) + rates.shape[1:-1] + (n_bin,),
+                                 sigmas, rngs)
+        fids[:, start:start + m] = sample_fidelity(
+            target, unit_phasors(c, s, c0, mu))
     return FidelityStats.per_row(fids)
 
 
@@ -402,18 +384,15 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
     `grid.cells()`.
 
     Each task is a block of cells that share the illumination and n_bin and
-    differ in sigma, at most as many as fill one chunk of repetitions; every
-    cell keeps its own stream, so the blocking never changes a result.
-    Before any block runs, the sweep prepares each distinct illumination
-    once, in the calling thread (_prepare): its frames, their checks, C0, mu
-    and its Skellam table. A failing check raises there, with the error of
-    the first block that would fail, whatever `jobs` is. `jobs` bounds the
-    threads: the sweep runs on sweep_threads(scene, grid, jobs) of them, and
-    on one it runs its blocks in order in the calling thread. numpy's draws
-    release the GIL, but a block's Python work holds it, so a second thread
-    pays only for sweeps of many pixel reads. An exception in a block, or an
-    interrupt, stops the blocks not yet started and propagates: the error
-    raised is the first failing block's in submission order.
+    differ in sigma, at most as many as fill one chunk of repetitions. Each
+    distinct illumination is prepared once before any block runs, in the
+    calling thread (_prepare), so a failing check raises the first failing
+    block's error whatever `jobs` is. The blocks run on sweep_threads(scene,
+    grid, jobs) threads, in order in the calling thread when that is one:
+    numpy's draws release the GIL, but a block's Python work holds it. An
+    exception in a block, or an interrupt, stops the blocks not yet started
+    and propagates: the error raised is the first failing block's in
+    submission order.
     """
     threads = sweep_threads(scene, grid, jobs)
     prepared = _prepare(scene, grid, psi, quantize)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import circ_mean
+from .circular import circ_mean, unit
 from .errors import DomainError, SamplingError, ShapeError
 from .field import GridSpec, QuditState, SlitLayout
 from .reconstruct import ReconstructionResult
@@ -86,16 +86,16 @@ def _slit_phases(result: ReconstructionResult, layout: SlitLayout):
     return result.phase[layout.slit_pixels(GridSpec(width=width, height=height))]
 
 
-def sample_fidelity(target: QuditState, phase_samples: np.ndarray) -> np.ndarray:
-    """|<target|state>| for the states read from samples (..., d, n_bin):
-    slit k's phase is the circular mean of its samples; amplitudes are
-    uniform."""
-    d = phase_samples.shape[-2]
+def sample_fidelity(target: QuditState, phasors: np.ndarray) -> np.ndarray:
+    """|<target|state>| for the states read from the unit phasors (..., d,
+    n_bin) of read pixels (reconstruct.unit_phasors): slit k's phasor is the
+    direction of its pixels' sum, e^{i x} of their circular mean x, and 1
+    where they sum to exactly 0 (angle(0) = 0); amplitudes are uniform."""
+    d = phasors.shape[-2]
     if target.dim != d:
         raise ShapeError(f"dimension mismatch: {target.dim} vs {d}")
-    phasors = np.exp(1j * circ_mean(phase_samples, axis=-1))
     weights = np.conj(target.coeffs) / np.sqrt(d)
-    return np.abs((weights * phasors).sum(axis=-1))
+    return np.abs((weights * unit(phasors.sum(axis=-1))).sum(axis=-1))
 
 
 def extract_state(result: ReconstructionResult, layout: SlitLayout,
@@ -130,8 +130,8 @@ def bootstrap_fidelity(result: ReconstructionResult, target: QuditState,
                                      layout.pixels_per_slit,
                                      n_states * policy.n_bin)
     # state j of a run takes positions [j * n_bin, (j + 1) * n_bin) of each slit
-    phases = (np.take_along_axis(_slit_phases(result, layout)[None], positions,
-                                 axis=-1)
-              .reshape(n_runs, layout.d, n_states, policy.n_bin).swapaxes(1, 2))
-    run_means = sample_fidelity(target, phases).mean(axis=-1)
+    phasors = (np.take_along_axis(np.exp(1j * _slit_phases(result, layout))[None],
+                                  positions, axis=-1)
+               .reshape(n_runs, layout.d, n_states, policy.n_bin).swapaxes(1, 2))
+    run_means = sample_fidelity(target, phasors).mean(axis=-1)
     return FidelityStats.from_runs(run_means)

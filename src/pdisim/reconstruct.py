@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import wrap
+from .circular import unit, wrap
 from .errors import DomainError, EstimationError, ShapeError
 from .forward import InterferogramSet, step_phases
 
@@ -64,6 +64,16 @@ def unwrapped_phase(frames: np.ndarray, c0: float, mu: float) -> np.ndarray:
     wrapped); `frames` is shaped as for `harmonic_sums`."""
     c, s = harmonic_sums(frames)
     return np.arctan2(s, c - c0) + mu
+
+
+def unit_phasors(c: np.ndarray, s: np.ndarray, c0: float,
+                 mu: float) -> np.ndarray:
+    """e^{i mu} (C - c0 + iS) / |C - c0 + iS| per pixel of the harmonic sums
+    C, S: the unit phasor of unwrapped_phase's phase, with no arctan2, and
+    e^{i mu} where C - c0 = S = 0 (the arctan2(0, 0) = 0 convention)."""
+    phasors = np.empty(np.shape(c), dtype=complex)
+    phasors.real, phasors.imag = c - c0, s
+    return np.multiply(unit(phasors), np.exp(1j * mu), out=phasors)
 
 
 def c0_analytic(reference: complex, n_steps: int) -> float:

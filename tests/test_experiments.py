@@ -17,7 +17,7 @@ from pdisim.field import GridSpec
 from pdisim.forward import frame_rates
 from pdisim.model import SkellamTable
 from pdisim.qudit import sample_fidelity
-from pdisim.reconstruct import unwrapped_phase
+from pdisim.reconstruct import harmonic_sums, unit_phasors
 from pdisim.sensor import MAX_POISSON_RATE
 
 SCENE = QuditScene()
@@ -146,7 +146,8 @@ def _per_cell_sweep(grid, seed, table, psi=PsiConfig()):
     _CHUNK repetitions, reading n_bin pixels of each uniform slit off the
     slit's rates: what the blocked sweep must reproduce exactly. With
     `table`, each cell draws its (C, S) from a Skellam table of its rates,
-    then normals of sd sigma sqrt(2); otherwise it draws the N frames."""
+    then normals of sd sigma sqrt(2); otherwise it draws the N frames, and
+    takes their harmonic sums. Each read pixel is scored as a unit phasor."""
     fld = SCENE.field()
     # the first pixel of each slit, taken from the full field
     slit_values = fld.values[SCENE.layout.slit_pixels(SCENE.grid)][:, :1]
@@ -164,12 +165,13 @@ def _per_cell_sweep(grid, seed, table, psi=PsiConfig()):
                 sums = SkellamTable(rates[:, :, 0]).draw(rng.random(shape))
                 if sigma > 0:
                     sums += rng.normal(0.0, sigma * np.sqrt(2.0), size=shape)
-                phase = np.arctan2(sums[:, 1], sums[:, 0] - c0) + mu
+                c, s = sums[:, 0], sums[:, 1]
             else:
                 noisy = sample_noise(np.repeat(rates[None], m, axis=0)
                                      .repeat(n_bin, axis=-1), sigma, rng)
-                phase = unwrapped_phase(noisy, c0, mu)
-            fids[start:start + m] = sample_fidelity(SCENE.state, phase)
+                c, s = harmonic_sums(noisy)
+            fids[start:start + m] = sample_fidelity(
+                SCENE.state, unit_phasors(c, s, c0, mu))
         std = float(fids.std(ddof=1)) if fids.size > 1 else 0.0
         results.append(CellResult(illum, sigma, n_bin, FidelityStats(
             float(fids.mean()), std, std / float(np.sqrt(fids.size)),
@@ -203,46 +205,57 @@ def test_sweep_blocks_equal_the_per_cell_sweep(illums, sigmas, n_bins, reps,
 
 
 def test_sweep_block_rows_stay_within_one_chunk(monkeypatch):
-    rows, tabled = [], []
-    skellam_sums = experiments._skellam_sums
+    rows, tabled, draws = [], [], []
+    skellam_sums, draw = experiments._skellam_sums, SkellamTable.draw
 
-    def scoring(target, phase):
-        rows.append(phase.shape[:2])
-        return sample_fidelity(target, phase)
+    def scoring(target, phasors):
+        rows.append(phasors.shape[:2])
+        return sample_fidelity(target, phasors)
 
-    def table_sums(table, shape, *args):
-        tabled.append(shape[0])
-        return skellam_sums(table, shape, *args)
+    def table_sums(table, shape, sigmas, rngs):
+        tabled.append((len(rngs), shape[0]))
+        return skellam_sums(table, shape, sigmas, rngs)
+
+    def table_draw(table, u):
+        draws.append(u.shape[:2])
+        return draw(table, u)
 
     monkeypatch.setattr(experiments, "sample_fidelity", scoring)
     monkeypatch.setattr(experiments, "_skellam_sums", table_sums)
-    for reps in (16, 100, 300):
-        grid = SweepGrid(illuminations=(3.0,), sigmas=SIGMAS_20, n_bins=(1,),
-                         repetitions=reps)
+    monkeypatch.setattr(SkellamTable, "draw", table_draw)
+    for reps, n_bin in ((16, 1), (100, 1), (300, 1), (128, 2)):
+        grid = SweepGrid(illuminations=(3.0,), sigmas=SIGMAS_20,
+                         n_bins=(n_bin,), repetitions=reps)
         fidelity_sweep(SCENE, grid, seed=1)
     # 20 cells split evenly into blocks of at most 256 // 16 = 16, then of
-    # 256 // 100 = 2; at 300 repetitions each cell is its own block, and only
-    # there (36 000 pixel draws) are its (C, S) drawn from the tables
+    # 256 // 100 = 2; at 300 repetitions each cell is its own block, and
+    # there (36 000 pixel draws) its (C, S) come from the table; at 128
+    # repetitions and n_bin 2 (30 720 draws) a block of 2 cells draws the
+    # (C, S) of both in one table draw per chunk
     assert rows == ([(10, 16)] * 2 + [(2, 100)] * 10
-                    + [(1, 256), (1, 44)] * 20)
-    assert tabled == [256, 44] * 20
+                    + [(1, 256), (1, 44)] * 20 + [(2, 128)] * 10)
+    assert tabled == draws == [(1, 256), (1, 44)] * 20 + [(2, 128)] * 10
 
 
 def test_skellam_sums_have_the_moments_of_the_frame_sums():
     # C = I_0 - I_2 and S = I_1 - I_3 of noisy frames: mean rate difference,
-    # variance rate sum + 2 sigma^2
-    sigma, n = 1.5, 40000
+    # variance rate sum + 2 sigma^2, for each cell of a block
+    sigmas, n = (1.5, 0.0), 40000
     slit_values = SCENE.slit_values()
     rates = frame_rates(slit_values, np.mean(SCENE.field().values), 4, 3.0,
                         slit_values)[0][..., 0]
-    sums = experiments._skellam_sums(SkellamTable(rates), (n, 2, 6, 1), sigma,
-                                     rng_stream(8))[..., 0]
-    for half, (a, b) in enumerate(((0, 2), (1, 3))):
-        var = rates[a] + rates[b] + 2 * sigma ** 2
-        mean_se, var_se = np.sqrt(var / n), var * np.sqrt(2 / (n - 1))
-        assert np.all(abs(sums[:, half].mean(axis=0) - (rates[a] - rates[b]))
-                      < 4 * mean_se)
-        assert np.all(abs(sums[:, half].var(axis=0, ddof=1) - var) < 4 * var_se)
+    block = experiments._skellam_sums(SkellamTable(rates), (n, 2, 6, 1),
+                                      sigmas, [rng_stream(8), rng_stream(9)])
+    for (a, b), sums in zip(((0, 2), (1, 3)), block):
+        assert sums.shape == (2, n, 6, 1)
+        for sigma, cell in zip(sigmas, sums[..., 0]):
+            var = rates[a] + rates[b] + 2 * sigma ** 2
+            mean_se, var_se = np.sqrt(var / n), var * np.sqrt(2 / (n - 1))
+            assert np.all(abs(cell.mean(axis=0) - (rates[a] - rates[b]))
+                          < 4 * mean_se)
+            assert np.all(abs(cell.var(axis=0, ddof=1) - var) < 4 * var_se)
+        # at sigma 0 the sums are the table's integer counts
+        assert np.array_equal(sums[1], np.round(sums[1]))
 
 
 @pytest.fixture

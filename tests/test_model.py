@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from pdisim import QuditScene, ShapeError, rng_stream
+from pdisim.experiments import _TABLE_MAX_RATE
 from pdisim.forward import frame_rates
-from pdisim.model import SkellamTable, poisson_pmf, skellam_pmf
+from pdisim.model import SkellamTable, poisson_pmfs, skellam_pmfs
 
 
 def default_rates(illumination):
@@ -63,7 +64,7 @@ def test_table_rows_have_the_skellam_mass_mean_and_variance(name):
     longest = np.diff(table.starts).max()
     assert table.m & (table.m - 1) == 0 and table.m > longest
     for row, _, _, rate_a, rate_b in row_pairs(rates):
-        _, pmf = skellam_pmf(rate_a, rate_b)
+        _, (pmf,) = skellam_pmfs([rate_a], [rate_b])
         assert abs(pmf.sum() - 1.0) <= 1e-13
         cdf = table.cdf[table.starts[row]:table.starts[row + 1]]
         values = table.values[table.starts[row]:table.starts[row + 1]]
@@ -82,7 +83,7 @@ def exact_poisson(count, rate):
 @pytest.mark.parametrize("rate", [1e-9, 1e-3, 0.3, 1.0, 2.5, 7.0, 41.0, 89.2,
                                   500.0, 1024.0])
 def test_poisson_window_loses_at_most_1e_14(rate):
-    lo, pmf = poisson_pmf(rate)
+    (lo,), (pmf,) = poisson_pmfs([rate])
     hi = lo + len(pmf) - 1
     assert 0 <= lo <= rate <= hi and pmf.sum() == pytest.approx(1.0, abs=1e-15)
     lost = (sum(exact_poisson(k, rate) for k in range(max(0, lo - 3000), lo))
@@ -93,7 +94,7 @@ def test_poisson_window_loses_at_most_1e_14(rate):
 
 
 def test_poisson_pmf_of_rate_zero_is_a_point_mass():
-    lo, pmf = poisson_pmf(0.0)
+    (lo,), (pmf,) = poisson_pmfs([0.0])
     assert lo == 0 and pmf.tolist() == [1.0]
 
 
@@ -101,3 +102,59 @@ def test_table_rejects_rates_of_another_shape():
     for shape in ((3, 6), (4,), (4, 6, 1)):
         with pytest.raises(ShapeError):
             SkellamTable(np.ones(shape))
+
+
+def per_row_poisson_pmf(rate):
+    """The windowed Poisson law of one rate, built on its own: from the
+    mode outward by the ratios lambda / k, summed as logs."""
+    if rate == 0.0:
+        return 0, np.ones(1)
+    half = 12.0 * math.sqrt(rate)
+    lo, hi = max(0, math.ceil(rate - half)), math.floor(rate + half) + 5
+    mode = math.floor(rate)
+    up = np.cumsum(np.log(rate / np.arange(mode + 1, hi + 1)))
+    down = np.cumsum(np.log(np.arange(mode, lo, -1) / rate))
+    pmf = np.exp(np.concatenate((down[::-1], [0.0], up)))
+    return lo, pmf / pmf.sum()
+
+
+def per_row_table(rates):
+    """(cdf, values, guide, starts, m) of a Skellam table built one row at
+    a time: each row's Skellam pmf from two per_row_poisson_pmf, its capped
+    CDF, and its guide by searchsorted at the edges j / M."""
+    rows = []
+    for a, b in zip(rates[:2].ravel(), rates[2:].ravel()):
+        lo_a, pmf_a = per_row_poisson_pmf(float(a))
+        lo_b, pmf_b = per_row_poisson_pmf(float(b))
+        rows.append((lo_a - (lo_b + len(pmf_b) - 1),
+                     np.convolve(pmf_a, pmf_b[::-1])))
+    m = 1 << max(len(pmf) for _, pmf in rows).bit_length()
+    starts = np.cumsum([0] + [len(pmf) for _, pmf in rows])
+    cdfs, guides = [], []
+    for (_, pmf), start in zip(rows, starts):
+        cdf = np.minimum(np.cumsum(pmf), 1.0)
+        cdf[-1] = 1.0
+        cdfs.append(cdf)
+        guides.append(start + np.minimum(np.searchsorted(
+            cdf, np.arange(m + 1) / m, side="right"), len(cdf) - 1))
+    values = np.concatenate([np.arange(lo, lo + len(pmf), dtype=float)
+                             for lo, pmf in rows])
+    return np.concatenate(cdfs), values, np.concatenate(guides), starts, m
+
+
+ONE_PASS_RATES = dict(RATES, **{
+    f"default-{illum}": default_rates(illum) for illum in (1.7, 3.0, 11.3)},
+    edges=np.array([[0.0, 1e-3, _TABLE_MAX_RATE], [1e-3, 0.0, 1.0],
+                    [_TABLE_MAX_RATE, 0.0, 1e-3], [1.0, _TABLE_MAX_RATE, 0.0]]))
+
+
+@pytest.mark.parametrize("name", ONE_PASS_RATES)
+def test_one_pass_table_equals_the_per_row_build(name):
+    rates = ONE_PASS_RATES[name]
+    table = SkellamTable(rates)
+    cdf, values, guide, starts, m = per_row_table(rates)
+    assert table.m == m
+    for built, expected in ((table.cdf, cdf), (table.values, values),
+                            (table.guide, guide), (table.starts, starts)):
+        assert built.dtype == expected.dtype
+        assert np.array_equal(built, expected)

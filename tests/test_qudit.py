@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pdisim import (BinningPolicy, DomainError, FidelityStats, PsiConfig,
                     QuditScene, QuditState, SamplingError, ShapeError,
@@ -8,8 +8,10 @@ from pdisim import (BinningPolicy, DomainError, FidelityStats, PsiConfig,
                     bootstrap_fidelity, equal_step_state, extract_phase,
                     extract_state, fidelity, rng_stream,
                     simulate_interferograms)
-from pdisim.qudit import draw_pixel_positions
-from pdisim.reconstruct import ReconstructionResult
+from pdisim.circular import circ_mean
+from pdisim.qudit import draw_pixel_positions, sample_fidelity
+from pdisim.reconstruct import (ReconstructionResult, harmonic_sums,
+                                unit_phasors, unwrapped_phase)
 
 
 def noiseless_reconstruction(scene=None):
@@ -215,3 +217,56 @@ def test_bootstrap_deterministic():
     b = bootstrap_fidelity(res, scene.state, scene.layout, BinningPolicy(2),
                            **kwargs)
     assert a == b
+
+
+def angle_chain_fidelity(target, frames, c0, mu):
+    """The fidelity of each state read from frames (..., 4, d, n_bin) by
+    angles, one state at a time: unwrapped_phase, then each slit's
+    circular mean, its phasor, and the overlap with `target`."""
+    means = circ_mean(unwrapped_phase(frames, c0, mu), axis=-1)
+    return np.array([fidelity(target, QuditState.from_coeffs(np.exp(1j * row)))
+                     for row in means.reshape(-1, target.dim)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_bin=st.integers(1, 8),
+       mu=st.floats(-np.pi, np.pi).filter(lambda mu: mu != 0.0),
+       # a centre of pi puts the pixel phases arctan2(S, C - C0) on both
+       # sides of the branch cut at +-pi
+       centre=st.one_of(st.just(np.pi), st.floats(-np.pi, np.pi)),
+       spread=st.floats(0.0, 1.0), c0=st.floats(-50.0, 0.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_phasor_scoring_equals_the_angle_chain(n_bin, mu, centre, spread, c0,
+                                               seed):
+    # a slit's pixels lie within 1 rad of its centre, so their resultant,
+    # at least cos(1) n_bin long, fixes its direction well
+    rng = rng_stream(seed)
+    target = QuditState.from_coeffs(rng.normal(size=6) + 1j * rng.normal(size=6))
+    shape = (5, 6, n_bin)
+    angles = centre + spread * rng.uniform(-1.0, 1.0, shape)
+    radii = 10.0 ** rng.uniform(-3.0, 3.0, shape)
+    # frames whose harmonic sums are C = I_0 = C0 + r cos, S = I_1 = r sin
+    frames = np.zeros((5, 4, 6, n_bin))
+    frames[:, 0] = c0 + radii * np.cos(angles)
+    frames[:, 1] = radii * np.sin(angles)
+    phasors = unit_phasors(*harmonic_sums(frames), c0, mu)
+    np.testing.assert_allclose(abs(phasors), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sample_fidelity(target, phasors),
+                               angle_chain_fidelity(target, frames, c0, mu),
+                               rtol=0, atol=1e-12)
+
+
+def test_slit_whose_phasors_cancel_scores_as_phase_0():
+    # slit 0 reads two pixels with opposite (C - C0, S), so its phasors sum
+    # to exactly 0, and it scores as phase 0 (angle(0) = 0); slit k > 0
+    # reads (C - C0, S) = (cos, sin) of 0.4 k twice
+    target = equal_step_state()
+    c = np.array([[1.0, -1.0]] + [[np.cos(0.4 * k)] * 2 for k in range(1, 6)])
+    s = np.array([[2.0, -2.0]] + [[np.sin(0.4 * k)] * 2 for k in range(1, 6)])
+    for mu in (0.0, 1.3):
+        phasors = unit_phasors(c, s, 0.0, mu)
+        assert phasors[0].sum() == 0
+        expected = QuditState.from_coeffs(np.exp(1j * (
+            np.array([0.0] + [0.4 * k + mu for k in range(1, 6)]))))
+        assert sample_fidelity(target, phasors[None])[0] == pytest.approx(
+            fidelity(target, expected), abs=1e-15)

@@ -7,7 +7,7 @@ from pdisim import (EstimationError, GridSpec, InterferogramSet, LensScene,
                     PsiConfig, QuditScene, ShapeError, c0_analytic,
                     c0_empirical, circ_dist, extract_phase, rng_stream,
                     sample_noise, simulate_interferograms)
-from pdisim.reconstruct import harmonic_sums
+from pdisim.reconstruct import harmonic_sums, unit_phasors, unwrapped_phase
 
 
 def single_pixel_set(values, reference=1.0 + 0j):
@@ -122,6 +122,22 @@ def test_dead_pixel_convention():
     res = extract_phase(iset)
     assert res.phase[0, 0] == 0.0
     assert res.amplitude[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.7, -2.9, np.pi])
+def test_unit_phasor_of_a_zero_pixel_is_e_i_mu(mu):
+    # pixel 0 has C - C0 = S = 0 (u = 0, |K| = 1, as above); pixel 1 has
+    # C - C0 = 6, S = 0, and pixel 2 C - C0 = 0, S = -4
+    frames = np.array([[0.0, 2.0, 0.0], [2.0, 2.0, 0.0], [4.0, 0.0, 4.0],
+                       [2.0, 2.0, 4.0]])[:, None, :]
+    c, s = harmonic_sums(frames)
+    phasors = unit_phasors(c, s, c0_analytic(1.0, 4), mu)
+    assert phasors.shape == (1, 3) and phasors.dtype == complex
+    np.testing.assert_allclose(phasors[0], np.exp(1j * (mu + np.array(
+        [0.0, 0.0, -np.pi / 2]))), rtol=0, atol=1e-15)
+    # the pixel scores as phase mu, as arctan2(0, 0) = 0 gives
+    assert unwrapped_phase(frames, c0_analytic(1.0, 4), mu)[0, 0] == mu
+    assert phasors[0, 0] == np.exp(1j * mu)
 
 
 def test_amplitude_is_clamped_sqrt_of_frame0():
