@@ -12,14 +12,14 @@ pixels are read changes no number. The phase needs only the harmonic sums
 n_1 - n_3 are Skellam variates, so a cell draws each from an exact
 inverse-CDF table of its slit (model.SkellamTable), one uniform apiece, and
 adds one normal of sd sigma sqrt(2) for the readout noise of two frames.
-It draws the N frames of each read pixel instead (Poisson, then normal),
-and takes their harmonic sums, at N != 4, with quantize (rounded frames
-make C and S no sum of counts and one normal), at frame rates above
-_TABLE_MAX_RATE (a large table), or below _TABLE_MIN_DRAWS pixel draws per
-illumination (too few to repay a table). Either way each read pixel is
-scored as the unit phasor of its phase (reconstruct.unit_phasors), with no
-arctan2, and each state by the direction of its slits' phasor sums
-(qudit.sample_fidelity).
+It does so whatever the grid's size, so a cell's numbers do not depend on
+the other cells of its grid. It draws the N frames of each read pixel
+instead (Poisson, then normal), and takes their harmonic sums, only at
+N != 4, with quantize (rounded frames make C and S no sum of counts and one
+normal), or at frame rates above _TABLE_MAX_RATE (a large table). Either
+way each read pixel is scored as the unit phasor of its phase
+(reconstruct.unit_phasors), with no arctan2, and each state by the
+direction of its slits' phasor sums (qudit.sample_fidelity).
 
 The sweep's tasks are blocks of cells that share an illumination and n_bin
 (see fidelity_sweep). A block batches its cells' table draw, arithmetic and
@@ -57,17 +57,13 @@ from .sensor import check_poisson_rates, rng_stream, readout_sigmas, sample_nois
 _CHUNK = 256
 
 #: Largest frame rate (photons) of an illumination drawn from a Skellam
-#: table. A table's rows grow as the square root of the rates: on the
-#: default 6-slit scene (2 cores) it holds 120 KB and builds in 0.4-0.7 ms
-#: at 11.3 phot/px (largest rate 89), and 0.5 MB in about 2 ms at this cap.
+#: table: it bounds a table's memory and build time, whose rows grow as the
+#: square root of the rates. On the default 6-slit scene (2 cores) a table
+#: holds 120 KB and builds in 0.4-0.7 ms at 11.3 phot/px (largest rate 89);
+#: at this cap it holds 0.50 MB, peaks at 1.26 MB while it builds and
+#: builds in 1.5 ms. Past it a table costs far more: 4.3 MB and 35 ms at a
+#: largest rate of 78 969, 39 MB and 3.0 s at 7.9e6.
 _TABLE_MAX_RATE = 1024.0
-
-#: Fewest pixel draws (repetitions x sigmas x d x sum of n_bins) of an
-#: illumination for which its table is built. On 256-repetition chunks a
-#: table draw of (C, S) saved 130-350 ns per read pixel against 4 Poisson
-#: and 4 normal frame values, which repays even a build at the rate cap; the
-#: default grid at 128 repetitions makes 46080, the map preview (n_bin 1) 1920.
-_TABLE_MIN_DRAWS = 16384
 
 #: Work per thread: pixel reads (repetitions x sigmas x illuminations x d x
 #: sum of n_bins) of a sweep, or frame values (runs x N x pixels) of the
@@ -259,7 +255,6 @@ def _prepare(scene: QuditScene, grid: SweepGrid, psi: PsiConfig,
     without replacement), so it raises the first failing block's error."""
     slits = scene.slit_values()
     reference = psi.reference_for(scene.field())
-    draws = _illumination_reads(scene, grid)
     prepared = {}
     for illum in grid.illuminations:
         if illum in prepared:
@@ -272,10 +267,10 @@ def _prepare(scene: QuditScene, grid: SweepGrid, psi: PsiConfig,
                 raise SamplingError(f"n_bin = {n_bin} exceeds the "
                                     f"{scene.layout.pixels_per_slit} pixels "
                                     "per slit")
-        # a table repays its build over enough draws, and stays small
+        # at N = 4, not quantized, (C, S) come from the table, which the
+        # rate cap keeps small
         table = (SkellamTable(rates[..., 0])
                  if psi.n_steps == 4 and not quantize
-                 and draws >= _TABLE_MIN_DRAWS
                  and rates.max() <= _TABLE_MAX_RATE else None)
         prepared[illum] = (rates, c0_analytic(ref, psi.n_steps),
                            float(np.angle(ref)), table)
@@ -312,13 +307,6 @@ def _run_block(indices, sigmas, lit, n_bin, *, seed, target, repetitions,
     return FidelityStats.per_row(fids)
 
 
-def _illumination_reads(scene: QuditScene, grid: SweepGrid) -> int:
-    """Pixel reads of each illumination of a sweep: repetitions x sigmas x d
-    x the sum of n_bins."""
-    return (grid.repetitions * len(grid.sigmas) * scene.layout.d
-            * sum(grid.n_bins))
-
-
 def _threads(work: int, tasks: int, jobs: int) -> int:
     """Threads for `tasks` tasks that do `work` in all (see
     READS_PER_THREAD): one per READS_PER_THREAD, at least one, and at most
@@ -332,7 +320,8 @@ def sweep_threads(scene: QuditScene, grid: SweepGrid, jobs: int) -> int:
     """The number of threads `fidelity_sweep(scene, grid, jobs=jobs)` runs
     on: one per READS_PER_THREAD pixel reads of the whole sweep, at least
     one, and at most `jobs` and the sweep's number of blocks."""
-    reads = _illumination_reads(scene, grid) * len(grid.illuminations)
+    reads = (grid.repetitions * len(grid.illuminations) * len(grid.sigmas)
+             * scene.layout.d * sum(grid.n_bins))
     return _threads(reads, len(grid._blocks), jobs)
 
 

@@ -74,11 +74,10 @@ def test_sweep_stats_fields_consistent():
     pytest.param(1, False, 11.3, 4, id="1-illumination-11.3"),
     pytest.param(4, False, 3.0, 5, id="4-n_steps-5")])
 def test_sweep_fast_path_matches_modular_pipeline(n_bin, quantize, illum,
-                                                  n_steps, monkeypatch):
+                                                  n_steps):
     # the full-grid chain with rng.choice pixel picks: n_bin > 1 checks that
     # reading the slit rates stands for reading n_bin distinct pixels. Every
     # grid takes the Skellam tables where it can (N = 4, not quantized)
-    monkeypatch.setattr(experiments, "_TABLE_MIN_DRAWS", 1)
     sigma = 0.5
     reps = 400
     psi = PsiConfig(n_steps=n_steps)
@@ -182,26 +181,38 @@ def _per_cell_sweep(grid, seed, table, psi=PsiConfig()):
 SIGMAS_20 = tuple(0.15 * k for k in range(1, 21))
 
 
-@pytest.mark.parametrize("illums, sigmas, n_bins, reps, table", [
-    # blocks of 10 cells, 1 920 pixel draws per illumination: frames
-    pytest.param((1.7, 3.0), SIGMAS_20, (1,), 16, False,
-                 id="sigmas0-n_bins0-16"),
-    # one cell per block, two chunks; the tables from here on
-    pytest.param((1.7, 3.0), (0.2, 0.5, 3.0), (1, 4), 300, True,
+@pytest.mark.parametrize("illums, sigmas, n_bins, reps, n_steps", [
+    # blocks of 10 cells, on the tables and, at N = 5, on the frames
+    pytest.param((1.7, 3.0), SIGMAS_20, (1,), 16, 4, id="sigmas0-n_bins0-16"),
+    pytest.param((1.7, 3.0), SIGMAS_20, (1,), 16, 5,
+                 id="sigmas0-n_bins0-16-n_steps-5"),
+    # one cell per block, two chunks
+    pytest.param((1.7, 3.0), (0.2, 0.5, 3.0), (1, 4), 300, 4,
                  id="sigmas1-n_bins1-300"),
-    pytest.param((1.7, 3.0), SIGMAS_20, (1, 2), 128, True, id="blocks-of-2"),
-    pytest.param((1.7, 3.0), (0.0, 1.0), (1, 8), 300, True, id="sigma-0"),
+    pytest.param((1.7, 3.0), SIGMAS_20, (1, 2), 128, 4, id="blocks-of-2"),
+    pytest.param((1.7, 3.0), (0.0, 1.0), (1, 8), 300, 4, id="sigma-0"),
     # an illumination listed twice shares its table and its blocks
-    pytest.param((1.7, 3.0, 1.7), (0.2, 0.5, 3.0), (1, 4), 300, True,
+    pytest.param((1.7, 3.0, 1.7), (0.2, 0.5, 3.0), (1, 4), 300, 4,
                  id="repeated-illumination"),
 ])
 def test_sweep_blocks_equal_the_per_cell_sweep(illums, sigmas, n_bins, reps,
-                                               table, block_threads):
+                                               n_steps, block_threads):
     grid = SweepGrid(illuminations=illums, sigmas=sigmas, n_bins=n_bins,
                      repetitions=reps)
-    assert (fidelity_sweep(SCENE, grid, seed=5, jobs=2)
-            == _per_cell_sweep(grid, 5, table))
+    psi = PsiConfig(n_steps=n_steps)
+    assert (fidelity_sweep(SCENE, grid, seed=5, jobs=2, psi=psi)
+            == _per_cell_sweep(grid, 5, n_steps == 4, psi))
     assert len(set(block_threads)) == 2
+
+
+def test_sweep_cell_does_not_depend_on_the_rest_of_its_grid():
+    # cell 0 alone, and as the first of 20 sigmas x 4 n_bins: the same
+    # stream (seed, 0) and the same draw path give the same numbers
+    alone = SweepGrid(illuminations=(3.0,), sigmas=(0.5,), n_bins=(1,),
+                      repetitions=64)
+    wide = replace(alone, sigmas=(0.5,) + SIGMAS_20[1:], n_bins=(1, 2, 4, 8))
+    (cell,) = fidelity_sweep(SCENE, alone, seed=3)
+    assert fidelity_sweep(SCENE, wide, seed=3)[0] == cell
 
 
 def test_sweep_block_rows_stay_within_one_chunk(monkeypatch):
@@ -228,13 +239,12 @@ def test_sweep_block_rows_stay_within_one_chunk(monkeypatch):
                          n_bins=(n_bin,), repetitions=reps)
         fidelity_sweep(SCENE, grid, seed=1)
     # 20 cells split evenly into blocks of at most 256 // 16 = 16, then of
-    # 256 // 100 = 2; at 300 repetitions each cell is its own block, and
-    # there (36 000 pixel draws) its (C, S) come from the table; at 128
-    # repetitions and n_bin 2 (30 720 draws) a block of 2 cells draws the
-    # (C, S) of both in one table draw per chunk
-    assert rows == ([(10, 16)] * 2 + [(2, 100)] * 10
-                    + [(1, 256), (1, 44)] * 20 + [(2, 128)] * 10)
-    assert tabled == draws == [(1, 256), (1, 44)] * 20 + [(2, 128)] * 10
+    # 256 // 100 = 2; at 300 repetitions each cell is its own block, in two
+    # chunks; at 128 repetitions and n_bin 2 a block holds 2 cells. Every
+    # block draws the (C, S) of all its cells in one table draw per chunk
+    expected = ([(10, 16)] * 2 + [(2, 100)] * 10
+                + [(1, 256), (1, 44)] * 20 + [(2, 128)] * 10)
+    assert rows == tabled == draws == expected
 
 
 def test_skellam_sums_have_the_moments_of_the_frame_sums():
@@ -271,22 +281,23 @@ def table_builds(monkeypatch):
     return built
 
 
-# 128 x 2 x 6 x 15 = 23 040 pixel draws per illumination
 TABLE_GRID = dict(sigmas=(0.5, 1.0), n_bins=(1, 2, 4, 8), repetitions=128)
 
 
-@pytest.mark.parametrize("illum, reps, quantize, n_steps, tabled", [
-    pytest.param(3.0, 128, False, 4, True, id="table"),
-    pytest.param(3.0, 64, False, 4, False, id="few-draws"),
-    pytest.param(3.0, 128, True, 4, False, id="quantize"),
-    pytest.param(3.0, 128, False, 5, False, id="n_steps-5"),
+@pytest.mark.parametrize("illum, grid_size, quantize, n_steps, tabled", [
+    pytest.param(3.0, {}, False, 4, True, id="table"),
+    pytest.param(3.0, dict(repetitions=64), False, 4, True, id="few-draws"),
+    pytest.param(3.0, dict(sigmas=(0.5,), n_bins=(1,), repetitions=1), False,
+                 4, True, id="one-cell-one-repetition"),
+    pytest.param(3.0, {}, True, 4, False, id="quantize"),
+    pytest.param(3.0, {}, False, 5, False, id="n_steps-5"),
     # rates up to 7.9 x 200 photons, past the table's cap
-    pytest.param(200.0, 128, False, 4, False, id="rate-cap"),
+    pytest.param(200.0, {}, False, 4, False, id="rate-cap"),
 ])
-def test_sweep_takes_the_tables_only_where_they_pay(
-        illum, reps, quantize, n_steps, tabled, noise_draws, table_builds):
-    grid = SweepGrid(illuminations=(illum,),
-                     **dict(TABLE_GRID, repetitions=reps))
+def test_sweep_takes_the_tables_at_n_steps_4_unquantized_within_the_cap(
+        illum, grid_size, quantize, n_steps, tabled, noise_draws,
+        table_builds):
+    grid = SweepGrid(illuminations=(illum,), **dict(TABLE_GRID, **grid_size))
     fidelity_sweep(SCENE, grid, seed=2, quantize=quantize,
                    psi=PsiConfig(n_steps=n_steps))
     assert len(table_builds) == int(tabled)
