@@ -4,7 +4,8 @@ Covers the standard studies: mean reconstruction fidelity of the slit
 qudit over illumination x readout noise x pixel binning, and continuous-phase
 error statistics of a lens wavefront against a high-flux reference.
 
-Every cell of a sweep is fed by its own random stream (seed, cell index).
+Every cell of a sweep is fed by its own random stream (seed, cell index),
+all seeded in one pass before any block runs (sensor.rng_streams).
 The pixels of a slit all carry the slit's value, so a cell draws the noisy
 readings of its n_bin pixels per slit straight from the slit's rates: which
 pixels are read changes no number. The phase needs only the harmonic sums
@@ -12,6 +13,7 @@ pixels are read changes no number. The phase needs only the harmonic sums
 n_1 - n_3 are Skellam variates, so a cell draws each from an exact
 inverse-CDF table of its slit (model.SkellamTable), one uniform apiece, and
 adds one normal of sd sigma sqrt(2) for the readout noise of two frames.
+The tables of all a sweep's illuminations are built in one pass, once.
 It does so whatever the grid's size, so a cell's numbers do not depend on
 the other cells of its grid. It draws the N frames of each read pixel
 instead (Poisson, then normal), and takes their harmonic sums, only at
@@ -21,10 +23,12 @@ way each read pixel is scored as the unit phasor of its phase
 (reconstruct.unit_phasors), with no arctan2, and each state by the
 direction of its slits' phasor sums (qudit.sample_fidelity).
 
-The sweep's tasks are blocks of cells that share an illumination and n_bin
-(see fidelity_sweep). A block batches its cells' table draw, arithmetic and
-statistics, not their streams, so results are bit-identical for a fixed
-seed regardless of blocking, thread count or scheduling order.
+The sweep's tasks are blocks of cells that share an n_bin and a draw path,
+across illuminations (see SweepGrid._blocks and fidelity_sweep). A block
+batches its cells' table draw, arithmetic and statistics, not their
+streams: each cell draws into the block's arrays from its own stream, so
+results are bit-identical for a fixed seed regardless of blocking, thread
+count or scheduling order.
 
 The continuous study's runs (the reference, then each illumination and
 sigma) each draw from their own stream (seed, run index), so they too run
@@ -46,23 +50,30 @@ from .forward import PsiConfig, frame_rates, simulate_interferograms
 from .model import SkellamTable
 from .qudit import FidelityStats, sample_fidelity
 from .reconstruct import c0_analytic, extract_phase, harmonic_sums, unit_phasors
-from .sensor import check_poisson_rates, rng_stream, readout_sigmas, sample_noise
+from .sensor import (check_poisson_rates, rng_stream, rng_streams,
+                     readout_sigmas, sample_noise)
 
 #: Fixed vectorization chunk (repetitions per draw from a cell's stream):
 #: part of the determinism contract, so it must not depend on worker count.
 #: Chunks of 128 to 2048 ran within about 10 % of each other on the default
-#: grid (2 cores) when every cell drew its frames. A block stacks at most
-#: max(1, _CHUNK // repetitions) cells, so its chunk (at n_bin 8 on the
-#: table path, 256 x 2 x 6 x 8 uniforms, 0.2 MB) is no larger than a cell's.
+#: grid (2 cores) when every cell drew its frames.
 _CHUNK = 256
+
+#: Most pixel reads per slit in one chunk of a block: those of one cell's
+#: chunk at n_bin 8, so no block's chunk is larger than such a cell's (on
+#: the 6-slit table path, 256 x 2 x 6 x 8 uniforms, 0.2 MB). Below _CHUNK
+#: repetitions a block stacks max(1, _BLOCK_READS // (repetitions x n_bin))
+#: cells of one n_bin, across illuminations; from _CHUNK up it is one cell.
+_BLOCK_READS = 8 * _CHUNK
 
 #: Largest frame rate (photons) of an illumination drawn from a Skellam
 #: table: it bounds a table's memory and build time, whose rows grow as the
 #: square root of the rates. On the default 6-slit scene (2 cores) a table
-#: holds 120 KB and builds in 0.4-0.7 ms at 11.3 phot/px (largest rate 89);
-#: at this cap it holds 0.50 MB, peaks at 1.26 MB while it builds and
-#: builds in 1.5 ms. Past it a table costs far more: 4.3 MB and 35 ms at a
-#: largest rate of 78 969, 39 MB and 3.0 s at 7.9e6.
+#: holds 120 KB and builds in 0.6-0.8 ms at 11.3 phot/px (largest rate 89);
+#: at this cap it holds 0.50 MB, peaks at 0.82 MB while it builds and
+#: builds in 2.2 ms. Past it a table costs far more: 4.3 MB and 31 ms at a
+#: largest rate of 78 969, 39 MB and 2.7 s at 7.9e6. A sweep's tables are
+#: built together (_prepare), so these add up over its illuminations.
 _TABLE_MAX_RATE = 1024.0
 
 #: Work per thread: pixel reads (repetitions x sigmas x illuminations x d x
@@ -180,25 +191,26 @@ class SweepGrid:
 
     @functools.cached_property
     def _blocks(self) -> tuple:
-        """The sweep's tasks in submission order, (cell indices, their
-        sigmas, illumination, n_bin): the cells that share an illumination
-        and n_bin, split evenly into blocks of at most as many as fill one
-        chunk of repetitions. Built once per grid."""
+        """The sweep's blocks in submission order, (cell indices, their
+        sigmas, their illuminations, n_bin): the cells that share an n_bin,
+        in grid order across illuminations, split evenly into blocks of at
+        most as many as fill one chunk of _BLOCK_READS reads per slit below
+        _CHUNK repetitions, of one cell from _CHUNK up. Built once per
+        grid."""
         cells = list(self.cells())
         groups = {}
-        for index, (illum, _, n_bin) in enumerate(cells):
-            groups.setdefault((illum, n_bin), []).append(index)
-        # no block's chunk holds more rows than one cell's chunk of _CHUNK
-        per_block = _CHUNK // min(_CHUNK, self.repetitions)
+        for index, (_, _, n_bin) in enumerate(cells):
+            groups.setdefault(n_bin, []).append(index)
         blocks = []
-        for (illum, n_bin), group in groups.items():
+        for n_bin, group in groups.items():
+            per_block = (1 if self.repetitions >= _CHUNK else
+                         max(1, _BLOCK_READS // (self.repetitions * n_bin)))
             n = -(-len(group) // per_block)
             for i in range(n):
                 indices = tuple(group[len(group) * i // n:
                                       len(group) * (i + 1) // n])
-                blocks.append((indices, tuple(cells[index][1]
-                                              for index in indices),
-                               illum, n_bin))
+                blocks.append((indices, tuple(cells[j][1] for j in indices),
+                               tuple(cells[j][0] for j in indices), n_bin))
         return tuple(blocks)
 
 
@@ -232,30 +244,42 @@ class ContinuousCase:
     phase_map: np.ndarray
 
 
-def _skellam_sums(table, shape, sigmas, rngs):
+def _skellam_sums(table, shape, sigmas, rngs, tables=0):
     """The harmonic sums C, S, each (cells, m, d, n_bin), of the read pixels
     of a block's cells at N = 4, shape being (m, 2, d, n_bin): the uniforms
-    of each cell from its stream, drawn through `table` at once, then, where
+    of each cell from its stream, looked up in one draw from `table` (cell
+    i's in its table tables[i], or all in table `tables`), then, where
     sigma > 0, its readout noise e_0 - e_2 and e_1 - e_3 from its stream,
-    normal with sd sigma sqrt(2)."""
-    sums = table.draw(np.stack([rng.random(shape) for rng in rngs]))
-    for sigma, rng, cell in zip(sigmas, rngs, sums):
+    normal with sd sigma sqrt(2). Each cell draws its uniforms, then its
+    standard normals, straight into the block's arrays; the noise is scaled
+    and added once for the block, as sigma sqrt(2) x standard_normal is
+    normal(0, sigma sqrt(2)) bit for bit."""
+    u, noise = np.empty((2, len(rngs)) + shape)
+    for sigma, rng, cell_u, cell_noise in zip(sigmas, rngs, u, noise):
+        rng.random(out=cell_u)
         if sigma > 0:
-            cell += rng.normal(0.0, sigma * np.sqrt(2.0), size=shape)
+            rng.standard_normal(out=cell_noise)
+        else:
+            cell_noise[...] = 0.0
+    sums = table.draw(u, np.reshape(tables, (-1, 1)))
+    sums += noise * (np.array(sigmas) * np.sqrt(2.0)).reshape(-1, 1, 1, 1, 1)
     return sums[:, :, 0], sums[:, :, 1]
 
 
 def _prepare(scene: QuditScene, grid: SweepGrid, psi: PsiConfig,
-             quantize: bool) -> dict:
+             quantize: bool) -> tuple[dict, SkellamTable | None]:
     """Each distinct illumination of a sweep, keyed by illumination, as
-    (rates, C0, mu, table): its slits' noiseless frames (N, d, 1), and its
-    Skellam table or None where its cells draw frames. Prepared in grid
-    order before any block runs, each checks its frames against numpy's
-    Poisson range, then every n_bin against the pixels per slit (read
-    without replacement), so it raises the first failing block's error."""
+    (rates, C0, mu, table): its slits' noiseless frames (N, d, 1), and the
+    index of its table in the sweep's one SkellamTable, or None where its
+    cells draw frames; and that SkellamTable, or None if no illumination
+    takes it. Prepared in grid order before any block runs, each
+    illumination checks its frames against numpy's Poisson range, then
+    every n_bin against the pixels per slit (read without replacement): the
+    first check that fails raises. Then the tables of all the illuminations
+    that take them are built in one pass."""
     slits = scene.slit_values()
     reference = psi.reference_for(scene.field())
-    prepared = {}
+    prepared, tabled = {}, []
     for illum in grid.illuminations:
         if illum in prepared:
             continue
@@ -269,39 +293,45 @@ def _prepare(scene: QuditScene, grid: SweepGrid, psi: PsiConfig,
                                     "per slit")
         # at N = 4, not quantized, (C, S) come from the table, which the
         # rate cap keeps small
-        table = (SkellamTable(rates[..., 0])
-                 if psi.n_steps == 4 and not quantize
-                 and rates.max() <= _TABLE_MAX_RATE else None)
+        table = None
+        if psi.n_steps == 4 and not quantize and rates.max() <= _TABLE_MAX_RATE:
+            table = len(tabled)
+            tabled.append(rates[..., 0])
         prepared[illum] = (rates, c0_analytic(ref, psi.n_steps),
                            float(np.angle(ref)), table)
-    return prepared
+    return prepared, SkellamTable(np.array(tabled)) if tabled else None
 
 
-def _run_block(indices, sigmas, lit, n_bin, *, seed, target, repetitions,
-               quantize):
+def _run_block(indices, sigmas, lits, n_bin, *, streams, target, repetitions,
+               quantize, table):
     """Monte-Carlo fidelity of the sweep cells `indices`, one per readout
-    sigma in `sigmas`, at `n_bin` and the prepared illumination `lit`
-    (rates, C0, mu, table; see _prepare): one FidelityStats per cell.
+    sigma in `sigmas` and prepared illumination in `lits` (rates, C0, mu,
+    table; see _prepare), all at `n_bin` and on one draw path: one
+    FidelityStats per cell.
 
-    Per chunk of repetitions each cell draws from its own stream what it
-    would draw alone: with a table, the (C, S) of its read pixels
-    (_skellam_sums, one table draw for the block); without, their noisy
-    frames (sample_noise), whose harmonic_sums give (C, S). unit_phasors and
-    sample_fidelity score them, and the statistics run, over all the cells.
+    Per chunk of repetitions each cell draws from its own stream,
+    streams[index], what it would draw alone: on the table path, the (C, S)
+    of its read pixels (_skellam_sums: one draw from the sweep's `table` for
+    the block); otherwise their noisy frames (sample_noise), whose
+    harmonic_sums give (C, S). unit_phasors and sample_fidelity score them,
+    and the statistics run, over all the cells, each with its own C0 and mu.
     """
-    rates, c0, mu, table = lit
-    rngs = [rng_stream(seed, index) for index in indices]
+    rates, c0, mu, tables = zip(*lits)
+    # each cell's C0 and mu, broadcast over its (m, d, n_bin) read pixels
+    c0, mu = np.reshape(c0, (-1, 1, 1, 1)), np.reshape(mu, (-1, 1, 1, 1))
+    frames = rates[0].shape[:-1]
+    rngs = [streams[index] for index in indices]
     fids = np.empty((len(indices), repetitions))
     for start in range(0, repetitions, _CHUNK):
         m = min(_CHUNK, repetitions - start)
-        if table is None:
-            read = np.broadcast_to(rates, (m,) + rates.shape[:-1] + (n_bin,))
+        if tables[0] is None:
             c, s = harmonic_sums(np.stack([
-                sample_noise(read, sigma, rng, quantize=quantize)
-                for sigma, rng in zip(sigmas, rngs)]))
+                sample_noise(np.broadcast_to(cell, (m,) + frames + (n_bin,)),
+                             sigma, rng, quantize=quantize)
+                for cell, sigma, rng in zip(rates, sigmas, rngs)]))
         else:
-            c, s = _skellam_sums(table, (m, 2) + rates.shape[1:-1] + (n_bin,),
-                                 sigmas, rngs)
+            c, s = _skellam_sums(table, (m, 2) + frames[1:] + (n_bin,), sigmas,
+                                 rngs, tables)
         fids[:, start:start + m] = sample_fidelity(
             target, unit_phasors(c, s, c0, mu))
     return FidelityStats.per_row(fids)
@@ -319,7 +349,8 @@ def _threads(work: int, tasks: int, jobs: int) -> int:
 def sweep_threads(scene: QuditScene, grid: SweepGrid, jobs: int) -> int:
     """The number of threads `fidelity_sweep(scene, grid, jobs=jobs)` runs
     on: one per READS_PER_THREAD pixel reads of the whole sweep, at least
-    one, and at most `jobs` and the sweep's number of blocks."""
+    one, and at most `jobs` and the sweep's number of blocks (a block that
+    spans both draw paths runs as two tasks, so there may be more tasks)."""
     reads = (grid.repetitions * len(grid.illuminations) * len(grid.sigmas)
              * scene.layout.d * sum(grid.n_bins))
     return _threads(reads, len(grid._blocks), jobs)
@@ -372,31 +403,41 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
     """Run the full sweep: one CellResult per cell, in the order of
     `grid.cells()`.
 
-    Each task is a block of cells that share the illumination and n_bin and
-    differ in sigma, at most as many as fill one chunk of repetitions. Each
-    distinct illumination is prepared once before any block runs, in the
-    calling thread (_prepare), so a failing check raises the first failing
-    block's error whatever `jobs` is. The blocks run on sweep_threads(scene,
-    grid, jobs) threads, in order in the calling thread when that is one:
-    numpy's draws release the GIL, but a block's Python work holds it. An
-    exception in a block, or an interrupt, stops the blocks not yet started
-    and propagates: the error raised is the first failing block's in
+    Each task is a block of cells that share the n_bin (grid._blocks) and
+    the draw path: a block whose illuminations take both paths runs as two
+    tasks, its tabled cells first. Each distinct illumination is prepared
+    once before any block runs, in the calling thread (_prepare), so a
+    failing check raises the same error whatever `jobs` is. The tasks run
+    on sweep_threads(scene, grid, jobs) threads, in order in the calling
+    thread when that is one: numpy's draws release the GIL, but a task's
+    Python work holds it. The cells' streams are seeded together, in the
+    calling thread, and each task draws from its own cells' streams only.
+    An exception in a task, or an interrupt, stops the tasks not yet
+    started and propagates: the error raised is the first failing task's in
     submission order.
     """
     threads = sweep_threads(scene, grid, jobs)
-    prepared = _prepare(scene, grid, psi, quantize)
-    blocks = [(indices, sigmas, prepared[illum], n_bin)
-              for indices, sigmas, illum, n_bin in grid._blocks]
+    prepared, table = _prepare(scene, grid, psi, quantize)
+    cells = list(grid.cells())
+    tasks = []
+    for indices, sigmas, illums, n_bin in grid._blocks:
+        block = [(index, sigma, prepared[illum])
+                 for index, sigma, illum in zip(indices, sigmas, illums)]
+        for tabled in (True, False):
+            path = [(index, sigma, lit) for index, sigma, lit in block
+                    if (lit[3] is not None) is tabled]
+            if path:
+                tasks.append((*zip(*path), n_bin))
     # bound per call, not at import, so that a wrapper put on
     # experiments._run_block (a tracer) is the one that runs
-    run = functools.partial(_run_block, seed=seed, target=scene.state,
-                            repetitions=grid.repetitions, quantize=quantize)
+    run = functools.partial(
+        _run_block, streams=rng_streams(seed, range(len(cells))),
+        target=scene.state, repetitions=grid.repetitions, quantize=quantize,
+        table=table)
     stats = {}
-    for (indices, *_), block_stats in zip(blocks,
-                                          _run_tasks(run, blocks, threads)):
-        stats.update(zip(indices, block_stats))
-    return [CellResult(*cell, stats[index])
-            for index, cell in enumerate(grid.cells())]
+    for (indices, *_), task_stats in zip(tasks, _run_tasks(run, tasks, threads)):
+        stats.update(zip(indices, task_stats))
+    return [CellResult(*cell, stats[index]) for index, cell in enumerate(cells)]
 
 
 def phase_error_stats(phase: np.ndarray, reference_phase: np.ndarray,

@@ -4,8 +4,9 @@ At N = 4 equal steps the harmonic sums of a pixel are C = I_0 - I_2 and
 S = I_1 - I_3, so their photon-count parts are differences of independent
 Poisson counts: Skellam variates (Skellam 1946). `poisson_pmfs` gives Poisson
 laws cut to a window that loses a negligible mass; `SkellamTable` holds the
-cumulative laws of C and S for each slit and draws them by inversion of
-uniforms, in O(1) per draw through a guide index (Chen & Asau 1974).
+cumulative laws of C and S for each slit of one or more illuminations, all
+built in one pass, and draws them by inversion of uniforms, in O(1) per draw
+through a guide index (Chen & Asau 1974).
 """
 
 import numpy as np
@@ -20,6 +21,77 @@ WINDOW_SDS = 12.0
 WINDOW_PAD = 5
 
 
+def _padded_rows(lens):
+    """A layout of rows of lengths `lens` (1D, each >= 1) in one flat
+    buffer: the rows whose lengths have the same bit length form a block,
+    each row padded to the block's longest, at most twice its own length.
+    Returns (order, block_starts, counts): the rows in block order, the
+    position in it of each block's first row, and each block's row count."""
+    buckets = np.frexp(lens)[1]
+    order = np.argsort(buckets, kind="stable")
+    starts = np.flatnonzero(np.diff(buckets[order], prepend=-1))
+    return order, starts, np.diff(starts, append=len(lens))
+
+
+def _block_offsets(order, starts, counts, widths, shifts=0):
+    """(the buffer offset of each row plus its block's `shifts`, in the
+    rows' own order; each block's offset; the buffer's size) of
+    _padded_rows' layout with blocks of row `widths`."""
+    sizes = counts * widths
+    bases = np.cumsum(sizes) - sizes
+    rank = np.arange(len(order)) - np.repeat(starts, counts)
+    offsets = np.empty(len(order), dtype=np.intp)
+    offsets[order] = (np.repeat(bases + shifts, counts)
+                      + rank * np.repeat(widths, counts))
+    return offsets, bases, int(sizes.sum())
+
+
+def _poisson_rows(rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Poisson laws of `rates` (1D) laid end to end, each after one head
+    slot that holds 0: (first counts, heads and pmfs, window lengths); see
+    poisson_pmfs."""
+    rates = np.asarray(rates, dtype=float)
+    half, mode = WINDOW_SDS * np.sqrt(rates), np.floor(rates).astype(np.intp)
+    lo = np.maximum(0.0, np.ceil(rates - half)).astype(np.intp)
+    hi = np.where(rates > 0, np.floor(rates + half) + WINDOW_PAD, 0).astype(np.intp)
+    lens, below, above = hi - lo + 1, mode - lo, hi - mode
+    # log p(k) - log p(mode) of each window, as a row of a padded block
+    # (_padded_rows): the running sums of the logs of k / lambda down from
+    # the mode, reversed, then 0 at the mode, then those of lambda / k up
+    # from it, for k = mode - D .. mode + U (D, U the block's widest)
+    order, starts, counts = _padded_rows(lens)
+    downs = np.maximum.reduceat(below[order], starts)
+    ups = np.maximum.reduceat(above[order], starts)
+    modes, bases, size = _block_offsets(order, starts, counts,
+                                        downs + ups + 1, downs)
+    logs = np.empty(size + 1)
+    logs[-1] = -np.inf
+    # a row runs past its window into logs of counts <= 0 (or of rate 0),
+    # never read; counts are exact in floats
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start, n, base, down, up in zip(*(x.tolist() for x in (
+                starts, counts, bases, downs, ups))):
+            rows = order[start:start + n]
+            block = logs[base:base + n * (down + up + 1)].reshape(n, -1)
+            rate, top = rates[rows, None], np.floor(rates[rows, None])
+            block[:, down] = 0.0
+            terms = (top + 1.0 - np.arange(1.0, down + 1.0)) / rate
+            np.cumsum(np.log(terms, out=terms), axis=1,
+                      out=block[:, :down][:, ::-1])
+            terms = rate / (top + np.arange(1.0, up + 1.0))
+            np.cumsum(np.log(terms, out=terms), axis=1, out=block[:, down + 1:])
+    # each window after its head slot, which reads the -inf at the end
+    heads = np.cumsum(lens + 1) - (lens + 1)
+    at = (np.repeat(modes - below - 1 - heads, lens + 1)
+          + np.arange(heads[-1] + lens[-1] + 1))
+    at[heads] = len(logs) - 1
+    pmf = np.exp(logs[at])
+    # each window's sum, as pmf.sum() of the window alone gives it: a
+    # reduction from 0 over the window, which the head's 0 starts
+    pmf /= np.repeat(np.add.reduceat(pmf, heads), lens + 1)
+    return lo, pmf, lens
+
+
 def poisson_pmfs(rates) -> tuple[np.ndarray, list[np.ndarray]]:
     """The Poisson laws of `rates` (1D), in one pass: (first counts, pmfs
     over consecutive counts), each on the window lambda -/+ 12 sd (lower end
@@ -27,22 +99,9 @@ def poisson_pmfs(rates) -> tuple[np.ndarray, list[np.ndarray]]:
     it; the mass outside is at most 1e-14. A pmf is built outward from the
     mode by the ratios p(k) / p(k - 1) = lambda / k, summed as logs, which
     keeps the factorials' large terms from cancelling."""
-    rates = np.asarray(rates, dtype=float)
-    half, mode = WINDOW_SDS * np.sqrt(rates), np.floor(rates).astype(np.intp)
-    lo = np.maximum(0.0, np.ceil(rates - half)).astype(np.intp)
-    hi = np.where(rates > 0, np.floor(rates + half) + WINDOW_PAD, 0).astype(np.intp)
-    steps = np.arange(1, max((hi - mode).max(), 1) + 1)
-    with np.errstate(divide="ignore"):  # rate 0 is a point mass at 0
-        up = np.cumsum(np.log(rates[:, None] / (mode[:, None] + steps)), axis=1)
-        down = np.cumsum(np.log(np.maximum(mode[:, None] + 1 - steps, 1)
-                                / rates[:, None]), axis=1)
-    # column len(steps) + j of a row holds log p(mode + j) - log p(mode)
-    logs = np.concatenate((down[:, ::-1], np.zeros((len(rates), 1)), up), 1)
-    lens = hi - lo + 1
-    starts, row = np.cumsum(lens) - lens, np.repeat(np.arange(len(rates)), lens)
-    pmf = np.exp(logs[row, np.arange(lens.sum())
-                      - (starts + mode - lo - len(steps))[row]])
-    return lo, [pmf[a:b] / pmf[a:b].sum() for a, b in zip(starts, starts + lens)]
+    lo, pmf, lens = _poisson_rows(rates)
+    ends = np.cumsum(lens + 1).tolist()
+    return lo, [pmf[end - n:end] for end, n in zip(ends, lens.tolist())]
 
 
 def skellam_pmfs(rates_a, rates_b) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -58,60 +117,88 @@ def skellam_pmfs(rates_a, rates_b) -> tuple[np.ndarray, list[np.ndarray]]:
 
 class SkellamTable:
     """Inverse-CDF tables of C = n_0 - n_2 and S = n_1 - n_3 for each slit,
-    from the rates (4, d) of the four frames, built in one pass.
+    from the rates (4, d) of the four frames, or the tables of several
+    illuminations from their rates (k, 4, d), all built in one pass.
 
-    The 2d rows are C of slits 0 .. d-1, then S of slits 0 .. d-1. A row's
-    CDF is capped at 1, and its last value set to exactly 1, so every
-    uniform in [0, 1) maps to a value of the row. A row's guide index holds,
-    for each j <= M (M a power of two, longer than the longest row), the
-    first entry whose CDF exceeds j / M. The draw of u in [j / M, (j+1) / M)
-    is guide j unless that entry's CDF is <= u, as it is for few u, which
-    are then searched for in the table by (row, CDF). This gives exactly
-    searchsorted(cdf, u, "right") of the row.
+    Table t holds rows 2dt .. 2dt + 2d - 1: C of slits 0 .. d-1, then S of
+    slits 0 .. d-1. A row's CDF is capped at 1, and its last value set to
+    exactly 1, so every uniform in [0, 1) maps to a value of the row. Each
+    row's guide index holds, for each j <= M (M = m[t] of its table, a
+    power of two longer than the table's longest row), the first entry
+    whose CDF exceeds j / M. The draw of u in [j / M, (j+1) / M) is guide j
+    unless that entry's CDF is <= u, as it is for few u, which are then
+    searched for in the table by (row, CDF). This gives exactly
+    searchsorted(cdf, u, "right") of the row. Each row's CDF is its own
+    running sum, taken in a padded block (_padded_rows), so a table is the
+    same whichever tables are built with it.
     """
 
     def __init__(self, rates: np.ndarray):
         rates = np.asarray(rates, dtype=float)
-        if rates.ndim != 2 or len(rates) != 4:
-            raise ShapeError(f"rates shape {rates.shape}, expected (4, d)")
-        self.d = rates.shape[1]
-        firsts, pmfs = skellam_pmfs(rates[:2].ravel(), rates[2:].ravel())
+        if rates.ndim not in (2, 3) or rates.shape[-2] != 4:
+            raise ShapeError(f"rates shape {rates.shape}, expected (4, d) "
+                             "or (k, 4, d)")
+        self.d = rates.shape[-1]
+        rates = rates.reshape(-1, 4, self.d)
+        # the Skellam law of each row is copied into a padded block
+        # (_padded_rows), whose rows then take their running sums in one
+        # pass per block
+        firsts, pmfs = skellam_pmfs(rates[:, :2].ravel(), rates[:, 2:].ravel())
         lens = np.array([len(pmf) for pmf in pmfs])
-        self.m = 1 << int(lens.max()).bit_length()
+        order, starts, counts = _padded_rows(lens)
+        widths = np.maximum.reduceat(lens[order], starts)
+        offsets, bases, size = _block_offsets(order, starts, counts, widths)
+        sums = np.zeros(size)
+        for at, pmf in zip(offsets.tolist(), pmfs):
+            sums[at:at + len(pmf)] = pmf
+        for base, n, width in zip(bases.tolist(), counts.tolist(),
+                                  widths.tolist()):
+            block = sums[base:base + n * width].reshape(n, width)
+            np.cumsum(block, axis=1, out=block)
+        #: M of each table
+        self.m = 1 << np.frexp(lens.reshape(-1, 2 * self.d).max(axis=1))[1].astype(np.intp)
         #: row r is cdf[starts[r]:starts[r + 1]], and likewise values
         self.starts = np.cumsum([0] + lens.tolist())
-        # each row's own running sum, in a row padded after its end
-        inside = np.arange(lens.max()) < lens[:, None]
-        padded = np.zeros(inside.shape)
-        padded[inside] = np.concatenate(pmfs)
-        self.cdf = np.minimum(np.cumsum(padded, axis=1)[inside], 1.0)
+        self.cdf = sums[np.repeat(offsets - self.starts[:-1], lens)
+                        + np.arange(self.starts[-1])]
+        np.minimum(self.cdf, 1.0, out=self.cdf)
         self.cdf[self.starts[1:] - 1] = 1.0
-        row = np.repeat(np.arange(len(lens)), lens)
-        self.values = (np.arange(self.starts[-1])
-                       + (firsts - self.starts[:-1])[row]).astype(float)
-        # guide j counts the row's CDFs <= j / M, those with ceil(cdf M) <= j
-        # (cdf M is exact), up to the row's last entry, whose CDF is 1
-        hits = np.bincount(row * (self.m + 1)
-                           + np.ceil(self.cdf * self.m).astype(np.intp),
-                           minlength=len(lens) * (self.m + 1))
-        self.guide = (np.minimum(hits.reshape(len(lens), -1).cumsum(axis=1),
-                                 lens[:, None] - 1)
-                      + self.starts[:-1, None]).ravel()
+        self.values = (np.arange(float(self.starts[-1]))
+                       + np.repeat((firsts - self.starts[:-1]).astype(float), lens))
+        # row r's guide is guide[g[r]:g[r] + M + 1], M its table's. Guide j
+        # counts the row's CDFs <= j / M, those with ceil(cdf M) <= j (cdf M
+        # is exact), up to the row's last entry, whose CDF is 1. Over all
+        # rows these places g[r] + ceil(cdf M) ascend, so the guide is the
+        # count of places <= its own: the rows before r add starts[r]
+        self._m_rows = np.repeat(self.m, 2 * self.d)
+        self._guide_starts = np.cumsum(self._m_rows + 1) - (self._m_rows + 1)
+        places = (np.ceil(self.cdf * np.repeat(self._m_rows, lens)).astype(np.intp)
+                  + np.repeat(self._guide_starts, lens))
+        self.guide = np.repeat(np.arange(len(places) + 1), np.diff(
+            places, prepend=0, append=(self._m_rows + 1).sum()))
+        # guide M, which counts the whole row, points at its last entry
+        self.guide[self._guide_starts + self._m_rows] = self.starts[1:] - 1
         # row + i CDF, in lexicographic (row, CDF) order, as complex sorts
-        self._keys = row + 1j * self.cdf
+        self._keys = np.empty(self.starts[-1], dtype=complex)
+        self._keys.real = np.repeat(np.arange(len(lens)), lens)
+        self._keys.imag = self.cdf
 
-    def draw(self, u: np.ndarray) -> np.ndarray:
+    def draw(self, u: np.ndarray, tables=0) -> np.ndarray:
         """The values (..., 2, d, k) that the uniforms u (..., 2, d, k) in
-        [0, 1) select: u[..., 0, s, :] draws C of slit s, u[..., 1, s, :]
+        [0, 1) select from table `tables`, an index, or indices (...) over
+        u's leading axes: u[..., 0, s, :] draws C of slit s, u[..., 1, s, :]
         its S."""
         u = np.asarray(u, dtype=float)
+        rows = (np.asarray(tables)[..., None, None, None] * (2 * self.d)
+                + np.arange(2 * self.d).reshape(2, self.d, 1))
         # u * M is exact (M is a power of two), so u = j / M reads guide j
-        cell = (np.arange(2 * self.d).reshape(2, self.d, 1) * (self.m + 1)
-                + (u * self.m).astype(np.intp)).ravel()
+        cell = (self._guide_starts[rows]
+                + (u * self._m_rows[rows]).astype(np.intp)).ravel()
         pos, flat = self.guide[cell], u.ravel()
         # past a CDF step inside the guide cell, the answer is the row's
         # first entry whose CDF exceeds u: the first key after row + i u
         open_ = np.flatnonzero(self.cdf[pos] <= flat)
-        pos[open_] = np.searchsorted(self._keys, cell[open_] // (self.m + 1)
-                                     + 1j * flat[open_], side="right")
+        row = np.searchsorted(self._guide_starts, cell[open_], side="right") - 1
+        pos[open_] = np.searchsorted(self._keys, row + 1j * flat[open_],
+                                     side="right")
         return self.values[pos].reshape(u.shape)

@@ -7,9 +7,11 @@ comes from splittable seeded streams so parallel sweeps are reproducible
 independent of scheduling.
 """
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError
 from .forward import InterferogramSet
@@ -37,6 +39,73 @@ def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
     )
+
+
+#: numpy's SeedSequence hash constants: its algorithm, with its pool of 4
+#: 32-bit words, is part of numpy's stream-compatibility guarantee
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+class _HashedSeed(ISeedSequence):
+    """A seed sequence whose state is already hashed: what a BitGenerator
+    asks of it is those 4 words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def rng_streams(seed: int, stream_ids) -> list[np.random.Generator]:
+    """The streams rng_stream(seed, i) of the ids `stream_ids` (each in
+    [0, 2^32)), the same bit for bit, hashed in one pass: numpy's
+    SeedSequence algorithm, on Python ints for the seed's words, which every
+    id shares, then vectorized over the ids for the id word and the state
+    words (the hash constants run alike for every id), each PCG64 then
+    seeded from its 4 state words, as from its SeedSequence."""
+    seed, ids = operator.index(seed), np.asarray(stream_ids, dtype=np.uint32)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return result ^ result >> 16
+
+    # the pool of 4 words: the seed's 32-bit words (at least 4, 0-padded),
+    # mixed together, then each later word, the id last, mixed into each
+    words = [seed >> shift & _MASK32
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:] + [ids.astype(np.uint64)]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): 8 words off the cycled pool
+    state, const = np.empty((len(ids), 8), dtype=np.uint64), _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state[:, i] = value ^ value >> 16
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_HashedSeed(words)))
+            for words in state]
 
 
 def readout_sigmas(sigmas, nsamps=None, default=None):

@@ -463,10 +463,11 @@ def test_cli_run_ends_with_its_count_and_wall_time_unless_quiet(
 
 def test_cli_sweep_line_names_the_threads_it_ran_on(tmp_path, capsys,
                                                      monkeypatch):
-    # 2 blocks of 120 pixel reads each, at --jobs 4
+    # 2 blocks of one cell each (256 repetitions, 1 536 pixel reads), at
+    # --jobs 4
     cfg = write_cfg(tmp_path, MINIMAL + "[sweep]\nilluminations = 1.7,3.0\n"
-                    "sigmas = 0.5\nn_bins = 1\nrepetitions = 20\n")
-    for reads_per_thread, threads in ((240, "1 thread"), (120, "2 threads")):
+                    "sigmas = 0.5\nn_bins = 1\nrepetitions = 256\n")
+    for reads_per_thread, threads in ((3072, "1 thread"), (1536, "2 threads")):
         monkeypatch.setattr(experiments, "READS_PER_THREAD", reads_per_thread)
         assert main(["qudit-experiment", "--config", cfg, "--jobs", "4",
                      "--out", str(tmp_path / threads[0])]) == 0

@@ -140,13 +140,14 @@ def test_sweep_poisson_range_error_raises_before_any_draw(seed, noise_draws):
     assert len(noise_draws) == 0
 
 
-def _per_cell_sweep(grid, seed, table, psi=PsiConfig()):
+def _per_cell_sweep(grid, seed, psi=PsiConfig(), quantize=False):
     """The sweep one cell at a time, each from its own stream in chunks of
     _CHUNK repetitions, reading n_bin pixels of each uniform slit off the
-    slit's rates: what the blocked sweep must reproduce exactly. With
-    `table`, each cell draws its (C, S) from a Skellam table of its rates,
-    then normals of sd sigma sqrt(2); otherwise it draws the N frames, and
-    takes their harmonic sums. Each read pixel is scored as a unit phasor."""
+    slit's rates: what the blocked sweep must reproduce exactly. At N = 4,
+    not quantized and with rates within _TABLE_MAX_RATE, each cell draws its
+    (C, S) from a Skellam table of its own rates, built alone, then normals
+    of sd sigma sqrt(2); otherwise it draws the N frames, and takes their
+    harmonic sums. Each read pixel is scored as a unit phasor."""
     fld = SCENE.field()
     # the first pixel of each slit, taken from the full field
     slit_values = fld.values[SCENE.layout.slit_pixels(SCENE.grid)][:, :1]
@@ -155,6 +156,8 @@ def _per_cell_sweep(grid, seed, table, psi=PsiConfig()):
         rates, ref = frame_rates(slit_values, psi.reference_for(fld),
                                  psi.n_steps, illum, slit_values)
         c0, mu = c0_analytic(ref, psi.n_steps), float(np.angle(ref))
+        table = (psi.n_steps == 4 and not quantize
+                 and rates.max() <= experiments._TABLE_MAX_RATE)
         rng = rng_stream(seed, index)
         fids = np.empty(grid.repetitions)
         for start in range(0, grid.repetitions, experiments._CHUNK):
@@ -167,7 +170,8 @@ def _per_cell_sweep(grid, seed, table, psi=PsiConfig()):
                 c, s = sums[:, 0], sums[:, 1]
             else:
                 noisy = sample_noise(np.repeat(rates[None], m, axis=0)
-                                     .repeat(n_bin, axis=-1), sigma, rng)
+                                     .repeat(n_bin, axis=-1), sigma, rng,
+                                     quantize=quantize)
                 c, s = harmonic_sums(noisy)
             fids[start:start + m] = sample_fidelity(
                 SCENE.state, unit_phasors(c, s, c0, mu))
@@ -180,28 +184,45 @@ def _per_cell_sweep(grid, seed, table, psi=PsiConfig()):
 
 SIGMAS_20 = tuple(0.15 * k for k in range(1, 21))
 
+#: 8 of the 20 illuminations of a 20 x 20 map, 1 to 20 phot/px
+MAP_ILLUMINATIONS_8 = tuple(float(x) for x in np.geomspace(1.0, 20.0, 8))
 
-@pytest.mark.parametrize("illums, sigmas, n_bins, reps, n_steps", [
-    # blocks of 10 cells, on the tables and, at N = 5, on the frames
-    pytest.param((1.7, 3.0), SIGMAS_20, (1,), 16, 4, id="sigmas0-n_bins0-16"),
-    pytest.param((1.7, 3.0), SIGMAS_20, (1,), 16, 5,
+
+@pytest.mark.parametrize("illums, sigmas, n_bins, reps, n_steps, quantize", [
+    # a block of 40 cells over both illuminations per n_bin, on the tables
+    # and, at N = 5, on the frames
+    pytest.param((1.7, 3.0), SIGMAS_20, (1, 2), 16, 4, False,
+                 id="sigmas0-n_bins0-16"),
+    pytest.param((1.7, 3.0), SIGMAS_20, (1, 2), 16, 5, False,
                  id="sigmas0-n_bins0-16-n_steps-5"),
+    # map-like: 160 cells in 2 blocks of 80, each over 4 illuminations
+    pytest.param(MAP_ILLUMINATIONS_8, SIGMAS_20, (1,), 16, 4, False,
+                 id="map-like-16"),
+    # 400 phot/px has rates up to 3 159, past _TABLE_MAX_RATE, so its cells
+    # draw frames, beside the tabled cells of 1.7 and 3.0 at the same n_bin
+    pytest.param((1.7, 3.0, 400.0), (0.2, 0.5, 3.0), (1, 4), 16, 4, False,
+                 id="mixed-path-16"),
+    pytest.param((1.7, 3.0), SIGMAS_20, (1, 2), 16, 4, True,
+                 id="quantize-16"),
     # one cell per block, two chunks
-    pytest.param((1.7, 3.0), (0.2, 0.5, 3.0), (1, 4), 300, 4,
+    pytest.param((1.7, 3.0), (0.2, 0.5, 3.0), (1, 4), 300, 4, False,
                  id="sigmas1-n_bins1-300"),
-    pytest.param((1.7, 3.0), SIGMAS_20, (1, 2), 128, 4, id="blocks-of-2"),
-    pytest.param((1.7, 3.0), (0.0, 1.0), (1, 8), 300, 4, id="sigma-0"),
+    pytest.param((1.7, 3.0), SIGMAS_20, (1, 2), 128, 4, False,
+                 id="blocks-of-2"),
+    pytest.param((1.7, 3.0), (0.0, 1.0), (1, 8), 300, 4, False, id="sigma-0"),
     # an illumination listed twice shares its table and its blocks
-    pytest.param((1.7, 3.0, 1.7), (0.2, 0.5, 3.0), (1, 4), 300, 4,
+    pytest.param((1.7, 3.0, 1.7), (0.2, 0.5, 3.0), (1, 4), 300, 4, False,
                  id="repeated-illumination"),
 ])
 def test_sweep_blocks_equal_the_per_cell_sweep(illums, sigmas, n_bins, reps,
-                                               n_steps, block_threads):
+                                               n_steps, quantize,
+                                               block_threads):
     grid = SweepGrid(illuminations=illums, sigmas=sigmas, n_bins=n_bins,
                      repetitions=reps)
     psi = PsiConfig(n_steps=n_steps)
-    assert (fidelity_sweep(SCENE, grid, seed=5, jobs=2, psi=psi)
-            == _per_cell_sweep(grid, 5, n_steps == 4, psi))
+    assert (fidelity_sweep(SCENE, grid, seed=5, jobs=2, psi=psi,
+                           quantize=quantize)
+            == _per_cell_sweep(grid, 5, psi, quantize))
     assert len(set(block_threads)) == 2
 
 
@@ -223,28 +244,32 @@ def test_sweep_block_rows_stay_within_one_chunk(monkeypatch):
         rows.append(phasors.shape[:2])
         return sample_fidelity(target, phasors)
 
-    def table_sums(table, shape, sigmas, rngs):
+    def table_sums(table, shape, sigmas, rngs, tables):
         tabled.append((len(rngs), shape[0]))
-        return skellam_sums(table, shape, sigmas, rngs)
+        return skellam_sums(table, shape, sigmas, rngs, tables)
 
-    def table_draw(table, u):
+    def table_draw(table, u, tables):
         draws.append(u.shape[:2])
-        return draw(table, u)
+        return draw(table, u, tables)
 
     monkeypatch.setattr(experiments, "sample_fidelity", scoring)
     monkeypatch.setattr(experiments, "_skellam_sums", table_sums)
     monkeypatch.setattr(SkellamTable, "draw", table_draw)
     for reps, n_bin in ((16, 1), (100, 1), (300, 1), (128, 2)):
-        grid = SweepGrid(illuminations=(3.0,), sigmas=SIGMAS_20,
+        grid = SweepGrid(illuminations=(1.7, 3.0, 11.3), sigmas=SIGMAS_20,
                          n_bins=(n_bin,), repetitions=reps)
         fidelity_sweep(SCENE, grid, seed=1)
-    # 20 cells split evenly into blocks of at most 256 // 16 = 16, then of
-    # 256 // 100 = 2; at 300 repetitions each cell is its own block, in two
-    # chunks; at 128 repetitions and n_bin 2 a block holds 2 cells. Every
-    # block draws the (C, S) of all its cells in one table draw per chunk
-    expected = ([(10, 16)] * 2 + [(2, 100)] * 10
-                + [(1, 256), (1, 44)] * 20 + [(2, 128)] * 10)
+    # the 60 cells, over all three illuminations, split evenly into blocks
+    # of at most 2048 // 16 = 128 cells (2048 reads per slit in a chunk),
+    # then of 2048 // 100 = 20; at 300 repetitions each cell is its own
+    # block, in two chunks; at 128 repetitions and n_bin 2 a block holds at
+    # most 8 cells. Every block draws the (C, S) of all its cells in one
+    # table draw per chunk
+    expected = ([(60, 16)] + [(20, 100)] * 3 + [(1, 256), (1, 44)] * 60
+                + [(7, 128), (8, 128)] * 4)
     assert rows == tabled == draws == expected
+    assert all(cells * m * n_bin <= experiments._BLOCK_READS
+               for (cells, m), n_bin in zip(expected, [1] * 124 + [2] * 8))
 
 
 def test_skellam_sums_have_the_moments_of_the_frame_sums():
@@ -268,9 +293,24 @@ def test_skellam_sums_have_the_moments_of_the_frame_sums():
         assert np.array_equal(sums[1], np.round(sums[1]))
 
 
+@pytest.mark.parametrize("shape", [(37, 2, 6, 3), (256, 2, 6, 8)])
+@pytest.mark.parametrize("sigma", [3.0, 1.0, 0.5, 0.2])
+def test_scaled_standard_normals_are_the_normals_bit_for_bit(sigma, shape):
+    # a block draws each cell's standard normals into its own arrays and
+    # scales them by sigma sqrt(2) at once: the numbers of normal(0, sd)
+    scale = sigma * np.sqrt(2.0)
+    expected = rng_stream(7, 3).normal(0.0, scale, size=shape)
+    block = np.zeros((2,) + shape)
+    rng_stream(7, 3).standard_normal(out=block[1])
+    assert np.array_equal(rng_stream(7, 3).standard_normal(shape) * scale,
+                          expected)
+    block *= np.array([0.0, scale]).reshape(2, 1, 1, 1, 1)
+    assert np.array_equal(block[1], expected)
+
+
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Rates (4, d) of every Skellam table the sweep builds."""
+    """Rates (tables, 4, d) of every SkellamTable the sweep builds."""
     built = []
 
     def counting(rates):
@@ -310,9 +350,9 @@ def test_sweep_takes_the_tables_at_n_steps_4_unquantized_within_the_cap(
       for jobs in (1, 2, 8))])
 def test_sweep_builds_one_table_per_illumination(jobs, illums, table_builds,
                                                  block_threads):
-    # the blocks share the tables, built before any block runs, while the
-    # interpreter switches threads as often as it can; an illumination
-    # listed twice is prepared once
+    # the blocks share the tables, all built in one pass before any block
+    # runs, while the interpreter switches threads as often as it can; an
+    # illumination listed twice is prepared once
     grid = SweepGrid(illuminations=illums, **TABLE_GRID)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -320,7 +360,8 @@ def test_sweep_builds_one_table_per_illumination(jobs, illums, table_builds,
         fidelity_sweep(SCENE, grid, seed=2, jobs=jobs)
     finally:
         sys.setswitchinterval(interval)
-    assert len(table_builds) == len(set(illums))
+    (rates,) = table_builds
+    assert len(rates) == len(set(illums))
     assert (len(set(block_threads)) > 1) == (jobs > 1)
 
 
@@ -336,9 +377,11 @@ def test_sweep_builds_no_table_for_a_block_that_fails_its_checks(
 
 
 def test_sweep_jobs_independent_when_blocks_split_unevenly(block_threads):
-    # 8 blocks of 10 cells on 3 threads
-    grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=SIGMAS_20, n_bins=(1, 2),
-                     repetitions=16)
+    # 7 blocks on 3 threads: one of the 40 cells at n_bin 1, one at 2, two
+    # of 20 at 4 and three of 13 or 14 at 8
+    grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=SIGMAS_20,
+                     n_bins=(1, 2, 4, 8), repetitions=16)
+    assert len(grid._blocks) == 7
     serial = fidelity_sweep(SCENE, grid, seed=6, jobs=1)
     block_threads.clear()
     assert fidelity_sweep(SCENE, grid, seed=6, jobs=3) == serial
@@ -358,9 +401,9 @@ def test_sweep_deterministic_and_jobs_independent(block_threads):
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_sweep_raises_the_first_failing_blocks_error(jobs, block_threads):
-    # blocks in submission order: (1, 1) would run, (1, 500) reads more
-    # pixels than a slit has, (3, 1) and (3, 500) fail the Poisson range
-    # check; all of it is checked before any block runs
+    # checked in preparation order, before any block runs: illumination 1
+    # is in the Poisson range, then n_bin 500 reads more pixels than a slit
+    # has; illumination 3 would fail the Poisson range check
     grid = SweepGrid(illuminations=(1.0, 3.0), sigmas=(0.2,), n_bins=(1, 500),
                      repetitions=5)
     with pytest.raises(SamplingError) as swept:
@@ -395,10 +438,10 @@ MAP_PREVIEW = SweepGrid(
 
 
 @pytest.mark.parametrize("grid, blocks, threads", [
-    # 38 400 pixel reads in 40 blocks
-    pytest.param(MAP_PREVIEW, 40, {2: 1, 8: 1}, id="map-preview"),
-    # 138 240 reads in 24 blocks
-    pytest.param(SweepGrid(repetitions=128), 24, {2: 1, 8: 1}, id="default-128"),
+    # 38 400 pixel reads in 4 blocks of 100 cells
+    pytest.param(MAP_PREVIEW, 4, {2: 1, 8: 1}, id="map-preview"),
+    # 138 240 reads in 12 blocks: at n_bin 1, 2, 4 and 8, 1, 2, 3 and 6
+    pytest.param(SweepGrid(repetitions=128), 12, {2: 1, 8: 1}, id="default-128"),
     # 2 160 000 reads in 48 blocks
     pytest.param(SweepGrid(), 48, {2: 2, 3: 3, 64: 16}, id="default-2000"),
     # 4 800 000 reads in 2 blocks
@@ -427,7 +470,7 @@ def test_sweep_runs_its_blocks_inline_on_one_thread(monkeypatch):
     monkeypatch.setattr(experiments.threading, "Thread", no_thread)
     monkeypatch.setattr(experiments, "_run_block", recording)
     assert len(fidelity_sweep(SCENE, MAP_PREVIEW, seed=1, jobs=2)) == 400
-    assert set(callers) == {threading.get_ident()} and len(callers) == 40
+    assert set(callers) == {threading.get_ident()} and len(callers) == 4
 
 
 def test_sweep_threads_under_fast_switching_match_serial(block_threads):
@@ -469,14 +512,14 @@ def test_uncaught_cell_error_cancels_queued_cells(monkeypatch, exc_type, jobs):
     monkeypatch.setattr(experiments, "READS_PER_THREAD", 1)
     monkeypatch.setattr(experiments, "_run_block", block)
     grid = SweepGrid(illuminations=(1.0, 2.0, 3.0, 4.0), sigmas=(0.2, 0.5),
-                     n_bins=(1, 2), repetitions=1)
+                     n_bins=(1, 2), repetitions=experiments._CHUNK)
     with pytest.raises(exc_type):
         fidelity_sweep(SCENE, grid, jobs=jobs)
     assert len(idents) == jobs
-    # of the 8 blocks (one per illumination and n_bin): inline, the block of
-    # cell 0 alone; on threads, also the blocks running beside it and at
-    # most one block that its worker took up before the cancel, and none of
-    # those queued after them
+    # of the 16 blocks (one per cell at _CHUNK repetitions): inline, the
+    # block of cell 0 alone; on threads, also the blocks running beside it
+    # and at most one block that its worker took up before the cancel, and
+    # none of those queued after them
     if jobs == 1:
         assert started == [0]
     else:

@@ -42,7 +42,7 @@ def row_pairs(rates):
 def test_draw_equals_searchsorted_at_every_guide_edge(name):
     rates = RATES[name]
     table = SkellamTable(rates)
-    m, d = table.m, rates.shape[1]
+    (m,), d = table.m, rates.shape[1]
     edges = np.arange(m) / m
     u = np.concatenate([edges, np.nextafter(edges, 0.0),
                         [0.0, np.nextafter(1.0, 0.0)],
@@ -62,7 +62,8 @@ def test_table_rows_have_the_skellam_mass_mean_and_variance(name):
     rates = RATES[name]
     table = SkellamTable(rates)
     longest = np.diff(table.starts).max()
-    assert table.m & (table.m - 1) == 0 and table.m > longest
+    (m,) = table.m
+    assert m & (m - 1) == 0 and m > longest
     for row, _, _, rate_a, rate_b in row_pairs(rates):
         _, (pmf,) = skellam_pmfs([rate_a], [rate_b])
         assert abs(pmf.sum() - 1.0) <= 1e-13
@@ -99,7 +100,7 @@ def test_poisson_pmf_of_rate_zero_is_a_point_mass():
 
 
 def test_table_rejects_rates_of_another_shape():
-    for shape in ((3, 6), (4,), (4, 6, 1)):
+    for shape in ((3, 6), (4,), (4, 6, 1), (2, 3, 6), (2, 2, 4, 6)):
         with pytest.raises(ShapeError):
             SkellamTable(np.ones(shape))
 
@@ -153,8 +154,50 @@ def test_one_pass_table_equals_the_per_row_build(name):
     rates = ONE_PASS_RATES[name]
     table = SkellamTable(rates)
     cdf, values, guide, starts, m = per_row_table(rates)
-    assert table.m == m
+    assert table.m.tolist() == [m]
     for built, expected in ((table.cdf, cdf), (table.values, values),
                             (table.guide, guide), (table.starts, starts)):
         assert built.dtype == expected.dtype
         assert np.array_equal(built, expected)
+
+
+# every illumination of a 20 x 20 map, the default grid's, and the edge cases
+# of the table rows, each with 6 slits
+BATCHED_RATES = ([default_rates(float(illum))
+                  for illum in np.geomspace(1.0, 20.0, 20)]
+                 + [default_rates(illum) for illum in (1.7, 3.0, 11.3)]
+                 + [RATES["zeros"]])
+
+
+def test_batched_tables_equal_the_per_row_build_of_each_illumination():
+    # the rows of one table do not depend on the tables built beside it
+    table = SkellamTable(np.stack(BATCHED_RATES))
+    rows = 2 * table.d
+    guide_starts = np.cumsum([0] + [(m + 1) * rows for m in table.m])
+    for t, rates in enumerate(BATCHED_RATES):
+        cdf, values, guide, starts, m = per_row_table(rates)
+        first, last = table.starts[t * rows], table.starts[(t + 1) * rows]
+        assert table.m[t] == m
+        assert np.array_equal(table.cdf[first:last], cdf)
+        assert np.array_equal(table.values[first:last], values)
+        assert np.array_equal(table.starts[t * rows:(t + 1) * rows + 1] - first,
+                              starts)
+        assert np.array_equal(
+            table.guide[guide_starts[t]:guide_starts[t + 1]] - first, guide)
+
+
+def test_batched_draw_equals_each_illuminations_own_table():
+    table = SkellamTable(np.stack(BATCHED_RATES))
+    rng = rng_stream(4)
+    which = rng.integers(0, len(BATCHED_RATES), 9)
+    u = rng.random((9, 50, 2, 6, 3))
+    # each table's first 50 guide edges too, and the last uniform below 1
+    for cell, t in enumerate(which):
+        (m,) = SkellamTable(BATCHED_RATES[t]).m
+        u[cell, :, 0, 0, 0] = np.minimum(np.arange(50) / m,
+                                         np.nextafter(1.0, 0.0))
+    drawn = table.draw(u, which[:, None])
+    for cell, t in enumerate(which):
+        assert np.array_equal(drawn[cell],
+                              SkellamTable(BATCHED_RATES[t]).draw(u[cell]))
+        assert np.array_equal(table.draw(u[cell], t), drawn[cell])

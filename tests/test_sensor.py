@@ -5,6 +5,7 @@ import pytest
 
 from pdisim import (DomainError, InterferogramSet, NoiseParams,
                     apply_noise, rng_stream, sample_noise, sigma_from_nsamp)
+from pdisim.sensor import rng_streams
 
 
 def make_set(frames):
@@ -95,6 +96,39 @@ def test_rng_stream_determinism_and_independence():
     c = rng_stream(42, 1).random(100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# seeds of 1 to 7 32-bit words, at the edges of their word counts
+STREAM_SEEDS = [0, 1, 11, 2**32 - 1, 2**32, 2**63 + 5, 2**128 - 1, 2**128,
+                2**200 + 3, np.int64(7)]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_rng_streams_are_rng_stream_bit_for_bit(seed):
+    ids = list(range(400)) + [2**31, 2**32 - 1]
+    streams = rng_streams(seed, ids)
+    assert len(streams) == len(ids)
+    for stream, stream_id in zip(streams, ids):
+        assert (stream.bit_generator.state
+                == rng_stream(seed, stream_id).bit_generator.state)
+    # and they draw the same numbers
+    reference = rng_stream(seed, ids[-1])
+    assert np.array_equal(streams[-1].random(7), reference.random(7))
+    assert np.array_equal(streams[-1].standard_normal(5),
+                          reference.standard_normal(5))
+
+
+def test_rng_streams_reject_what_rng_stream_rejects():
+    assert rng_streams(3, []) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        rng_stream(-1, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        rng_streams(-1, [0])
+    with pytest.raises(TypeError):
+        rng_streams(2.5, [0])
+    # ids past 32 bits take more than the one word hashed here
+    with pytest.raises(OverflowError):
+        rng_streams(0, [2**32])
 
 
 def test_apply_noise_bit_identical():
