@@ -18,7 +18,7 @@ from .reconstruct import (ReconstructionResult, c0_analytic, c0_empirical,
                           extract_phase)
 from .qudit import (BinningPolicy, FidelityStats, bootstrap_fidelity,
                     extract_state, fidelity)
-from .experiments import (CellResult, ContinuousCase, LensScene,
+from .experiments import (ContinuousCase, LensScene,
                           PhaseErrorStats, QuditScene, SweepGrid,
                           continuous_experiment, continuous_threads,
                           fidelity_sweep, phase_error_stats, sweep_threads)

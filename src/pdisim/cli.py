@@ -12,6 +12,7 @@ import argparse
 import ctypes
 import dataclasses
 import functools
+import itertools
 import os
 import sys
 import time
@@ -121,27 +122,34 @@ def _on(threads: int) -> str:
 
 
 def cmd_sweep(args, subcommand: str, csv_name: str) -> str:
-    """Sweep the configured grid into `csv_name`, one row per cell. A failing
-    sweep raises its first failing block's error, and no table is written."""
+    """Sweep the configured grid into `csv_name`, one row per cell, from the
+    sweep's columns. A failing sweep raises its first failing block's
+    error, and no table is written."""
     cfg = _load_config(args)
     if not isinstance(cfg.scene, QuditScene):
         raise ConfigError("this subcommand requires a qudit scene")
-    labels = _noise_labels(cfg.sweep)
-    rows = [(cell.illumination, labels[cell.sigma], cell.n_bin,
-             cell.stats.mean, cell.stats.std, cell.stats.stderr)
-            for cell in fidelity_sweep(cfg.scene, cfg.sweep, seed=cfg.noise.seed,
-                                       jobs=args.jobs, quantize=cfg.noise.quantize,
-                                       psi=cfg.psi)]
+    grid = cfg.sweep
+    stats = fidelity_sweep(cfg.scene, grid, seed=cfg.noise.seed, jobs=args.jobs,
+                           quantize=cfg.noise.quantize, psi=cfg.psi)
+    labels = _noise_labels(grid)
+    # each cell's illumination, noise label and n_bin (each grid value
+    # formatted once) in the order of grid.cells(), then its statistics
+    cells = itertools.product(
+        pio.csv_texts(grid.illuminations),
+        pio.csv_texts([labels[sigma] for sigma in grid.sigmas]),
+        pio.csv_texts(grid.n_bins))
+    stats_texts = zip(*(pio.csv_texts(column.tolist())
+                        for column in (stats.mean, stats.std, stats.stderr)))
     os.makedirs(args.out, exist_ok=True)
-    pio.write_csv(
+    pio.write_csv_texts(
         os.path.join(args.out, csv_name),
         ["illumination", "readout_sigma_or_nsamp", "n_bin",
          "mean_fidelity", "std", "stderr"],
-        rows,
+        map(tuple.__add__, cells, stats_texts),
     )
     _write_run_manifest(args.out, cfg, subcommand)
-    threads = sweep_threads(cfg.scene, cfg.sweep, args.jobs)
-    return f"{len(rows)} cells{_on(threads)}"
+    threads = sweep_threads(cfg.scene, grid, args.jobs)
+    return f"{stats.mean.size} cells{_on(threads)}"
 
 
 def cmd_continuous(args) -> str:

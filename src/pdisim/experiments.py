@@ -5,7 +5,8 @@ qudit over illumination x readout noise x pixel binning, and continuous-phase
 error statistics of a lens wavefront against a high-flux reference.
 
 Every cell of a sweep is fed by its own random stream (seed, cell index),
-all seeded in one pass before any block runs (sensor.rng_streams).
+all seeded in one pass before any block runs (sensor.rng_streams), after
+the set-up's array passes (_prepare).
 The pixels of a slit all carry the slit's value, so a cell draws the noisy
 readings of its n_bin pixels per slit straight from the slit's rates: which
 pixels are read changes no number. The phase needs only the harmonic sums
@@ -28,7 +29,7 @@ across illuminations (see SweepGrid._blocks and fidelity_sweep). A block
 batches its cells' table draw, arithmetic and statistics, not their
 streams: each cell draws into the block's arrays from its own stream, so
 results are bit-identical for a fixed seed regardless of blocking, thread
-count or scheduling order.
+count or scheduling order. The cells' statistics come back as columns.
 
 The continuous study's runs (the reference, then each illumination and
 sigma) each draw from their own stream (seed, run index), so they too run
@@ -50,8 +51,8 @@ from .forward import PsiConfig, frame_rates, simulate_interferograms
 from .model import SkellamTable
 from .qudit import FidelityStats, sample_fidelity
 from .reconstruct import c0_analytic, extract_phase, harmonic_sums, unit_phasors
-from .sensor import (check_poisson_rates, rng_stream, rng_streams,
-                     readout_sigmas, sample_noise)
+from .sensor import (MAX_POISSON_RATE, check_poisson_rates, rng_stream,
+                     rng_streams, readout_sigmas, sample_noise)
 
 #: Fixed vectorization chunk (repetitions per draw from a cell's stream):
 #: part of the determinism contract, so it must not depend on worker count.
@@ -191,37 +192,21 @@ class SweepGrid:
 
     @functools.cached_property
     def _blocks(self) -> tuple:
-        """The sweep's blocks in submission order, (cell indices, their
-        sigmas, their illuminations, n_bin): the cells that share an n_bin,
-        in grid order across illuminations, split evenly into blocks of at
-        most as many as fill one chunk of _BLOCK_READS reads per slit below
-        _CHUNK repetitions, of one cell from _CHUNK up. Built once per
-        grid."""
-        cells = list(self.cells())
-        groups = {}
-        for index, (_, _, n_bin) in enumerate(cells):
-            groups.setdefault(n_bin, []).append(index)
+        """The sweep's blocks in submission order, (cell indices, n_bin): the
+        indices (an array, in grid order) of the cells that share an n_bin,
+        across illuminations, split evenly into blocks of at most as many
+        as fill one chunk of _BLOCK_READS reads per slit below _CHUNK
+        repetitions, of one cell from _CHUNK up. Built once per grid."""
+        bins = np.tile(self.n_bins, len(self.illuminations) * len(self.sigmas))
         blocks = []
-        for n_bin, group in groups.items():
+        for n_bin in dict.fromkeys(self.n_bins):
+            group = np.flatnonzero(bins == n_bin)
             per_block = (1 if self.repetitions >= _CHUNK else
                          max(1, _BLOCK_READS // (self.repetitions * n_bin)))
             n = -(-len(group) // per_block)
-            for i in range(n):
-                indices = tuple(group[len(group) * i // n:
-                                      len(group) * (i + 1) // n])
-                blocks.append((indices, tuple(cells[j][1] for j in indices),
-                               tuple(cells[j][0] for j in indices), n_bin))
+            blocks += [(group[len(group) * i // n:len(group) * (i + 1) // n],
+                        n_bin) for i in range(n)]
         return tuple(blocks)
-
-
-@dataclass(frozen=True)
-class CellResult:
-    """One sweep cell and its fidelity statistics."""
-
-    illumination: float
-    sigma: float
-    n_bin: int
-    stats: FidelityStats
 
 
 @dataclass(frozen=True)
@@ -262,79 +247,100 @@ def _skellam_sums(table, shape, sigmas, rngs, tables=0):
         else:
             cell_noise[...] = 0.0
     sums = table.draw(u, np.reshape(tables, (-1, 1)))
-    sums += noise * (np.array(sigmas) * np.sqrt(2.0)).reshape(-1, 1, 1, 1, 1)
+    noise *= (np.array(sigmas) * np.sqrt(2.0)).reshape(-1, 1, 1, 1, 1)
+    sums += noise
     return sums[:, :, 0], sums[:, :, 1]
 
 
+def _checked_frames(slits, reference, illums, n_bins, pixels, n_steps):
+    """The frames (k, N, d, 1) of the slits at the k illuminations `illums`
+    (one frame_rates call), C0s and mus. The checks run once for all, and
+    raise what checking the illuminations one at a time, in order, would:
+    each one's frames (float range, then Poisson range), then the n_bins
+    against the `pixels` per slit (read without replacement), then its C0."""
+    try:
+        rates, refs = frame_rates(slits, reference, n_steps, illums, slits)
+    except DomainError:
+        # frames overflow, but an earlier illumination's check comes first
+        for illum in illums[:-1]:
+            _checked_frames(slits, reference, (illum,), n_bins, pixels, n_steps)
+        raise
+    flat = rates.reshape(len(illums), -1)
+    # the first illumination past numpy's Poisson range, or k
+    fits = (flat.min(axis=1) >= 0) & (flat.max(axis=1) <= MAX_POISSON_RATE)
+    first = len(illums) if fits.all() else int(np.argmin(fits))
+    wide = [n_bin for n_bin in n_bins if n_bin > pixels]
+    if wide and first:
+        raise SamplingError(f"n_bin = {wide[0]} exceeds the {pixels} pixels "
+                            "per slit")
+    c0 = np.array([c0_analytic(ref, n_steps) for ref in refs[:first].tolist()])
+    if first < len(illums):
+        check_poisson_rates(rates[first])
+    return rates, c0, np.angle(refs)
+
+
 def _prepare(scene: QuditScene, grid: SweepGrid, psi: PsiConfig,
-             quantize: bool) -> tuple[dict, SkellamTable | None]:
-    """Each distinct illumination of a sweep, keyed by illumination, as
-    (rates, C0, mu, table): its slits' noiseless frames (N, d, 1), and the
-    index of its table in the sweep's one SkellamTable, or None where its
-    cells draw frames; and that SkellamTable, or None if no illumination
-    takes it. Prepared in grid order before any block runs, each
-    illumination checks its frames against numpy's Poisson range, then
-    every n_bin against the pixels per slit (read without replacement): the
-    first check that fails raises. Then the tables of all the illuminations
-    that take them are built in one pass."""
+             quantize: bool) -> tuple[np.ndarray, tuple, SkellamTable | None]:
+    """A sweep's illuminations, prepared in one pass before any block runs:
+    (lits, (rates, c0, mu, tables), table). lits[i] indexes grid
+    illumination i among the k distinct ones, which have frames rates (k,
+    N, d, 1), C0s, mus and in tables the index of their table in `table`,
+    the sweep's one SkellamTable (None if unused), or -1 to draw frames.
+    The checks run first (_checked_frames)."""
+    distinct = {}
+    lits = np.array([distinct.setdefault(illum, len(distinct))
+                     for illum in grid.illuminations])
     slits = scene.slit_values()
-    reference = psi.reference_for(scene.field())
-    prepared, tabled = {}, []
-    for illum in grid.illuminations:
-        if illum in prepared:
-            continue
-        # mean frame 0 over the slits sets the illumination scale
-        rates, ref = frame_rates(slits, reference, psi.n_steps, illum, slits)
-        check_poisson_rates(rates)
-        for n_bin in grid.n_bins:
-            if n_bin > scene.layout.pixels_per_slit:
-                raise SamplingError(f"n_bin = {n_bin} exceeds the "
-                                    f"{scene.layout.pixels_per_slit} pixels "
-                                    "per slit")
-        # at N = 4, not quantized, (C, S) come from the table, which the
-        # rate cap keeps small
-        table = None
-        if psi.n_steps == 4 and not quantize and rates.max() <= _TABLE_MAX_RATE:
-            table = len(tabled)
-            tabled.append(rates[..., 0])
-        prepared[illum] = (rates, c0_analytic(ref, psi.n_steps),
-                           float(np.angle(ref)), table)
-    return prepared, SkellamTable(np.array(tabled)) if tabled else None
+    rates, c0, mu = _checked_frames(
+        slits, psi.reference_for(scene.field()), tuple(distinct), grid.n_bins,
+        scene.layout.pixels_per_slit, psi.n_steps)
+    # at N = 4, not quantized, (C, S) come from the table, which the rate
+    # cap keeps small
+    tabled = np.zeros(len(distinct), dtype=bool)
+    if psi.n_steps == 4 and not quantize:
+        tabled = rates.reshape(len(distinct), -1).max(axis=1) <= _TABLE_MAX_RATE
+    tables = np.where(tabled, np.cumsum(tabled) - 1, -1)
+    table = SkellamTable(rates[tabled, ..., 0]) if tabled.any() else None
+    return lits, (rates, c0, mu, tables), table
 
 
-def _run_block(indices, sigmas, lits, n_bin, *, streams, target, repetitions,
-               quantize, table):
-    """Monte-Carlo fidelity of the sweep cells `indices`, one per readout
-    sigma in `sigmas` and prepared illumination in `lits` (rates, C0, mu,
-    table; see _prepare), all at `n_bin` and on one draw path: one
-    FidelityStats per cell.
+def _run_block(indices, n_bin, *, lits, sigmas, prepared, streams, target,
+               repetitions, quantize, table):
+    """Monte-Carlo fidelity of the sweep cells `indices` (an array), all at
+    `n_bin` and on one draw path: arrays of each cell's mean, sample std (0
+    at one repetition) and standard error. Cell i has readout sigma
+    sigmas[i] and illumination lits[i] of `prepared` (see _prepare).
 
     Per chunk of repetitions each cell draws from its own stream,
-    streams[index], what it would draw alone: on the table path, the (C, S)
-    of its read pixels (_skellam_sums: one draw from the sweep's `table` for
+    streams[i], what it would draw alone: on the table path, the (C, S) of
+    its read pixels (_skellam_sums: one draw from the sweep's `table` for
     the block); otherwise their noisy frames (sample_noise), whose
     harmonic_sums give (C, S). unit_phasors and sample_fidelity score them,
-    and the statistics run, over all the cells, each with its own C0 and mu.
+    and the statistics run, over all the cells, each with its own C0 and mu;
+    each cell's numbers are those of its own fidelities alone.
     """
-    rates, c0, mu, tables = zip(*lits)
+    rates, c0, mu, tables = prepared
+    lit, cell_sigmas = lits[indices], sigmas[indices].tolist()
     # each cell's C0 and mu, broadcast over its (m, d, n_bin) read pixels
-    c0, mu = np.reshape(c0, (-1, 1, 1, 1)), np.reshape(mu, (-1, 1, 1, 1))
-    frames = rates[0].shape[:-1]
-    rngs = [streams[index] for index in indices]
+    c0, mu = c0[lit].reshape(-1, 1, 1, 1), mu[lit].reshape(-1, 1, 1, 1)
+    frames = rates.shape[1:-1]
+    rngs = [streams[index] for index in indices.tolist()]
     fids = np.empty((len(indices), repetitions))
     for start in range(0, repetitions, _CHUNK):
         m = min(_CHUNK, repetitions - start)
-        if tables[0] is None:
+        if tables[lit[0]] < 0:
             c, s = harmonic_sums(np.stack([
-                sample_noise(np.broadcast_to(cell, (m,) + frames + (n_bin,)),
+                sample_noise(np.broadcast_to(rates[i], (m,) + frames + (n_bin,)),
                              sigma, rng, quantize=quantize)
-                for cell, sigma, rng in zip(rates, sigmas, rngs)]))
+                for i, sigma, rng in zip(lit.tolist(), cell_sigmas, rngs)]))
         else:
-            c, s = _skellam_sums(table, (m, 2) + frames[1:] + (n_bin,), sigmas,
-                                 rngs, tables)
+            c, s = _skellam_sums(table, (m, 2) + frames[1:] + (n_bin,),
+                                 cell_sigmas, rngs, tables[lit])
         fids[:, start:start + m] = sample_fidelity(
             target, unit_phasors(c, s, c0, mu))
-    return FidelityStats.per_row(fids)
+    std = (fids.std(axis=1, ddof=1) if repetitions > 1
+           else np.zeros(len(indices)))
+    return fids.mean(axis=1), std, std / np.sqrt(repetitions)
 
 
 def _threads(work: int, tasks: int, jobs: int) -> int:
@@ -399,9 +405,10 @@ def _run_tasks(run, tasks, threads):
 
 def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
                    jobs: int = 1, quantize: bool = False,
-                   psi: PsiConfig = PsiConfig()) -> list[CellResult]:
-    """Run the full sweep: one CellResult per cell, in the order of
-    `grid.cells()`.
+                   psi: PsiConfig = PsiConfig()) -> FidelityStats:
+    """Run the full sweep: the FidelityStats of every cell as columns, the
+    mean, std and stderr arrays in the order of `grid.cells()`, over
+    `grid.repetitions` runs each.
 
     Each task is a block of cells that share the n_bin (grid._blocks) and
     the draw path: a block whose illuminations take both paths runs as two
@@ -417,27 +424,27 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
     submission order.
     """
     threads = sweep_threads(scene, grid, jobs)
-    prepared, table = _prepare(scene, grid, psi, quantize)
-    cells = list(grid.cells())
+    lits, prepared, table = _prepare(scene, grid, psi, quantize)
+    # each cell's prepared illumination and readout sigma, in grid order
+    lits = np.repeat(lits, len(grid.sigmas) * len(grid.n_bins))
+    sigmas = np.tile(np.repeat(grid.sigmas, len(grid.n_bins)),
+                     len(grid.illuminations))
+    *_, tables = prepared
     tasks = []
-    for indices, sigmas, illums, n_bin in grid._blocks:
-        block = [(index, sigma, prepared[illum])
-                 for index, sigma, illum in zip(indices, sigmas, illums)]
-        for tabled in (True, False):
-            path = [(index, sigma, lit) for index, sigma, lit in block
-                    if (lit[3] is not None) is tabled]
-            if path:
-                tasks.append((*zip(*path), n_bin))
+    for indices, n_bin in grid._blocks:
+        tabled = tables[lits[indices]] >= 0
+        tasks += [(cells, n_bin) for cells in (indices[tabled], indices[~tabled])
+                  if cells.size]
     # bound per call, not at import, so that a wrapper put on
     # experiments._run_block (a tracer) is the one that runs
     run = functools.partial(
-        _run_block, streams=rng_streams(seed, range(len(cells))),
-        target=scene.state, repetitions=grid.repetitions, quantize=quantize,
-        table=table)
-    stats = {}
-    for (indices, *_), task_stats in zip(tasks, _run_tasks(run, tasks, threads)):
-        stats.update(zip(indices, task_stats))
-    return [CellResult(*cell, stats[index]) for index, cell in enumerate(cells)]
+        _run_block, lits=lits, sigmas=sigmas, prepared=prepared,
+        streams=rng_streams(seed, range(len(lits))), target=scene.state,
+        repetitions=grid.repetitions, quantize=quantize, table=table)
+    columns = np.empty((3, len(lits)))
+    for (indices, _), stats in zip(tasks, _run_tasks(run, tasks, threads)):
+        columns[:, indices] = stats
+    return FidelityStats(*columns, n_runs=grid.repetitions)
 
 
 def phase_error_stats(phase: np.ndarray, reference_phase: np.ndarray,

@@ -67,15 +67,19 @@ class InterferogramSet:
 
 
 def frame_rates(values: np.ndarray, reference: complex, n_steps: int,
-                illumination: float,
+                illumination,
                 region_values: np.ndarray) -> tuple[np.ndarray, complex]:
     """Noiseless frames (N, rows, cols) of a 2D pixel set `values` (a full
     grid, or the (d, 1) values of uniform slits), scaled so that frame 0
     averages `illumination` over `region_values`; also returns the scaled
-    reference. DomainError where a rate overflows the float range.
+    reference. Given k illuminations, (k, N, rows, cols) and k references,
+    as k calls give them bit for bit. DomainError where a rate overflows the
+    float range, naming the first illumination whose rates do.
     """
-    if illumination < 0:
-        raise DomainError(f"illumination must be >= 0, got {illumination}")
+    illums = np.asarray(illumination, dtype=float)
+    if (illums < 0).any():
+        raise DomainError("illumination must be >= 0, got "
+                          f"{float(illums[illums < 0].flat[0])}")
     reference = complex(reference)
     if reference == 0:
         raise DegenerateReferenceError(
@@ -84,21 +88,26 @@ def frame_rates(values: np.ndarray, reference: complex, n_steps: int,
     mean_i0 = float(np.mean(np.abs(region_values) ** 2))
     if mean_i0 == 0.0:
         raise DegenerateReferenceError("field is zero over the analysis region")
-    root_scale = np.sqrt(illumination / mean_i0)
-    scaled_ref = reference * root_scale
+    root_scale = np.sqrt(illums / mean_i0)
+    # k illuminations on an axis ahead of the pixel axes; one stays scalar
+    per_illum = (slice(None),) + (None,) * values.ndim if illums.ndim else ()
     # a huge reference overflows to inf (or nan, where inf meets 0):
     # rejected below as a whole, not warned about per operation
     with np.errstate(over="ignore", invalid="ignore"):
-        shifts = scaled_ref * (np.exp(1j * step_phases(n_steps)) - 1.0)
-        rates = np.empty((n_steps,) + values.shape)
+        scaled_ref = reference * root_scale
+        shifts = np.multiply.outer(scaled_ref,
+                                   np.exp(1j * step_phases(n_steps)) - 1.0)
+        rates = np.empty(illums.shape + (n_steps,) + values.shape)
         # one step at a time, in place: no complex (N, rows, cols) array
-        for rate, shift in zip(rates, shifts):
-            amplitude = values * root_scale
-            amplitude += shift
-            np.abs(amplitude, out=rate)
+        for n in range(n_steps):
+            amplitude = values * root_scale[per_illum]
+            amplitude += shifts.T[n][per_illum]
+            np.abs(amplitude, out=rates[..., n, :, :])
         np.square(rates, out=rates)
-    if not np.isfinite(rates).all():
-        raise DomainError(f"frame rates at illumination {illumination:g} "
+    finite = np.isfinite(rates).all(axis=tuple(range(illums.ndim, rates.ndim)))
+    if not finite.all():
+        first = illums[np.argmin(finite)] if illums.ndim else illums
+        raise DomainError(f"frame rates at illumination {first:g} "
                           "overflow the float range: the reference amplitude "
                           "or the illumination is too large")
     return rates, scaled_ref

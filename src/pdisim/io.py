@@ -149,10 +149,19 @@ def read_interferogram_set(manifest_path):
                             illumination=illumination)
 
 
+def csv_texts(values) -> list[str]:
+    """Each value as a CSV table holds it: a float by fmt_float, else str."""
+    return [fmt_float(v) if isinstance(v, float) else str(v) for v in values]
+
+
 def write_csv(path, header, rows):
-    """Comma-separated, '.' decimal, UTF-8, \\n line endings."""
+    """Comma-separated, '.' decimal, UTF-8, \\n line endings; each row's
+    values written as csv_texts gives them."""
+    write_csv_texts(path, header, map(csv_texts, rows))
+
+
+def write_csv_texts(path, header, rows):
+    """write_csv of rows whose values are already texts (csv_texts)."""
+    lines = [",".join(header), *map(",".join, rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt_float(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")

@@ -66,19 +66,21 @@ def _poisson_rows(rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                                         downs + ups + 1, downs)
     logs = np.empty(size + 1)
     logs[-1] = -np.inf
+    # the rows' rates and modes in block order; counts 1, 2, ... from a mode
+    rate = rates[order, None]
+    top, steps = np.floor(rate), np.arange(1.0, max(downs.max(), ups.max()) + 1)
     # a row runs past its window into logs of counts <= 0 (or of rate 0),
     # never read; counts are exact in floats
     with np.errstate(divide="ignore", invalid="ignore"):
         for start, n, base, down, up in zip(*(x.tolist() for x in (
                 starts, counts, bases, downs, ups))):
-            rows = order[start:start + n]
             block = logs[base:base + n * (down + up + 1)].reshape(n, -1)
-            rate, top = rates[rows, None], np.floor(rates[rows, None])
+            r, t = rate[start:start + n], top[start:start + n]
             block[:, down] = 0.0
-            terms = (top + 1.0 - np.arange(1.0, down + 1.0)) / rate
+            terms = (t + 1.0 - steps[:down]) / r
             np.cumsum(np.log(terms, out=terms), axis=1,
                       out=block[:, :down][:, ::-1])
-            terms = rate / (top + np.arange(1.0, up + 1.0))
+            terms = r / (t + steps[:up])
             np.cumsum(np.log(terms, out=terms), axis=1, out=block[:, down + 1:])
     # each window after its head slot, which reads the -inf at the end
     heads = np.cumsum(lens + 1) - (lens + 1)
@@ -104,33 +106,67 @@ def poisson_pmfs(rates) -> tuple[np.ndarray, list[np.ndarray]]:
     return lo, [pmf[end - n:end] for end, n in zip(ends, lens.tolist())]
 
 
+def _skellam_laws(rates_a, rates_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """skellam_pmfs laid end to end: (first values, lengths, pmfs), one
+    np.convolve per pair (a batched one would sum in another order), of the
+    windows of the distinct rates."""
+    rates, which = np.unique(np.concatenate((rates_a, rates_b)),
+                             return_inverse=True)
+    lo, pmf, lens = _poisson_rows(rates)
+    a, b = which[:len(rates_a)], which[len(rates_a):]
+    # window i is pmf[ends[i] - lens[i]:ends[i]], after its head slot, so
+    # the reversed window of b stops at that slot, never before index 0
+    ends = np.cumsum(lens + 1)
+    firsts = ends - lens
+    laws = [np.convolve(pmf[a0:a1], pmf[b1 - 1:b0 - 1:-1])
+            for a0, a1, b0, b1 in zip(firsts[a].tolist(), ends[a].tolist(),
+                                      firsts[b].tolist(), ends[b].tolist())]
+    return lo[a] - (lo[b] + lens[b] - 1), lens[a] + lens[b] - 1, np.concatenate(laws)
+
+
+def _running_sums(pmfs, lens) -> np.ndarray:
+    """The running sums of the pmfs of lengths `lens` laid end to end in
+    `pmfs`, each row's own: taken in place in the rows of padded blocks
+    (_padded_rows) that the pmfs are scattered into at once."""
+    order, starts, counts = _padded_rows(lens)
+    widths = np.maximum.reduceat(lens[order], starts)
+    offsets, bases, size = _block_offsets(order, starts, counts, widths)
+    ends = np.cumsum(lens)
+    at = np.repeat(offsets - (ends - lens), lens) + np.arange(ends[-1])
+    sums = np.zeros(size)
+    sums[at] = pmfs
+    for base, n, width in zip(bases.tolist(), counts.tolist(), widths.tolist()):
+        block = sums[base:base + n * width].reshape(n, width)
+        np.cumsum(block, axis=1, out=block)
+    return sums[at]
+
+
 def skellam_pmfs(rates_a, rates_b) -> tuple[np.ndarray, list[np.ndarray]]:
     """The law of n_a - n_b for independent n_a ~ Poisson(rate_a) and
     n_b ~ Poisson(rate_b), for each pair of `rates_a`, `rates_b`, from the
     windowed pmfs: (first values, pmfs)."""
-    lo, pmfs = poisson_pmfs(np.concatenate((rates_a, rates_b)))
-    k = len(rates_a)
-    hi_b = lo[k:] + [len(pmf) - 1 for pmf in pmfs[k:]]
-    return lo[:k] - hi_b, [np.convolve(a, b[::-1])
-                           for a, b in zip(pmfs[:k], pmfs[k:])]
+    firsts, lens, pmfs = _skellam_laws(rates_a, rates_b)
+    return firsts, np.split(pmfs, np.cumsum(lens)[:-1])
 
 
 class SkellamTable:
     """Inverse-CDF tables of C = n_0 - n_2 and S = n_1 - n_3 for each slit,
     from the rates (4, d) of the four frames, or the tables of several
-    illuminations from their rates (k, 4, d), all built in one pass.
+    illuminations from their rates (k, 4, d), all built in one pass of
+    array operations, but for one np.convolve per row.
 
     Table t holds rows 2dt .. 2dt + 2d - 1: C of slits 0 .. d-1, then S of
     slits 0 .. d-1. A row's CDF is capped at 1, and its last value set to
-    exactly 1, so every uniform in [0, 1) maps to a value of the row. Each
-    row's guide index holds, for each j <= M (M = m[t] of its table, a
-    power of two longer than the table's longest row), the first entry
-    whose CDF exceeds j / M. The draw of u in [j / M, (j+1) / M) is guide j
-    unless that entry's CDF is <= u, as it is for few u, which are then
-    searched for in the table by (row, CDF). This gives exactly
-    searchsorted(cdf, u, "right") of the row. Each row's CDF is its own
-    running sum, taken in a padded block (_padded_rows), so a table is the
-    same whichever tables are built with it.
+    exactly 1, so every uniform in [0, 1) maps to a value of the row; its
+    values are consecutive integers. Each row's guide index holds, for each
+    j <= M (M = m[t] of its table, a power of two longer than the table's
+    longest row), the first entry whose CDF exceeds j / M. The draw of u in
+    [j / M, (j+1) / M) is guide j, or past it where that entry's CDF is
+    <= u: the next entry if guide j + 1 is no further, else the row's first
+    entry whose CDF exceeds u, searched for in the table by (row, CDF). This
+    gives exactly searchsorted(cdf, u, "right") of the row. Each row's CDF
+    is its own running sum, taken in a padded block (_padded_rows), so a
+    table is the same whichever tables are built with it.
     """
 
     def __init__(self, rates: np.ndarray):
@@ -140,27 +176,13 @@ class SkellamTable:
                              "or (k, 4, d)")
         self.d = rates.shape[-1]
         rates = rates.reshape(-1, 4, self.d)
-        # the Skellam law of each row is copied into a padded block
-        # (_padded_rows), whose rows then take their running sums in one
-        # pass per block
-        firsts, pmfs = skellam_pmfs(rates[:, :2].ravel(), rates[:, 2:].ravel())
-        lens = np.array([len(pmf) for pmf in pmfs])
-        order, starts, counts = _padded_rows(lens)
-        widths = np.maximum.reduceat(lens[order], starts)
-        offsets, bases, size = _block_offsets(order, starts, counts, widths)
-        sums = np.zeros(size)
-        for at, pmf in zip(offsets.tolist(), pmfs):
-            sums[at:at + len(pmf)] = pmf
-        for base, n, width in zip(bases.tolist(), counts.tolist(),
-                                  widths.tolist()):
-            block = sums[base:base + n * width].reshape(n, width)
-            np.cumsum(block, axis=1, out=block)
+        firsts, lens, pmfs = _skellam_laws(rates[:, :2].ravel(),
+                                           rates[:, 2:].ravel())
         #: M of each table
         self.m = 1 << np.frexp(lens.reshape(-1, 2 * self.d).max(axis=1))[1].astype(np.intp)
         #: row r is cdf[starts[r]:starts[r + 1]], and likewise values
-        self.starts = np.cumsum([0] + lens.tolist())
-        self.cdf = sums[np.repeat(offsets - self.starts[:-1], lens)
-                        + np.arange(self.starts[-1])]
+        self.starts = np.concatenate(([0], np.cumsum(lens)))
+        self.cdf = _running_sums(pmfs, lens)
         np.minimum(self.cdf, 1.0, out=self.cdf)
         self.cdf[self.starts[1:] - 1] = 1.0
         self.values = (np.arange(float(self.starts[-1]))
@@ -168,14 +190,14 @@ class SkellamTable:
         # row r's guide is guide[g[r]:g[r] + M + 1], M its table's. Guide j
         # counts the row's CDFs <= j / M, those with ceil(cdf M) <= j (cdf M
         # is exact), up to the row's last entry, whose CDF is 1. Over all
-        # rows these places g[r] + ceil(cdf M) ascend, so the guide is the
-        # count of places <= its own: the rows before r add starts[r]
+        # rows these places g[r] + ceil(cdf M) ascend, so the guide counts
+        # the places <= its own: the rows before r add starts[r]
         self._m_rows = np.repeat(self.m, 2 * self.d)
         self._guide_starts = np.cumsum(self._m_rows + 1) - (self._m_rows + 1)
-        places = (np.ceil(self.cdf * np.repeat(self._m_rows, lens)).astype(np.intp)
-                  + np.repeat(self._guide_starts, lens))
-        self.guide = np.repeat(np.arange(len(places) + 1), np.diff(
-            places, prepend=0, append=(self._m_rows + 1).sum()))
+        self.guide = np.cumsum(np.bincount(
+            np.ceil(self.cdf * np.repeat(self._m_rows, lens)).astype(np.intp)
+            + np.repeat(self._guide_starts, lens),
+            minlength=(self._m_rows + 1).sum()))
         # guide M, which counts the whole row, points at its last entry
         self.guide[self._guide_starts + self._m_rows] = self.starts[1:] - 1
         # row + i CDF, in lexicographic (row, CDF) order, as complex sorts
@@ -195,10 +217,14 @@ class SkellamTable:
         cell = (self._guide_starts[rows]
                 + (u * self._m_rows[rows]).astype(np.intp)).ravel()
         pos, flat = self.guide[cell], u.ravel()
-        # past a CDF step inside the guide cell, the answer is the row's
-        # first entry whose CDF exceeds u: the first key after row + i u
-        open_ = np.flatnonzero(self.cdf[pos] <= flat)
-        row = np.searchsorted(self._guide_starts, cell[open_], side="right") - 1
-        pos[open_] = np.searchsorted(self._keys, row + 1j * flat[open_],
-                                     side="right")
+        # past a CDF step inside the guide cell, the answer is the next
+        # entry, unless guide j + 1 is further on: then the row's first
+        # entry whose CDF exceeds u, the first key after row + i u
+        past = self.cdf[pos] <= flat
+        pos += past
+        deep = np.flatnonzero(past)
+        deep = deep[self.guide[cell[deep] + 1] > pos[deep]]
+        row = np.searchsorted(self._guide_starts, cell[deep], side="right") - 1
+        pos[deep] = np.searchsorted(self._keys, row + 1j * flat[deep],
+                                    side="right")
         return self.values[pos].reshape(u.shape)

@@ -29,30 +29,22 @@ class BinningPolicy:
 
 @dataclass(frozen=True)
 class FidelityStats:
-    """Mean/std/stderr of fidelity over Monte-Carlo or bootstrap runs."""
+    """Mean, sample std (0 for a single run) and standard error of fidelity
+    over n_runs Monte-Carlo or bootstrap runs: floats for one set of runs
+    (from_runs), or arrays with one entry per cell of a sweep (its
+    columns, from experiments.fidelity_sweep)."""
 
-    mean: float
-    std: float
-    stderr: float
+    mean: float | np.ndarray
+    std: float | np.ndarray
+    stderr: float | np.ndarray
     n_runs: int
-
-    @classmethod
-    def per_row(cls, runs: np.ndarray) -> list["FidelityStats"]:
-        """Mean, sample std (0 for a single run) and standard error of each
-        row of per-run fidelities `runs` (rows, n_runs), in one pass over the
-        rows; each row's numbers are those of the row alone."""
-        n_runs = runs.shape[-1]
-        means = runs.mean(axis=-1)
-        stds = runs.std(axis=-1, ddof=1) if n_runs > 1 else np.zeros(len(runs))
-        stderrs = stds / np.sqrt(n_runs)
-        return [cls(mean=float(mean), std=float(std), stderr=float(stderr),
-                    n_runs=n_runs)
-                for mean, std, stderr in zip(means, stds, stderrs)]
 
     @classmethod
     def from_runs(cls, runs: np.ndarray) -> "FidelityStats":
         """The statistics of the 1D per-run fidelities `runs`."""
-        return cls.per_row(runs[None])[0]
+        std = float(runs.std(ddof=1)) if runs.size > 1 else 0.0
+        return cls(mean=float(runs.mean()), std=std,
+                   stderr=std / float(np.sqrt(runs.size)), n_runs=runs.size)
 
 
 def fidelity(target: QuditState, reconstructed: QuditState) -> float:

@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from pdisim import (LensScene, PsiConfig, QuditScene, SweepGrid, circ_dist,
-                    continuous_experiment, extract_phase, fidelity_sweep,
-                    rng_stream, sample_noise, simulate_interferograms, wrap)
+from pdisim import (FidelityStats, LensScene, PsiConfig, QuditScene,
+                    SweepGrid, circ_dist, continuous_experiment, extract_phase,
+                    fidelity_sweep, rng_stream, sample_noise,
+                    simulate_interferograms, wrap)
 from pdisim.cli import main
 
 REPS = 2000
@@ -31,11 +32,16 @@ def _offset_removed_error(measured, truth, support):
     return float(np.max(circ_dist(delta, offset)))
 
 
+def _cell(stats, index):
+    """The statistics of cell `index` of a sweep's columns, as floats."""
+    return FidelityStats(float(stats.mean[index]), float(stats.std[index]),
+                         float(stats.stderr[index]), stats.n_runs)
+
+
 def _cell_mean(illumination, sigma, n_bin, seed=0):
     grid = SweepGrid(illuminations=(illumination,), sigmas=(sigma,),
                      n_bins=(n_bin,), repetitions=REPS)
-    (cell,) = fidelity_sweep(QuditScene(), grid, seed=seed)
-    return cell.stats
+    return _cell(fidelity_sweep(QuditScene(), grid, seed=seed), 0)
 
 
 def test_criterion_1_noiseless_roundtrip():
@@ -150,8 +156,8 @@ def test_criterion_6_noise_model_statistics():
 
 def test_criterion_7_monotonicity_over_default_grids():
     grid = SweepGrid(repetitions=REPS)  # default illumination/sigma/n_bin axes
-    cells = fidelity_sweep(QuditScene(), grid, seed=1)
-    table = {(c.illumination, c.sigma, c.n_bin): c.stats for c in cells}
+    stats = fidelity_sweep(QuditScene(), grid, seed=1)
+    table = {cell: _cell(stats, index) for index, cell in enumerate(grid.cells())}
     worst = 0.0
 
     def check(lo, hi):

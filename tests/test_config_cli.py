@@ -226,6 +226,35 @@ def test_cli_sweep_map_row_count(tmp_path):
     assert len(lines) == 1 + 3 * 2
 
 
+@pytest.mark.parametrize("sweep", [
+    "illuminations = 1.7,3.0\nsigmas = 0.2,3.0,1.0\nn_bins = 1,2\n",
+    # an nsamps grid writes each cell's nsamp, an int
+    "illuminations = 3.0,0.5\nnsamps = 1,4,144\nn_bins = 2,1\n"],
+    ids=["sigmas", "nsamps"])
+@pytest.mark.parametrize("subcommand, csv_name", [
+    ("qudit-experiment", "fidelity.csv"), ("sweep-map", "fidelity_map.csv")])
+def test_cli_sweep_csv_from_columns_equals_the_per_cell_rows(
+        tmp_path, subcommand, csv_name, sweep):
+    # the table written from the sweep's columns, each grid value formatted
+    # once, is byte for byte io.write_csv of one row per cell
+    text = MINIMAL + f"[sweep]\n{sweep}repetitions = 7\n"
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", write_cfg(tmp_path, text), "--seed",
+                 "3", "--out", str(out), "--quiet"]) == 0
+    grid = parse_config(text, subcommand).sweep
+    stats = experiments.fidelity_sweep(QuditScene(), grid, seed=3)
+    labels = dict(zip(grid.sigmas, grid.nsamps or grid.sigmas))
+    rows = [(illum, labels[sigma], n_bin, mean, std, stderr)
+            for (illum, sigma, n_bin), mean, std, stderr in zip(
+                grid.cells(), stats.mean.tolist(), stats.std.tolist(),
+                stats.stderr.tolist())]
+    assert any(type(row[1]) is int for row in rows) == (grid.nsamps is not None)
+    header = ["illumination", "readout_sigma_or_nsamp", "n_bin",
+              "mean_fidelity", "std", "stderr"]
+    pio.write_csv(tmp_path / "rows.csv", header, rows)
+    assert (out / csv_name).read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_cli_continuous_experiment(tmp_path):
     cfg = write_cfg(tmp_path, "[scene]\ntype = lens\n"
                     "[sweep]\nilluminations = 4.0\nsigmas = 3.0,0.2\n"

@@ -6,12 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pdisim import (BinningPolicy, CellResult, DomainError, FidelityStats,
-                    LensScene, PsiConfig, QuditScene, SamplingError,
-                    SweepGrid, c0_analytic, circ_std, continuous_experiment,
-                    continuous_threads, extract_phase, extract_state,
-                    fidelity, fidelity_sweep, phase_error_stats, rng_stream,
-                    sample_noise, simulate_interferograms, sweep_threads, wrap)
+from pdisim import (BinningPolicy, DomainError, LensScene, PsiConfig,
+                    QuditScene, SamplingError, SweepGrid, c0_analytic,
+                    circ_std, continuous_experiment, continuous_threads,
+                    extract_phase, extract_state, fidelity, fidelity_sweep,
+                    phase_error_stats, rng_stream, sample_noise,
+                    simulate_interferograms, sweep_threads, wrap)
 from pdisim import experiments
 from pdisim.field import GridSpec
 from pdisim.forward import frame_rates
@@ -59,11 +59,11 @@ def test_sweep_cell_count_and_order():
 def test_sweep_stats_fields_consistent():
     grid = SweepGrid(illuminations=(3.0,), sigmas=(0.5,), n_bins=(1,),
                      repetitions=100)
-    (cell,) = fidelity_sweep(SCENE, grid, seed=4)
-    st = cell.stats
+    st = fidelity_sweep(SCENE, grid, seed=4)
     assert st.n_runs == 100
-    assert st.stderr == pytest.approx(st.std / 10.0)
-    assert 0.0 <= st.mean <= 1.0
+    assert st.mean.shape == st.std.shape == st.stderr.shape == (1,)
+    assert st.stderr[0] == pytest.approx(st.std[0] / 10.0)
+    assert 0.0 <= st.mean[0] <= 1.0
 
 
 @pytest.mark.parametrize("n_bin, quantize, illum, n_steps", [
@@ -83,7 +83,7 @@ def test_sweep_fast_path_matches_modular_pipeline(n_bin, quantize, illum,
     psi = PsiConfig(n_steps=n_steps)
     grid = SweepGrid(illuminations=(illum,), sigmas=(sigma,), n_bins=(n_bin,),
                      repetitions=reps)
-    (cell,) = fidelity_sweep(SCENE, grid, seed=21, quantize=quantize, psi=psi)
+    stats = fidelity_sweep(SCENE, grid, seed=21, quantize=quantize, psi=psi)
 
     clean = simulate_interferograms(SCENE.field(), psi, illum,
                                     region=SCENE.region())
@@ -94,8 +94,8 @@ def test_sweep_fast_path_matches_modular_pipeline(n_bin, quantize, illum,
         state = extract_state(extract_phase(noisy), SCENE.layout,
                               BinningPolicy(n_bin), rng_stream(6000, r))
         fids[r] = fidelity(SCENE.state, state)
-    se = np.hypot(cell.stats.stderr, fids.std(ddof=1) / np.sqrt(reps))
-    assert abs(cell.stats.mean - fids.mean()) < 4 * se
+    se = np.hypot(stats.stderr[0], fids.std(ddof=1) / np.sqrt(reps))
+    assert abs(stats.mean[0] - fids.mean()) < 4 * se
 
 
 @pytest.fixture
@@ -115,8 +115,7 @@ def test_sweep_draws_noise_for_the_read_pixels_only(noise_draws):
     reps, n_bin, psi = experiments._CHUNK + 3, 4, PsiConfig(n_steps=5)
     grid = SweepGrid(illuminations=(3.0,), sigmas=(0.5,), n_bins=(n_bin,),
                      repetitions=reps)
-    (cell,) = fidelity_sweep(SCENE, grid, seed=3, psi=psi)
-    assert cell.stats is not None
+    assert fidelity_sweep(SCENE, grid, seed=3, psi=psi).mean.size == 1
     assert sum(noise_draws) == reps * psi.n_steps * SCENE.layout.d * n_bin
 
 
@@ -141,13 +140,14 @@ def test_sweep_poisson_range_error_raises_before_any_draw(seed, noise_draws):
 
 
 def _per_cell_sweep(grid, seed, psi=PsiConfig(), quantize=False):
-    """The sweep one cell at a time, each from its own stream in chunks of
-    _CHUNK repetitions, reading n_bin pixels of each uniform slit off the
-    slit's rates: what the blocked sweep must reproduce exactly. At N = 4,
-    not quantized and with rates within _TABLE_MAX_RATE, each cell draws its
-    (C, S) from a Skellam table of its own rates, built alone, then normals
-    of sd sigma sqrt(2); otherwise it draws the N frames, and takes their
-    harmonic sums. Each read pixel is scored as a unit phasor."""
+    """The per-run fidelities (cells, repetitions) of the sweep run one cell
+    at a time, each from its own stream in chunks of _CHUNK repetitions,
+    reading n_bin pixels of each uniform slit off the slit's rates: what the
+    blocked sweep must reproduce exactly. At N = 4, not quantized and with
+    rates within _TABLE_MAX_RATE, each cell draws its (C, S) from a Skellam
+    table of its own rates, built alone, then normals of sd sigma sqrt(2);
+    otherwise it draws the N frames, and takes their harmonic sums. Each
+    read pixel is scored as a unit phasor."""
     fld = SCENE.field()
     # the first pixel of each slit, taken from the full field
     slit_values = fld.values[SCENE.layout.slit_pixels(SCENE.grid)][:, :1]
@@ -175,11 +175,24 @@ def _per_cell_sweep(grid, seed, psi=PsiConfig(), quantize=False):
                 c, s = harmonic_sums(noisy)
             fids[start:start + m] = sample_fidelity(
                 SCENE.state, unit_phasors(c, s, c0, mu))
-        std = float(fids.std(ddof=1)) if fids.size > 1 else 0.0
-        results.append(CellResult(illum, sigma, n_bin, FidelityStats(
-            float(fids.mean()), std, std / float(np.sqrt(fids.size)),
-            fids.size)))
-    return results
+        results.append(fids)
+    return np.array(results)
+
+
+def columns(stats):
+    """Every number of a sweep's statistics columns, comparable with ==."""
+    return (stats.mean.tolist(), stats.std.tolist(), stats.stderr.tolist(),
+            stats.n_runs)
+
+
+def cell_columns(fids):
+    """columns() of the mean, sample std (0 for one run) and standard error
+    of each cell's per-run fidelities, a row of `fids`, taken over that row
+    alone."""
+    n_runs = fids.shape[1]
+    means = [float(row.mean()) for row in fids]
+    stds = [float(row.std(ddof=1)) if n_runs > 1 else 0.0 for row in fids]
+    return means, stds, [std / float(np.sqrt(n_runs)) for std in stds], n_runs
 
 
 SIGMAS_20 = tuple(0.15 * k for k in range(1, 21))
@@ -210,6 +223,9 @@ MAP_ILLUMINATIONS_8 = tuple(float(x) for x in np.geomspace(1.0, 20.0, 8))
     pytest.param((1.7, 3.0), SIGMAS_20, (1, 2), 128, 4, False,
                  id="blocks-of-2"),
     pytest.param((1.7, 3.0), (0.0, 1.0), (1, 8), 300, 4, False, id="sigma-0"),
+    # a single repetition: every std is 0
+    pytest.param((1.7, 3.0), (0.2, 3.0), (1, 2), 1, 4, False,
+                 id="one-repetition"),
     # an illumination listed twice shares its table and its blocks
     pytest.param((1.7, 3.0, 1.7), (0.2, 0.5, 3.0), (1, 4), 300, 4, False,
                  id="repeated-illumination"),
@@ -220,9 +236,11 @@ def test_sweep_blocks_equal_the_per_cell_sweep(illums, sigmas, n_bins, reps,
     grid = SweepGrid(illuminations=illums, sigmas=sigmas, n_bins=n_bins,
                      repetitions=reps)
     psi = PsiConfig(n_steps=n_steps)
-    assert (fidelity_sweep(SCENE, grid, seed=5, jobs=2, psi=psi,
+    stats = fidelity_sweep(SCENE, grid, seed=5, jobs=2, psi=psi,
                            quantize=quantize)
-            == _per_cell_sweep(grid, 5, psi, quantize))
+    assert columns(stats) == cell_columns(_per_cell_sweep(grid, 5, psi, quantize))
+    if reps == 1:
+        assert not stats.std.any() and not stats.stderr.any()
     assert len(set(block_threads)) == 2
 
 
@@ -232,8 +250,9 @@ def test_sweep_cell_does_not_depend_on_the_rest_of_its_grid():
     alone = SweepGrid(illuminations=(3.0,), sigmas=(0.5,), n_bins=(1,),
                       repetitions=64)
     wide = replace(alone, sigmas=(0.5,) + SIGMAS_20[1:], n_bins=(1, 2, 4, 8))
-    (cell,) = fidelity_sweep(SCENE, alone, seed=3)
-    assert fidelity_sweep(SCENE, wide, seed=3)[0] == cell
+    cell = columns(fidelity_sweep(SCENE, alone, seed=3))
+    first = columns(fidelity_sweep(SCENE, wide, seed=3))
+    assert [column[:1] for column in first[:3]] == list(cell[:3])
 
 
 def test_sweep_block_rows_stay_within_one_chunk(monkeypatch):
@@ -382,19 +401,19 @@ def test_sweep_jobs_independent_when_blocks_split_unevenly(block_threads):
     grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=SIGMAS_20,
                      n_bins=(1, 2, 4, 8), repetitions=16)
     assert len(grid._blocks) == 7
-    serial = fidelity_sweep(SCENE, grid, seed=6, jobs=1)
+    serial = columns(fidelity_sweep(SCENE, grid, seed=6, jobs=1))
     block_threads.clear()
-    assert fidelity_sweep(SCENE, grid, seed=6, jobs=3) == serial
+    assert columns(fidelity_sweep(SCENE, grid, seed=6, jobs=3)) == serial
     assert len(set(block_threads)) > 1
 
 
 def test_sweep_deterministic_and_jobs_independent(block_threads):
     grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=(0.2, 3.0),
                      n_bins=(1, 2), repetitions=50)
-    a = fidelity_sweep(SCENE, grid, seed=9, jobs=1)
-    b = fidelity_sweep(SCENE, grid, seed=9, jobs=1)
+    a = columns(fidelity_sweep(SCENE, grid, seed=9, jobs=1))
+    b = columns(fidelity_sweep(SCENE, grid, seed=9, jobs=1))
     block_threads.clear()
-    c = fidelity_sweep(SCENE, grid, seed=9, jobs=4)
+    c = columns(fidelity_sweep(SCENE, grid, seed=9, jobs=4))
     assert a == b == c
     assert len(set(block_threads)) > 1
 
@@ -410,6 +429,36 @@ def test_sweep_raises_the_first_failing_blocks_error(jobs, block_threads):
         fidelity_sweep(SCENE, grid, seed=4, jobs=jobs,
                        psi=PsiConfig(reference_override=1e9))
     assert str(swept.value) == "n_bin = 500 exceeds the 100 pixels per slit"
+    assert block_threads == []
+
+
+@pytest.mark.parametrize("reference, illums, n_bins, error, match", [
+    # at reference 1e9, 3 phot/px is past numpy's Poisson limit and 1 phot/px
+    # within it; n_bin 500 reads more pixels than a slit has
+    pytest.param(1e9, (1.0, 3.0), (1, 500), SamplingError,
+                 r"^n_bin = 500 exceeds the 100 pixels per slit$",
+                 id="fine-then-past-the-limit"),
+    pytest.param(1e9, (3.0, 1.0), (1, 500), DomainError,
+                 r"^Poisson rates must be in \[0, ", id="past-the-limit-then-fine"),
+    # at reference 1e150, 1e-300 phot/px is fine, 1 phot/px past the limit
+    # and the frames of 1e12 phot/px overflow the float range
+    pytest.param(1e150, (1.0, 1e12), (1,), DomainError,
+                 r"^Poisson rates must be in \[0, ", id="past-the-limit-then-overflow"),
+    pytest.param(1e150, (1e12, 1.0), (1,), DomainError,
+                 r"^frame rates at illumination 1e\+12 overflow",
+                 id="overflow-then-past-the-limit"),
+    pytest.param(1e150, (1e-300, 1e12), (1, 500), SamplingError,
+                 r"^n_bin = 500 exceeds", id="fine-then-overflow"),
+])
+def test_sweep_checks_run_once_and_raise_the_first_error_in_grid_order(
+        reference, illums, n_bins, error, match, block_threads):
+    # the checks of all the illuminations run at once, and raise what
+    # checking them one at a time would: each illumination's frames
+    # (overflow, then Poisson range), then the n_bins, in grid order
+    grid = SweepGrid(illuminations=illums, sigmas=(0.2,), n_bins=n_bins,
+                     repetitions=5)
+    with pytest.raises(error, match=match):
+        fidelity_sweep(SCENE, grid, psi=PsiConfig(reference_override=reference))
     assert block_threads == []
 
 
@@ -435,6 +484,24 @@ MAP_PREVIEW = SweepGrid(
     illuminations=tuple(float(x) for x in np.geomspace(1.0, 20.0, 20)),
     sigmas=tuple(float(x) for x in np.linspace(0.1, 3.0, 20)), n_bins=(1,),
     repetitions=16)
+
+
+def test_prepared_illuminations_equal_one_frame_rates_call_each():
+    # the map's illuminations and 0 phot/px, prepared in one pass
+    psi = PsiConfig()
+    grid = replace(MAP_PREVIEW, illuminations=MAP_PREVIEW.illuminations + (0.0,))
+    lits, (rates, c0, mu, tables), table = experiments._prepare(
+        SCENE, grid, psi, False)
+    slits = SCENE.slit_values()
+    reference = psi.reference_for(SCENE.field())
+    batch, refs = frame_rates(slits, reference, 4, grid.illuminations, slits)
+    assert lits.tolist() == tables.tolist() == list(range(21))
+    for i, illum in enumerate(grid.illuminations):
+        one, ref = frame_rates(slits, reference, 4, illum, slits)
+        assert np.array_equal(batch[i], one) and np.array_equal(rates[i], one)
+        assert refs[i] == ref and type(ref) is complex
+        assert c0[i] == c0_analytic(ref, 4) and mu[i] == float(np.angle(ref))
+    assert table.m.size == 21
 
 
 @pytest.mark.parametrize("grid, blocks, threads", [
@@ -469,7 +536,7 @@ def test_sweep_runs_its_blocks_inline_on_one_thread(monkeypatch):
 
     monkeypatch.setattr(experiments.threading, "Thread", no_thread)
     monkeypatch.setattr(experiments, "_run_block", recording)
-    assert len(fidelity_sweep(SCENE, MAP_PREVIEW, seed=1, jobs=2)) == 400
+    assert fidelity_sweep(SCENE, MAP_PREVIEW, seed=1, jobs=2).mean.size == 400
     assert set(callers) == {threading.get_ident()} and len(callers) == 4
 
 
@@ -478,11 +545,12 @@ def test_sweep_threads_under_fast_switching_match_serial(block_threads):
     # often as it can: cells must not interfere through shared state.
     grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=(0.2, 3.0),
                      n_bins=(1, 4), repetitions=300)
-    serial = fidelity_sweep(SCENE, grid, seed=5, jobs=1)
+    serial = columns(fidelity_sweep(SCENE, grid, seed=5, jobs=1))
     block_threads.clear()
     threaded = []
     sweep = threading.Thread(
-        target=lambda: threaded.append(fidelity_sweep(SCENE, grid, seed=5, jobs=8)),
+        target=lambda: threaded.append(columns(
+            fidelity_sweep(SCENE, grid, seed=5, jobs=8))),
         daemon=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -529,9 +597,8 @@ def test_uncaught_cell_error_cancels_queued_cells(monkeypatch, exc_type, jobs):
 def test_fidelity_map_shape_and_corner():
     grid = SweepGrid(illuminations=(1.7, 3.0, 11.3), sigmas=(3.0, 0.5, 0.2),
                      n_bins=(1,), repetitions=300)
-    cells = fidelity_sweep(SCENE, grid, seed=2)
-    mean = np.array([c.stats.mean for c in cells]).reshape(3, 3)
-    stderr = np.array([c.stats.stderr for c in cells]).reshape(3, 3)
+    stats = fidelity_sweep(SCENE, grid, seed=2)
+    mean, stderr = stats.mean.reshape(3, 3), stats.stderr.reshape(3, 3)
     best = mean[-1, -1]  # highest illumination, lowest sigma
     margin = 2 * stderr
     assert np.all(best >= mean[-1, :] - margin[-1, :])
@@ -543,7 +610,7 @@ def test_fidelity_map_reproducible():
                      repetitions=1)
     a = fidelity_sweep(SCENE, grid, seed=7)
     b = fidelity_sweep(SCENE, grid, seed=7)
-    assert a == b
+    assert columns(a) == columns(b)
 
 
 def test_phase_error_stats_counts_and_range():
@@ -699,8 +766,7 @@ def test_binning_improves_fidelity_low_flux():
     # more binned pixels, higher fidelity at 1.7 phot/px
     grid = SweepGrid(illuminations=(1.7,), sigmas=(0.2,), n_bins=(1, 2, 4, 8),
                      repetitions=400)
-    cells = fidelity_sweep(SCENE, grid, seed=13)
-    means = [c.stats.mean for c in cells]
-    errs = [c.stats.stderr for c in cells]
+    stats = fidelity_sweep(SCENE, grid, seed=13)
+    means, errs = stats.mean.tolist(), stats.stderr.tolist()
     for (m0, e0), (m1, e1) in zip(zip(means, errs), zip(means[1:], errs[1:])):
         assert m1 >= m0 - 2 * np.hypot(e0, e1)

@@ -38,14 +38,32 @@ def row_pairs(rates):
             yield half * d + slit, half, slit, rates[a, slit], rates[b, slit]
 
 
+def crowded_cdfs(table):
+    """The CDFs below 1 of the entries of every guide cell, of any row of a
+    one-illumination table, that holds more than one CDF step: the draws
+    past such a cell's first step are the ones searched for in the row."""
+    (m,) = table.m
+    rows = np.repeat(np.arange(len(table.starts) - 1), np.diff(table.starts))
+    # entry e is a step inside cell ceil(cdf M) - 1 of its row
+    cells = rows * (m + 1) + np.ceil(table.cdf * m)
+    _, which, counts = np.unique(cells, return_inverse=True, return_counts=True)
+    cdfs = table.cdf[counts[which] > 1]
+    return cdfs[cdfs < 1.0]
+
+
 @pytest.mark.parametrize("name", RATES)
 def test_draw_equals_searchsorted_at_every_guide_edge(name):
     rates = RATES[name]
     table = SkellamTable(rates)
     (m,), d = table.m, rates.shape[1]
     edges = np.arange(m) / m
+    # at each CDF of a crowded cell and just below and above it
+    crowded = crowded_cdfs(table)
+    assert crowded.size
+    steps = np.concatenate([crowded, np.nextafter(crowded, 0.0),
+                            np.nextafter(crowded, 1.0)])
     u = np.concatenate([edges, np.nextafter(edges, 0.0),
-                        [0.0, np.nextafter(1.0, 0.0)],
+                        [0.0, np.nextafter(1.0, 0.0)], steps[steps < 1.0],
                         rng_stream(2).random(5000)])
     drawn = table.draw(np.broadcast_to(u[:, None, None, None],
                                        (len(u), 2, d, 3)))

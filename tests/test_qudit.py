@@ -155,12 +155,15 @@ def test_draw_pixel_positions_large_k_keeps_the_argsort_stream():
 
 @pytest.mark.parametrize("n_runs", [1, 2, 255, 256, 257, 4097])
 def test_stats_per_row_equal_each_rows_own(n_runs):
+    # a sweep block takes its cells' statistics over the rows of its (cells,
+    # runs) fidelities at once; each row's numbers are those of from_runs
+    # of the row alone
     runs = rng_stream(n_runs).random((7, n_runs)) ** 3
-    for row, stats in zip(runs, FidelityStats.per_row(runs)):
-        std = float(row.std(ddof=1)) if n_runs > 1 else 0.0
-        assert stats == FidelityStats(float(row.mean()), std,
-                                      std / float(np.sqrt(n_runs)), n_runs)
-        assert repr(stats) == repr(FidelityStats.from_runs(row))
+    stds = runs.std(axis=1, ddof=1) if n_runs > 1 else np.zeros(7)
+    for row, mean, std, stderr in zip(runs, runs.mean(axis=1), stds,
+                                      stds / np.sqrt(n_runs)):
+        assert FidelityStats.from_runs(row) == FidelityStats(
+            float(mean), float(std), float(stderr), n_runs)
 
 
 def test_states_compare_by_value_and_hash_alike():
