@@ -53,12 +53,17 @@ class PhmapScene:
             amplitude = pio.read_map(self.amplitude_path, "AMMAP")
         return phase, amplitude
 
-    def field(self) -> ComplexField:
+    @functools.cached_property
+    def _field(self) -> ComplexField:
+        """The field, built on first use only (its values are read-only)."""
         try:
             return field_from_phase_map(*self._maps)
         except ShapeError as exc:
             raise ShapeError(f"{self.phase_path}, {self.amplitude_path}: "
                              f"{exc}") from None
+
+    def field(self) -> ComplexField:
+        return self._field
 
     def region(self) -> np.ndarray:
         return self.field().amplitude > 0

@@ -77,9 +77,10 @@ def frame_rates(values: np.ndarray, reference: complex, n_steps: int,
     float range, naming the first illumination whose rates do.
     """
     illums = np.asarray(illumination, dtype=float)
-    if (illums < 0).any():
+    bad = ~(illums >= 0)  # NaN too
+    if bad.any():
         raise DomainError("illumination must be >= 0, got "
-                          f"{float(illums[illums < 0].flat[0])}")
+                          f"{float(illums[bad].flat[0])}")
     reference = complex(reference)
     if reference == 0:
         raise DegenerateReferenceError(

@@ -3,10 +3,11 @@
 At N = 4 equal steps the harmonic sums of a pixel are C = I_0 - I_2 and
 S = I_1 - I_3, so their photon-count parts are differences of independent
 Poisson counts: Skellam variates (Skellam 1946). `poisson_pmfs` gives Poisson
-laws cut to a window that loses a negligible mass; `SkellamTable` holds the
-cumulative laws of C and S for each slit of one or more illuminations, all
-built in one pass, and draws them by inversion of uniforms, in O(1) per draw
-through a guide index (Chen & Asau 1974).
+laws cut to a window that loses a negligible mass, and `skellam_pmfs` the laws
+of their differences; `SkellamTable` holds the cumulative laws of C and S for
+each slit of one or more illuminations, taken from `skellam_pmfs`, and draws
+them by inversion of uniforms, in O(1) per draw through a guide index (Chen &
+Asau 1974).
 """
 
 import numpy as np
@@ -106,10 +107,11 @@ def poisson_pmfs(rates) -> tuple[np.ndarray, list[np.ndarray]]:
     return lo, [pmf[end - n:end] for end, n in zip(ends, lens.tolist())]
 
 
-def _skellam_laws(rates_a, rates_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """skellam_pmfs laid end to end: (first values, lengths, pmfs), one
-    np.convolve per pair (a batched one would sum in another order), of the
-    windows of the distinct rates."""
+def skellam_pmfs(rates_a, rates_b) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The law of n_a - n_b for independent n_a ~ Poisson(rate_a) and
+    n_b ~ Poisson(rate_b), for each pair of `rates_a`, `rates_b` (1D):
+    (first values, pmfs), one np.convolve per pair (a batched one would sum
+    in another order) of the windowed pmfs of the distinct rates."""
     rates, which = np.unique(np.concatenate((rates_a, rates_b)),
                              return_inverse=True)
     lo, pmf, lens = _poisson_rows(rates)
@@ -118,42 +120,17 @@ def _skellam_laws(rates_a, rates_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     # the reversed window of b stops at that slot, never before index 0
     ends = np.cumsum(lens + 1)
     firsts = ends - lens
-    laws = [np.convolve(pmf[a0:a1], pmf[b1 - 1:b0 - 1:-1])
+    pmfs = [np.convolve(pmf[a0:a1], pmf[b1 - 1:b0 - 1:-1])
             for a0, a1, b0, b1 in zip(firsts[a].tolist(), ends[a].tolist(),
                                       firsts[b].tolist(), ends[b].tolist())]
-    return lo[a] - (lo[b] + lens[b] - 1), lens[a] + lens[b] - 1, np.concatenate(laws)
-
-
-def _running_sums(pmfs, lens) -> np.ndarray:
-    """The running sums of the pmfs of lengths `lens` laid end to end in
-    `pmfs`, each row's own: taken in place in the rows of padded blocks
-    (_padded_rows) that the pmfs are scattered into at once."""
-    order, starts, counts = _padded_rows(lens)
-    widths = np.maximum.reduceat(lens[order], starts)
-    offsets, bases, size = _block_offsets(order, starts, counts, widths)
-    ends = np.cumsum(lens)
-    at = np.repeat(offsets - (ends - lens), lens) + np.arange(ends[-1])
-    sums = np.zeros(size)
-    sums[at] = pmfs
-    for base, n, width in zip(bases.tolist(), counts.tolist(), widths.tolist()):
-        block = sums[base:base + n * width].reshape(n, width)
-        np.cumsum(block, axis=1, out=block)
-    return sums[at]
-
-
-def skellam_pmfs(rates_a, rates_b) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The law of n_a - n_b for independent n_a ~ Poisson(rate_a) and
-    n_b ~ Poisson(rate_b), for each pair of `rates_a`, `rates_b`, from the
-    windowed pmfs: (first values, pmfs)."""
-    firsts, lens, pmfs = _skellam_laws(rates_a, rates_b)
-    return firsts, np.split(pmfs, np.cumsum(lens)[:-1])
+    return lo[a] - (lo[b] + lens[b] - 1), pmfs
 
 
 class SkellamTable:
     """Inverse-CDF tables of C = n_0 - n_2 and S = n_1 - n_3 for each slit,
     from the rates (4, d) of the four frames, or the tables of several
-    illuminations from their rates (k, 4, d), all built in one pass of
-    array operations, but for one np.convolve per row.
+    illuminations from their rates (k, 4, d), all from one skellam_pmfs
+    call.
 
     Table t holds rows 2dt .. 2dt + 2d - 1: C of slits 0 .. d-1, then S of
     slits 0 .. d-1. A row's CDF is capped at 1, and its last value set to
@@ -165,8 +142,8 @@ class SkellamTable:
     <= u: the next entry if guide j + 1 is no further, else the row's first
     entry whose CDF exceeds u, searched for in the table by (row, CDF). This
     gives exactly searchsorted(cdf, u, "right") of the row. Each row's CDF
-    is its own running sum, taken in a padded block (_padded_rows), so a
-    table is the same whichever tables are built with it.
+    is the np.cumsum of its own pmf, so a table is the same whichever
+    tables are built with it.
     """
 
     def __init__(self, rates: np.ndarray):
@@ -176,13 +153,13 @@ class SkellamTable:
                              "or (k, 4, d)")
         self.d = rates.shape[-1]
         rates = rates.reshape(-1, 4, self.d)
-        firsts, lens, pmfs = _skellam_laws(rates[:, :2].ravel(),
-                                           rates[:, 2:].ravel())
+        firsts, pmfs = skellam_pmfs(rates[:, :2].ravel(), rates[:, 2:].ravel())
+        lens = np.array([len(pmf) for pmf in pmfs], dtype=np.intp)
         #: M of each table
         self.m = 1 << np.frexp(lens.reshape(-1, 2 * self.d).max(axis=1))[1].astype(np.intp)
         #: row r is cdf[starts[r]:starts[r + 1]], and likewise values
         self.starts = np.concatenate(([0], np.cumsum(lens)))
-        self.cdf = _running_sums(pmfs, lens)
+        self.cdf = np.concatenate([np.cumsum(pmf) for pmf in pmfs])
         np.minimum(self.cdf, 1.0, out=self.cdf)
         self.cdf[self.starts[1:] - 1] = 1.0
         self.values = (np.arange(float(self.starts[-1]))

@@ -711,6 +711,43 @@ def test_phmap_scene_reads_its_files_once(tmp_path, monkeypatch):
     assert len(reads) == 2
 
 
+def test_phmap_scene_builds_its_field_once(tmp_path, monkeypatch):
+    phase = tmp_path / "p.phmap"
+    pio.write_phase_map(phase, np.zeros((8, 8)))
+    builds = []
+    build = pdisim.config.field_from_phase_map
+    monkeypatch.setattr(pdisim.config, "field_from_phase_map",
+                        lambda *args: builds.append(args) or build(*args))
+    scene = PhmapScene(str(phase))
+    # as simulate calls them
+    fld = scene.field()
+    assert scene.region().shape == fld.values.shape
+    assert len(builds) == 1
+
+
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
+    built, init = [], cli.argparse.ArgumentParser.__init__
+
+    def counting(parser, *args, **kwargs):
+        init(parser, *args, **kwargs)
+        built.append(parser.prog)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    try:
+        cfg = write_cfg(tmp_path, MINIMAL)
+        sim, rec = tmp_path / "sim", tmp_path / "rec"
+        assert main(["simulate", "--config", cfg, "--seed", "3",
+                     "--out", str(sim), "--quiet"]) == 0
+        # a second subcommand on the same parser takes its own defaults
+        assert main(["reconstruct", str(sim / "frames" / "manifest.txt"),
+                     "--out", str(rec), "--quiet"]) == 0
+        assert (rec / "phase.phmap").exists()
+        assert built.count("pdisim") == 1
+    finally:
+        cli.build_parser.cache_clear()
+
+
 def assert_one_line_error(capsys, *fragments):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -4,7 +4,7 @@ import pytest
 from pdisim import (DegenerateReferenceError, DomainError, GridSpec,
                     LensScene, PsiConfig, QuditScene, mean_field,
                     simulate_interferograms)
-from pdisim.forward import step_phases
+from pdisim.forward import frame_rates, step_phases
 
 SCENE = QuditScene()
 
@@ -82,6 +82,22 @@ def test_degenerate_reference_rejected():
 def test_negative_illumination_rejected():
     with pytest.raises(DomainError):
         simulate_default(-1.0)
+
+
+@pytest.mark.parametrize("illumination, first", [
+    (np.nan, "nan"), ([3.0, np.nan, -1.0], "nan"), ([3.0, -1.0, np.nan], "-1.0")],
+    ids=["scalar", "vector", "negative-first"])
+def test_nan_illumination_rejected_as_not_at_least_0(illumination, first):
+    # not as frame rates that overflow, which NaN rates looked like
+    values = SCENE.slit_values()
+    with pytest.raises(DomainError,
+                       match=f"^illumination must be >= 0, got {first}$"):
+        frame_rates(values, 1.0, 4, illumination, values)
+
+
+def test_simulate_rejects_nan_illumination():
+    with pytest.raises(DomainError, match="^illumination must be >= 0, got nan$"):
+        simulate_default(np.nan)
 
 
 def test_closed_form_identity_on_slit_scene():
