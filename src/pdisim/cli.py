@@ -213,9 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "sigmas x illuminations x slits x sum of n_bins), "
                             "at most one per block, and continuous-experiment "
                             f"on one per {READS_PER_THREAD} frame values "
-                            "(runs x steps x pixels), at most one per run, "
-                            "each on at least one; changes wall time only, "
-                            "never results")
+                            "(reconstructions x steps x pixels), at most one "
+                            "per exposure (the reference's and one per "
+                            "illumination), each on at least one; changes "
+                            "wall time only, never results")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the closing count and wall-time line")
 

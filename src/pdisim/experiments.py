@@ -31,10 +31,14 @@ streams: each cell draws into the block's arrays from its own stream, so
 results are bit-identical for a fixed seed regardless of blocking, thread
 count or scheduling order. The cells' statistics come back as columns.
 
-The continuous study's runs (the reference, then each illumination and
-sigma) each draw from their own stream (seed, run index), so they too run
-on threads (continuous_threads) with results independent of the thread
-count, and then score each case against the reference the same way.
+The continuous study's tasks are exposures: the reference's, from stream
+(seed, 0), then one per illumination i, from stream (seed, 1 + i). An
+exposure draws its Poisson counts once and reads them out at every sigma
+(sensor.photon_counts, then sensor.read_out per sigma), as a Skipper-CCD
+reads a pixel's charge non-destructively, so the cases at one illumination
+differ by readout noise alone. The exposures too run on threads
+(continuous_threads) with results independent of the thread count, and
+then each case is scored against the reference the same way.
 """
 
 import functools
@@ -51,8 +55,9 @@ from .forward import PsiConfig, frame_rates, simulate_interferograms
 from .model import SkellamTable
 from .qudit import FidelityStats, sample_fidelity
 from .reconstruct import c0_analytic, extract_phase, harmonic_sums, unit_phasors
-from .sensor import (MAX_POISSON_RATE, check_poisson_rates, rng_stream,
-                     rng_streams, readout_sigmas, sample_noise)
+from .sensor import (MAX_POISSON_RATE, check_poisson_rates, photon_counts,
+                     read_out, readout_sigmas, rng_stream, rng_streams,
+                     sample_noise)
 
 #: Fixed vectorization chunk (repetitions per draw from a cell's stream):
 #: part of the determinism contract, so it must not depend on worker count.
@@ -78,16 +83,18 @@ _BLOCK_READS = 8 * _CHUNK
 _TABLE_MAX_RATE = 1024.0
 
 #: Work per thread: pixel reads (repetitions x sigmas x illuminations x d x
-#: sum of n_bins) of a sweep, or frame values (runs x N x pixels) of the
-#: continuous study. Measured on 2 cores, 21 alternating pairs each, 2
-#: threads won against 1 in 0 pairs on the 20 x 20 map preview at 16
-#: repetitions (38 400 reads; medians 85 and 64 ms), and on the default grid
-#: in 11 pairs at 128 repetitions (138 240 reads), 8 at 192, 14 at 256
-#: (276 480), 18 at 384 and 19 at 2000 (2 160 000 reads; 321 and 370 ms).
-#: So 2 threads from 262 144 reads. The continuous study (40 pairs each)
-#: won on 2 threads in 40 pairs on the default 128 x 128 lens (458 752
-#: values; 42 and 69 ms), 39 on 64 x 64 (114 688; 12 and 15 ms), which this
-#: runs inline, and 8 on 32 x 32 (28 672; 7.6 and 7.1 ms).
+#: sum of n_bins) of a sweep, or frame values (reconstructions x N x
+#: pixels) of the continuous study. Measured on 2 cores, 21 alternating
+#: pairs each, 2 threads won against 1 in 0 pairs on the 20 x 20 map
+#: preview at 16 repetitions (38 400 reads; medians 85 and 64 ms), and on
+#: the default grid in 11 pairs at 128 repetitions (138 240 reads), 8 at
+#: 192, 14 at 256 (276 480), 18 at 384 and 19 at 2000 (2 160 000 reads; 321
+#: and 370 ms).
+#: So 2 threads from 262 144 reads. The continuous study (40 pairs each),
+#: when each reconstruction drew its own exposure, won on 2 threads in 40
+#: pairs on the default 128 x 128 lens (458 752 values; 42 and 69 ms), 39
+#: on 64 x 64 (114 688; 12 and 15 ms), which this runs inline, and 8 on
+#: 32 x 32 (28 672; 7.6 and 7.1 ms).
 READS_PER_THREAD = 131072
 
 #: Readout noise used when building the high-flux reference map.
@@ -364,13 +371,14 @@ def sweep_threads(scene: QuditScene, grid: SweepGrid, jobs: int) -> int:
 
 def _run_tasks(run, tasks, threads):
     """run(*task) of every task (a sweep's blocks, the continuous study's
-    runs), in order, on `threads` threads: the calling thread and threads -
-    1 workers, each taking the next task not yet started; inline in the
-    calling thread when that is one. On glibc each worker thread allocates
-    from a malloc arena of its own, which keeps the memory it frees, so the
-    calling thread working too saves one arena. A task's exception, or an
-    interrupt, stops the tasks not yet started; once the started ones end,
-    the error raised is the first failing task's in submission order."""
+    exposures), in order, on `threads` threads: the calling thread and
+    threads - 1 workers, each taking the next task not yet started; inline
+    in the calling thread when that is one. On glibc each worker thread
+    allocates from a malloc arena of its own, which keeps the memory it
+    frees, so the calling thread working too saves one arena. A task's
+    exception, or an interrupt, stops the tasks not yet started; once the
+    started ones end, the error raised is the first failing task's in
+    submission order."""
     if threads == 1:
         return [run(*task) for task in tasks]
     results, failures = [None] * len(tasks), {}
@@ -467,22 +475,29 @@ def phase_error_stats(phase: np.ndarray, reference_phase: np.ndarray,
 def continuous_threads(scene: LensScene, illuminations, sigmas, jobs: int,
                        psi: PsiConfig = PsiConfig()) -> int:
     """The number of threads `continuous_experiment` runs on for these
-    arguments: one per READS_PER_THREAD frame values of its runs (1 +
-    illuminations x sigmas, each N x pixels), at least one, and at most
-    `jobs` and the number of runs."""
+    arguments: one per READS_PER_THREAD frame values of its reconstructions
+    (1 + illuminations x sigmas, each N x pixels), at least one, and at most
+    `jobs` and the number of exposures (1 + illuminations)."""
     runs = 1 + len(illuminations) * len(sigmas)
-    return _threads(runs * psi.n_steps * scene.grid.n_pixels, runs, jobs)
+    return _threads(runs * psi.n_steps * scene.grid.n_pixels,
+                    1 + len(illuminations), jobs)
 
 
-def _continuous_run(stream, illumination, sigma, quantize, *, fld, region,
+def _continuous_run(stream, illumination, sigmas, quantize, *, fld, region,
                     psi, seed):
-    """The reconstructed phase map of `fld` at `illumination`, with readout
-    noise `sigma` drawn from stream (seed, stream)."""
-    clean = simulate_interferograms(fld, psi, illumination, region=region)
-    noisy = replace(clean, frames=sample_noise(
-        clean.frames, sigma, rng_stream(seed, stream), quantize=quantize))
-    del clean  # its frames are freed before the reconstruction runs
-    return extract_phase(noisy).phase
+    """The reconstructed phase maps of one exposure of `fld` at
+    `illumination`, one per readout sigma of `sigmas`, in order, all drawn
+    from stream (seed, stream): the exposure's photon counts once, then at
+    each sigma its readout noise (rounded if `quantize`). Only the counts
+    are held across the readouts; the noiseless frames are freed first."""
+    rng = rng_stream(seed, stream)
+    exposure = simulate_interferograms(fld, psi, illumination, region=region)
+    counts = photon_counts(exposure.frames, rng)
+    # frees the noiseless frames, and makes the counts read-only
+    exposure = replace(exposure, frames=counts)
+    return [extract_phase(replace(
+                exposure, frames=read_out(counts, sigma, rng, quantize))).phase
+            for sigma in sigmas]
 
 
 def continuous_experiment(scene: LensScene, illuminations,
@@ -494,34 +509,46 @@ def continuous_experiment(scene: LensScene, illuminations,
 
     Builds the reference reconstruction at `reference_illumination` (readout
     noise 0.2 e-, never quantized), then for each illumination and each of
-    `sigmas` records the per-pixel wrapped phase difference. Run k, the
-    reference first, draws its noise from stream (seed, k). The runs, and
-    then the cases' statistics, run on continuous_threads(scene,
-    illuminations, sigmas, jobs, psi) threads, in order in the calling
-    thread when that is one; the results do not depend on it. A failing run
-    stops the runs not yet started, and the error raised is the first
-    failing run's, in run order. Returns (reference phase map, list of
-    ContinuousCase, illumination-major).
+    `sigmas` records the per-pixel wrapped phase difference. Each task is
+    one exposure: the reference's from stream (seed, 0), then illumination
+    i's from stream (seed, 1 + i), whose Poisson counts are drawn once and
+    read out at every sigma in turn, as a Skipper-CCD reads one exposure
+    non-destructively. So the cases at one illumination share their shot
+    noise and differ by readout noise alone; each case keeps its own law.
+    The illuminations and sigmas are checked before any exposure is drawn.
+    The exposures, and then the cases' statistics, run on
+    continuous_threads(scene, illuminations, sigmas, jobs, psi) threads, in
+    order in the calling thread when that is one; the results do not depend
+    on it. A failing exposure stops the exposures not yet started, and the
+    error raised is the first failing exposure's, in stream order. Returns
+    (reference phase map, list of ContinuousCase, illumination-major).
     """
-    illuminations = tuple(illuminations)
+    illuminations, sigmas = tuple(illuminations), tuple(sigmas)
+    if not illuminations or not sigmas:
+        raise DomainError("continuous study needs at least one illumination "
+                          "and one sigma")
+    readout_sigmas(sigmas)
     threads = continuous_threads(scene, illuminations, sigmas, jobs, psi)
     if reference_illumination < max(illuminations):
         raise DomainError(
             "reference illumination must be at least the largest test illumination"
         )
     fld = scene.field()
-    runs = [(reference_illumination, _REFERENCE_SIGMA, False)] + [
-        (illum, sigma, quantize) for illum in illuminations for sigma in sigmas]
+    exposures = [(reference_illumination, (_REFERENCE_SIGMA,), False)] + [
+        (illum, sigmas, quantize) for illum in illuminations]
     # bound per call, so that a wrapper put on experiments._continuous_run
     # is the one that runs
     run = functools.partial(_continuous_run, fld=fld, region=scene.region(),
                             psi=psi, seed=seed)
-    reference, *phases = _run_tasks(
-        run, [(stream, *args) for stream, args in enumerate(runs)], threads)
+    (reference,), *read = _run_tasks(
+        run, [(stream, *args) for stream, args in enumerate(exposures)],
+        threads)
+    phases = [phase for maps in read for phase in maps]
     score = functools.partial(phase_error_stats, reference_phase=reference,
                               support=fld.amplitude > 0)
     stats = _run_tasks(score, [(phase,) for phase in phases], threads)
+    cases = [(illum, sigma) for illum in illuminations for sigma in sigmas]
     return reference, [ContinuousCase(illumination=illum, sigma=sigma,
                                       stats=case_stats, phase_map=phase)
-                       for (illum, sigma, _), case_stats, phase
-                       in zip(runs[1:], stats, phases)]
+                       for (illum, sigma), case_stats, phase
+                       in zip(cases, stats, phases)]

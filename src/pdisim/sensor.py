@@ -156,22 +156,42 @@ def check_poisson_rates(rates: np.ndarray) -> None:
         raise DomainError(f"Poisson rates must be in [0, {MAX_POISSON_RATE:.6g}]")
 
 
+def photon_counts(frames: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One exposure of non-negative photon-rate maps: each value lambda
+    replaced by a Poisson(lambda) count, as floats."""
+    frames = np.asarray(frames, dtype=float)
+    check_poisson_rates(frames)
+    return rng.poisson(frames).astype(float)
+
+
+def read_out(counts: np.ndarray, sigma: float, rng: np.random.Generator,
+             quantize: bool = False) -> np.ndarray:
+    """One readout of an exposure's `counts`, in a new array: counts +
+    sigma x standard_normal (no draw at sigma 0), optionally rounded to
+    integer electrons. `counts` is never written, so a Skipper-CCD exposure,
+    read non-destructively, can be read again at another sigma."""
+    readout_sigmas((sigma,))
+    if sigma > 0:
+        noisy = rng.standard_normal(np.shape(counts))
+        noisy *= sigma
+        noisy += counts
+    else:
+        noisy = np.array(counts, dtype=float)
+    if quantize:
+        np.rint(noisy, out=noisy)
+    return noisy
+
+
 def sample_noise(frames: np.ndarray, sigma: float, rng: np.random.Generator,
                  quantize: bool = False) -> np.ndarray:
     """Noisy realization of non-negative photon-rate maps.
 
     Each value lambda is replaced by Poisson(lambda) + Normal(0, sigma^2),
-    optionally rounded to integer electrons.
+    optionally rounded to integer electrons: read_out of photon_counts, the
+    sigma checked first.
     """
     readout_sigmas((sigma,))
-    frames = np.asarray(frames, dtype=float)
-    check_poisson_rates(frames)
-    noisy = rng.poisson(frames).astype(float)
-    if sigma > 0:
-        noisy += rng.normal(0.0, sigma, size=frames.shape)
-    if quantize:
-        noisy = np.rint(noisy)
-    return noisy
+    return read_out(photon_counts(frames, rng), sigma, rng, quantize)
 
 
 def apply_noise(frames: InterferogramSet, params: NoiseParams) -> InterferogramSet:

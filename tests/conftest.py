@@ -32,6 +32,7 @@ def block_threads(monkeypatch):
 
 @pytest.fixture
 def run_threads(monkeypatch):
-    """Idents of the threads that ran a continuous-experiment run (the
-    reference, or one illumination and sigma), one per run."""
+    """Idents of the threads that ran a continuous-experiment exposure (the
+    reference's, or one illumination's, read at every sigma), one per
+    exposure."""
     return _record_threads(monkeypatch, "_continuous_run")

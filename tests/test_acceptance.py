@@ -120,7 +120,7 @@ def test_criterion_5a_readout_improvement_at_4_photons():
     reason="Conflicts with 5a: the improvement from lowering readout noise is "
     "monotonically larger at lower illumination, so a ratio <= 0.9 at "
     "4.0 phot/px forces a ratio below 0.9 at 1.9 phot/px as well. Measured "
-    "0.825 with the default lens at seed 0 (its ACCEPTANCE line under -s, "
+    "0.828 with the default lens at seed 0 (its ACCEPTANCE line under -s, "
     "numpy 2.4).",
 )
 def test_criterion_5b_no_improvement_at_1p9_photons():

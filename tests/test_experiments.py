@@ -18,7 +18,7 @@ from pdisim.forward import frame_rates
 from pdisim.model import SkellamTable
 from pdisim.qudit import sample_fidelity
 from pdisim.reconstruct import harmonic_sums, unit_phasors
-from pdisim.sensor import MAX_POISSON_RATE
+from pdisim.sensor import MAX_POISSON_RATE, photon_counts
 
 SCENE = QuditScene()
 
@@ -680,14 +680,15 @@ def test_continuous_results_do_not_depend_on_jobs(run_threads, quantize):
         outputs[jobs] = continuous_outputs(*continuous_experiment(
             SMALL_LENS, (1.7, 3.0), sigmas=(3.0, 0.2), seed=11,
             quantize=quantize, jobs=jobs))
-        assert len(run_threads) == 5
+        # the reference's exposure and one per illumination
+        assert len(run_threads) == 3
         assert (len(set(run_threads)) > 1) == (jobs > 1)
     assert outputs[1] == outputs[2] == outputs[3]
 
 
 def test_continuous_threads_under_fast_switching_match_serial(run_threads):
-    # 7 runs on 7 threads, with the interpreter switching threads as often
-    # as it can: runs must not interfere through shared state
+    # 4 exposures on 4 threads, with the interpreter switching threads as
+    # often as it can: exposures must not interfere through shared state
     serial = continuous_outputs(*continuous_experiment(
         SMALL_LENS, (1.7, 3.0, 11.3), seed=5))
     run_threads.clear()
@@ -709,22 +710,22 @@ def test_continuous_threads_under_fast_switching_match_serial(run_threads):
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_continuous_raises_the_first_failing_runs_error(monkeypatch, jobs):
-    # runs 2 and 4 fail, run 4 first: the error raised is run 2's, and no
-    # run after the failures starts
+    # of 7 exposures, 2 and 4 fail, exposure 4 first: the error raised is
+    # exposure 2's, and no exposure after the failures starts
     monkeypatch.setattr(experiments, "READS_PER_THREAD", 1)
     started = []
 
-    def run(stream, *args, **kwargs):
+    def run(stream, illumination, sigmas, *args, **kwargs):
         started.append(stream)
         time.sleep({2: 0.2, 4: 0.0}.get(stream, 0.05))
         if stream in (2, 4):
-            raise DomainError(f"run {stream}")
-        return np.zeros(SMALL_LENS.grid.shape)
+            raise DomainError(f"exposure {stream}")
+        return [np.zeros(SMALL_LENS.grid.shape)] * len(sigmas)
 
     monkeypatch.setattr(experiments, "_continuous_run", run)
-    with pytest.raises(DomainError, match=r"^run 2$"):
-        continuous_experiment(SMALL_LENS, (1.0, 2.0, 3.0), sigmas=(0.2, 0.5),
-                              jobs=jobs)
+    with pytest.raises(DomainError, match=r"^exposure 2$"):
+        continuous_experiment(SMALL_LENS, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+                              sigmas=(0.2, 0.5), jobs=jobs)
     assert 6 not in started and len(started) <= 3 + jobs
 
 
@@ -738,12 +739,12 @@ def test_continuous_runs_inline_on_one_thread(monkeypatch):
 
 
 @pytest.mark.parametrize("scene, threads", [
-    # 7 runs x 4 frames x 16 384 pixels = 458 752 frame values
+    # 7 reconstructions x 4 frames x 16 384 pixels = 458 752 frame values
     pytest.param(LensScene(), {1: 1, 2: 2, 3: 3, 64: 3}, id="default-lens"),
     # 7 x 4 x 1 024 = 28 672
     pytest.param(SMALL_LENS, {1: 1, 2: 1, 64: 1}, id="32x32-lens"),
-    # 7 x 4 x 1 048 576: at most one thread per run
-    pytest.param(LensScene(grid=GridSpec(1024, 1024)), {2: 2, 64: 7},
+    # 7 x 4 x 1 048 576: at most one thread per exposure, of 4
+    pytest.param(LensScene(grid=GridSpec(1024, 1024)), {2: 2, 64: 4},
                  id="1024x1024-lens")])
 def test_continuous_threads_follow_the_frame_values_up_to_jobs_and_runs(
         scene, threads):
@@ -752,6 +753,68 @@ def test_continuous_threads_follow_the_frame_values_up_to_jobs_and_runs(
     # N = 3 steps: 7 x 3 x 16 384 = 344 064 frame values
     assert continuous_threads(LensScene(), (1.7, 3.0, 11.3), (3.0, 0.2), 8,
                               psi=PsiConfig(n_steps=3)) == 2
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("illuminations, sigmas", [
+    pytest.param((), (3.0, 0.2), id="no-illuminations"),
+    pytest.param((1.7, 3.0), (), id="no-sigmas"),
+    *[pytest.param((1.7, 3.0), (0.2, sigma), id=f"sigma-{sigma}")
+      for sigma in (-0.5, np.nan, np.inf)]])
+def test_continuous_checks_its_inputs_before_any_exposure(
+        run_threads, illuminations, sigmas, jobs):
+    with pytest.raises(DomainError):
+        continuous_experiment(SMALL_LENS, illuminations, sigmas=sigmas,
+                              jobs=jobs)
+    assert run_threads == []
+
+
+def test_continuous_reference_is_one_read_of_stream_0():
+    ref, _ = continuous_experiment(SMALL_LENS, (1.7, 3.0), seed=11)
+    clean = simulate_interferograms(SMALL_LENS.field(), PsiConfig(), 500.0,
+                                    region=SMALL_LENS.region())
+    noisy = replace(clean, frames=sample_noise(clean.frames, 0.2,
+                                               rng_stream(11, 0)))
+    assert np.array_equal(ref, extract_phase(noisy).phase)
+
+
+@pytest.mark.parametrize("quantize", [False, True])
+def test_continuous_first_sigma_is_one_read_of_its_illuminations_stream(
+        quantize):
+    illuminations = (1.7, 3.0, 11.3)
+    _, cases = continuous_experiment(SMALL_LENS, illuminations,
+                                     sigmas=(0.5, 3.0), seed=4,
+                                     quantize=quantize)
+    for i, illum in enumerate(illuminations):
+        clean = simulate_interferograms(SMALL_LENS.field(), PsiConfig(), illum,
+                                        region=SMALL_LENS.region())
+        noisy = replace(clean, frames=sample_noise(
+            clean.frames, 0.5, rng_stream(4, 1 + i), quantize=quantize))
+        case = cases[2 * i]
+        assert (case.illumination, case.sigma) == (illum, 0.5)
+        assert np.array_equal(case.phase_map, extract_phase(noisy).phase)
+
+
+def test_continuous_noiseless_readouts_of_one_exposure_are_equal():
+    _, cases = continuous_experiment(SMALL_LENS, (1.7, 3.0),
+                                     sigmas=(0.0, 0.0), seed=2)
+    for first, second in zip(cases[::2], cases[1::2]):
+        assert np.array_equal(first.phase_map, second.phase_map)
+    assert not np.array_equal(cases[0].phase_map, cases[2].phase_map)
+
+
+def test_continuous_study_draws_one_exposure_per_illumination(monkeypatch):
+    # the reference's and one per illumination: 4 Poisson draws, not 1 + 3 x 2
+    drawn = []
+
+    def counting(frames, rng):
+        drawn.append(np.shape(frames))
+        return photon_counts(frames, rng)
+
+    monkeypatch.setattr(experiments, "photon_counts", counting)
+    _, cases = continuous_experiment(LensScene(), (1.7, 3.0, 11.3))
+    assert len(cases) == 6
+    assert drawn == [(4, 128, 128)] * 4
 
 
 def test_continuous_rejects_fewer_than_one_job():

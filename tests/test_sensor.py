@@ -5,7 +5,7 @@ import pytest
 
 from pdisim import (DomainError, InterferogramSet, NoiseParams,
                     apply_noise, rng_stream, sample_noise, sigma_from_nsamp)
-from pdisim.sensor import rng_streams
+from pdisim.sensor import photon_counts, read_out, rng_streams
 
 
 def make_set(frames):
@@ -42,6 +42,37 @@ def test_degenerate_zero_noise():
     iset = make_set(np.zeros((4, 3, 3)))
     out = apply_noise(iset, NoiseParams(readout_sigma=0.0, seed=1))
     assert np.all(out.frames == 0.0)
+
+
+@pytest.mark.parametrize("quantize", [False, True])
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_sample_noise_is_a_read_out_of_photon_counts_bit_for_bit(sigma,
+                                                                 quantize):
+    frames = np.linspace(0.0, 12.0, 4 * 9 * 7).reshape(4, 9, 7)
+    rng = rng_stream(8, 2)
+    expected = read_out(photon_counts(frames, rng), sigma, rng, quantize)
+    assert np.array_equal(sample_noise(frames, sigma, rng_stream(8, 2),
+                                       quantize=quantize), expected)
+    # and both are Poisson(lambda) + Normal(0, sigma^2), drawn in that order
+    rng = rng_stream(8, 2)
+    direct = rng.poisson(frames) + (rng.normal(0.0, sigma, frames.shape)
+                                    if sigma > 0 else 0.0)
+    assert np.array_equal(np.rint(direct) if quantize else direct, expected)
+
+
+def test_two_readouts_of_one_exposure_differ_by_readout_noise_alone():
+    # the difference of reads at sigmas a and b of the same counts is
+    # normal, mean 0, variance a^2 + b^2; two exposures at rate 20 would add
+    # a Poisson variance of 40
+    n, a, b = 2 * 10**5, 0.5, 3.0
+    rng = rng_stream(21, 1)
+    counts = photon_counts(np.full(n, 20.0), rng)
+    kept = counts.copy()
+    diff = read_out(counts, a, rng) - read_out(counts, b, rng)
+    assert np.array_equal(counts, kept)
+    var = a**2 + b**2
+    assert abs(diff.mean()) < 4 * np.sqrt(var / n)
+    assert abs(diff.var(ddof=1) - var) < 4 * var * np.sqrt(2.0 / (n - 1))
 
 
 def test_negative_rate_rejected():
