@@ -127,12 +127,12 @@ def _existing_path(text):
 
 
 def _list_of(convert):
-    """Converter for a non-empty comma-separated list of `convert` values."""
+    """Converter for a comma-separated list of `convert` values, none empty."""
     def parse(text):
-        items = [t.strip() for t in text.split(",") if t.strip()]
-        if not items:
-            raise ValueError("empty list")
-        return tuple(convert(t) for t in items)
+        items = [t.strip() for t in text.split(",")]
+        if "" in items:
+            raise ValueError("empty list item")
+        return tuple(map(convert, items))
     return parse
 
 

@@ -100,7 +100,8 @@ def write_interferogram_set(directory, iset):
 def read_interferogram_set(manifest_path):
     """Load an InterferogramSet from its manifest file. Its `alphas` must be
     the equal steps `step_phases(n_steps)` within 1e-12, the only steps that
-    the reconstruction inverts, and its reference must give a finite C0."""
+    the reconstruction inverts, and its reference must give a finite C0.
+    A key but `frame` given twice is an error."""
     directory = os.path.dirname(os.path.abspath(manifest_path))
     keys = {}
     frames = []
@@ -116,6 +117,8 @@ def read_interferogram_set(manifest_path):
             key, value = key.strip(), value.strip()
             if key == "frame":
                 frames.append(read_map(os.path.join(directory, value), "AMMAP"))
+            elif key in keys:
+                raise ShapeError(f"{manifest_path}: repeated key {key!r}")
             else:
                 keys[key] = value
     try:

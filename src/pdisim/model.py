@@ -3,11 +3,11 @@
 At N = 4 equal steps the harmonic sums of a pixel are C = I_0 - I_2 and
 S = I_1 - I_3, so their photon-count parts are differences of independent
 Poisson counts: Skellam variates (Skellam 1946). `poisson_pmfs` gives Poisson
-laws cut to a window that loses a negligible mass, and `skellam_pmfs` the laws
-of their differences; `SkellamTable` holds the cumulative laws of C and S for
-each slit of one or more illuminations, taken from `skellam_pmfs`, and draws
-them by inversion of uniforms, in O(1) per draw through a guide index (Chen &
-Asau 1974).
+laws cut to a window that loses a negligible mass, in one pass per bit length
+of the window lengths, and `skellam_pmfs` the laws of their differences;
+`SkellamTable` holds the cumulative laws of C and S for each slit of one or
+more illuminations, taken from `skellam_pmfs`, and draws them by inversion of
+uniforms, in O(1) per draw through a guide index (Chen & Asau 1974).
 """
 
 import numpy as np
@@ -22,73 +22,45 @@ WINDOW_SDS = 12.0
 WINDOW_PAD = 5
 
 
-def _padded_rows(lens):
-    """A layout of rows of lengths `lens` (1D, each >= 1) in one flat
-    buffer: the rows whose lengths have the same bit length form a block,
-    each row padded to the block's longest, at most twice its own length.
-    Returns (order, block_starts, counts): the rows in block order, the
-    position in it of each block's first row, and each block's row count."""
-    buckets = np.frexp(lens)[1]
-    order = np.argsort(buckets, kind="stable")
-    starts = np.flatnonzero(np.diff(buckets[order], prepend=-1))
-    return order, starts, np.diff(starts, append=len(lens))
-
-
-def _block_offsets(order, starts, counts, widths, shifts=0):
-    """(the buffer offset of each row plus its block's `shifts`, in the
-    rows' own order; each block's offset; the buffer's size) of
-    _padded_rows' layout with blocks of row `widths`."""
-    sizes = counts * widths
-    bases = np.cumsum(sizes) - sizes
-    rank = np.arange(len(order)) - np.repeat(starts, counts)
-    offsets = np.empty(len(order), dtype=np.intp)
-    offsets[order] = (np.repeat(bases + shifts, counts)
-                      + rank * np.repeat(widths, counts))
-    return offsets, bases, int(sizes.sum())
-
-
 def _poisson_rows(rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Poisson laws of `rates` (1D) laid end to end, each after one head
-    slot that holds 0: (first counts, heads and pmfs, window lengths); see
-    poisson_pmfs."""
+    slot that holds 0, in one pass per bucket of window lengths: (first
+    counts, heads and pmfs, window lengths); see poisson_pmfs."""
     rates = np.asarray(rates, dtype=float)
     half, mode = WINDOW_SDS * np.sqrt(rates), np.floor(rates).astype(np.intp)
     lo = np.maximum(0.0, np.ceil(rates - half)).astype(np.intp)
     hi = np.where(rates > 0, np.floor(rates + half) + WINDOW_PAD, 0).astype(np.intp)
     lens, below, above = hi - lo + 1, mode - lo, hi - mode
-    # log p(k) - log p(mode) of each window, as a row of a padded block
-    # (_padded_rows): the running sums of the logs of k / lambda down from
-    # the mode, reversed, then 0 at the mode, then those of lambda / k up
-    # from it, for k = mode - D .. mode + U (D, U the block's widest)
-    order, starts, counts = _padded_rows(lens)
-    downs = np.maximum.reduceat(below[order], starts)
-    ups = np.maximum.reduceat(above[order], starts)
-    modes, bases, size = _block_offsets(order, starts, counts,
-                                        downs + ups + 1, downs)
-    logs = np.empty(size + 1)
-    logs[-1] = -np.inf
-    # the rows' rates and modes in block order; counts 1, 2, ... from a mode
-    rate = rates[order, None]
-    top, steps = np.floor(rate), np.arange(1.0, max(downs.max(), ups.max()) + 1)
-    # a row runs past its window into logs of counts <= 0 (or of rate 0),
-    # never read; counts are exact in floats
+    heads, buckets = np.cumsum(lens + 1) - (lens + 1), np.frexp(lens)[1]
+    # log p(k) - log p(mode) of each window, after its head slot's -inf, and
+    # the bit length of each window's length in its slots (0 in the heads)
+    pmf, slots = np.empty(len(heads) + lens.sum()), np.repeat(buckets, lens + 1)
+    pmf[heads], slots[heads] = -np.inf, 0
+    # the windows of one bit length form a block, each row padded to the
+    # widest (at most twice its own length): the running sums of the logs of
+    # k / lambda down from the mode, reversed, then 0 at the mode, then those
+    # of lambda / k up from it, for k = mode - D .. mode + U (D, U the
+    # widest). A running sum gives a row the same bits whatever its padding.
+    # A row runs past its window into logs of counts <= 0 (or of rate 0),
+    # never kept; counts are exact in floats
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start, n, base, down, up in zip(*(x.tolist() for x in (
-                starts, counts, bases, downs, ups))):
-            block = logs[base:base + n * (down + up + 1)].reshape(n, -1)
-            r, t = rate[start:start + n], top[start:start + n]
+        for bucket in np.unique(buckets).tolist():
+            rows = np.flatnonzero(buckets == bucket)
+            down, up = int(below[rows].max()), int(above[rows].max())
+            r = rates[rows, None]
+            t, steps = np.floor(r), np.arange(1.0, max(down, up) + 1)
+            block = np.empty((len(rows), down + up + 1))
             block[:, down] = 0.0
             terms = (t + 1.0 - steps[:down]) / r
             np.cumsum(np.log(terms, out=terms), axis=1,
                       out=block[:, :down][:, ::-1])
             terms = r / (t + steps[:up])
             np.cumsum(np.log(terms, out=terms), axis=1, out=block[:, down + 1:])
-    # each window after its head slot, which reads the -inf at the end
-    heads = np.cumsum(lens + 1) - (lens + 1)
-    at = (np.repeat(modes - below - 1 - heads, lens + 1)
-          + np.arange(heads[-1] + lens[-1] + 1))
-    at[heads] = len(logs) - 1
-    pmf = np.exp(logs[at])
+            # each row's window, in row order, into the bucket's slots
+            col = np.arange(down + up + 1)
+            keep = (col >= down - below[rows, None]) & (col <= down + above[rows, None])
+            pmf[slots == bucket] = block[keep]
+    np.exp(pmf, out=pmf)
     # each window's sum, as pmf.sum() of the window alone gives it: a
     # reduction from 0 over the window, which the head's 0 starts
     pmf /= np.repeat(np.add.reduceat(pmf, heads), lens + 1)
@@ -96,12 +68,13 @@ def _poisson_rows(rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def poisson_pmfs(rates) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The Poisson laws of `rates` (1D), in one pass: (first counts, pmfs
-    over consecutive counts), each on the window lambda -/+ 12 sd (lower end
-    at least 0, upper end padded by WINDOW_PAD counts) and normalized over
-    it; the mass outside is at most 1e-14. A pmf is built outward from the
-    mode by the ratios p(k) / p(k - 1) = lambda / k, summed as logs, which
-    keeps the factorials' large terms from cancelling."""
+    """The Poisson laws of `rates` (1D), in one pass per bucket of window
+    lengths (see _poisson_rows): (first counts, pmfs over consecutive
+    counts), each on the window lambda -/+ 12 sd (lower end at least 0,
+    upper end padded by WINDOW_PAD counts) and normalized over it; the mass
+    outside is at most 1e-14. A pmf is built outward from the mode by the
+    ratios p(k) / p(k - 1) = lambda / k, summed as logs, which keeps the
+    factorials' large terms from cancelling."""
     lo, pmf, lens = _poisson_rows(rates)
     ends = np.cumsum(lens + 1).tolist()
     return lo, [pmf[end - n:end] for end, n in zip(ends, lens.tolist())]

@@ -8,7 +8,7 @@ import pytest
 
 import pdisim
 from pdisim import (ConfigError, LensScene, NoiseParams, PsiConfig, QuditScene,
-                    SweepGrid, continuous_experiment, parse_config)
+                    ShapeError, SweepGrid, continuous_experiment, parse_config)
 from pdisim import cli, experiments, io as pio
 from pdisim.cli import main
 from pdisim.config import PhmapScene, serialize_config
@@ -89,6 +89,48 @@ def test_nbin_feasibility_checked_at_parse():
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError):
         parse_config("[scene]\ntype = lens\ntype = lens\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("illuminations", "1.7,,3.0"), ("illuminations", "1.7,3.0,"),
+    ("illuminations", ""), ("sigmas", ",0.5"), ("nsamps", "1, ,144"),
+    ("n_bins", "1,,2")])
+def test_empty_list_item_rejected(tmp_path, capsys, key, value):
+    # every comma-separated item is converted: an empty one is an error, not
+    # dropped
+    text = MINIMAL + f"[sweep]\n{key} = {value}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert (err.value.key, err.value.line) == (key, 4)
+    cfg, out = write_cfg(tmp_path, text), tmp_path / "o"
+    capsys.readouterr()
+    assert main(["qudit-experiment", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"(key '{key}', line 4)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, text, fragments", [
+    pytest.param("qudit-experiment", MINIMAL + "[noise]\nquantize = maybe\n",
+                 ("expected true/false", "(key 'quantize', line 4)"), id="bool"),
+    pytest.param("simulate", "n_steps = 4\n" + MINIMAL,
+                 ("key outside any section (line 1)",), id="outside-section"),
+    pytest.param("simulate", "[scene]\ntype = phmap\n",
+                 ("phmap scene requires a phase_map path",
+                  "(key 'type', line 2)"), id="phmap-without-path")])
+def test_cli_config_error_names_its_key_or_line(tmp_path, capsys, subcommand,
+                                                text, fragments):
+    cfg, out = write_cfg(tmp_path, text), tmp_path / "o"
+    capsys.readouterr()
+    assert main([subcommand, "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+    assert not out.exists()
 
 
 def test_config_roundtrip():
@@ -772,6 +814,27 @@ def reconstruct_edited_manifest(tmp_path, capsys, alphas_line):
     rec = tmp_path / "rec"
     rc = main(["reconstruct", str(manifest), "--out", str(rec), "--quiet"])
     return rc, manifest, rec
+
+
+@pytest.mark.parametrize("key, value", [
+    ("reference_re", "5.0"), ("n_steps", "4"), ("illumination", "3.0"),
+    ("alphas", EQUAL_ALPHAS.partition(" = ")[2].strip())])
+def test_cli_manifest_with_a_repeated_key_is_an_error(tmp_path, capsys, key,
+                                                      value):
+    # the second value, even an equal one, is not silently taken
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"),
+                 "--quiet"]) == 0
+    manifest = tmp_path / "sim" / "frames" / "manifest.txt"
+    manifest.write_text(manifest.read_text() + f"{key} = {value}\n")
+    with pytest.raises(ShapeError):
+        pio.read_interferogram_set(manifest)
+    capsys.readouterr()
+    rec = tmp_path / "rec"
+    assert main(["reconstruct", str(manifest), "--out", str(rec),
+                 "--quiet"]) == 1
+    assert_one_line_error(capsys, f"error: {manifest}: ", f"repeated key '{key}'")
+    assert not rec.exists()
 
 
 def test_cli_manifest_without_alphas_is_an_error(tmp_path, capsys):

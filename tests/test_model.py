@@ -164,7 +164,11 @@ def per_row_table(rates):
 ONE_PASS_RATES = dict(RATES, **{
     f"default-{illum}": default_rates(illum) for illum in (1.7, 3.0, 11.3)},
     edges=np.array([[0.0, 1e-3, _TABLE_MAX_RATE], [1e-3, 0.0, 1.0],
-                    [_TABLE_MAX_RATE, 0.0, 1e-3], [1.0, _TABLE_MAX_RATE, 0.0]]))
+                    [_TABLE_MAX_RATE, 0.0, 1e-3], [1.0, _TABLE_MAX_RATE, 0.0]]),
+    # several windows of every bit length up to the cap's: 1 (rate 0), and
+    # 3 to 10 (no window has length 2 or 3)
+    buckets=np.concatenate(([0.0] * 3, [1e-9, 1e-3], np.geomspace(
+        1e-2, _TABLE_MAX_RATE, 251))).reshape(64, 4).T)
 
 
 @pytest.mark.parametrize("name", ONE_PASS_RATES)
