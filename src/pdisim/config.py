@@ -1,10 +1,12 @@
 """Run configuration: line-oriented ``key = value`` files with sections.
 
 Sections are ``[scene]``, ``[psi]``, ``[noise]`` and ``[sweep]``. Only
-``[scene]`` is mandatory; every other key has a default. Outputs go where
-the command line says (``--out``), so no key names a path to write. One table,
-``_KEYS``, says for every key how to parse it, which scene types have it,
-which subcommands read it and where its value sits in a RunConfig. Under a
+``[scene]`` is mandatory. Outputs go where the command line says
+(``--out``), so no key names a path to write. One table, ``_KEYS``, says
+for every key how to parse it, which scene types have it, which
+subcommands read it and where its value sits in a RunConfig, which is built
+from the keys a config gives: a key left out takes the default of the
+class that holds it, or for a few keys the config's own. Under a
 subcommand, a key it does not read is rejected and ``serialize_config`` (the
 run manifest) lists exactly the keys it reads. Errors are ConfigErrors that
 name the key and line, which is why the parser is hand-rolled.
@@ -14,7 +16,7 @@ import functools
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 
 import numpy as np
@@ -22,8 +24,7 @@ import numpy as np
 from . import io as pio
 from .errors import ConfigError, PdisimError, ShapeError
 from .experiments import LensScene, QuditScene, SweepGrid
-from .field import (ComplexField, GridSpec, SlitLayout, equal_step_state,
-                    field_from_phase_map)
+from .field import ComplexField, equal_step_state, field_from_phase_map
 from .forward import PsiConfig
 from .sensor import MAX_NSAMP, NoiseParams
 
@@ -45,19 +46,14 @@ class PhmapScene:
     amplitude_path: str | None = None
 
     @functools.cached_property
-    def _maps(self):
-        """The phase and amplitude maps, read on first use only."""
-        phase = pio.read_map(self.phase_path, "PHMAP")
-        amplitude = 1.0
-        if self.amplitude_path is not None:
-            amplitude = pio.read_map(self.amplitude_path, "AMMAP")
-        return phase, amplitude
-
-    @functools.cached_property
     def _field(self) -> ComplexField:
-        """The field, built on first use only (its values are read-only)."""
+        """The field, its maps read and built on first use only (its values
+        are read-only)."""
         try:
-            return field_from_phase_map(*self._maps)
+            phase = pio.read_map(self.phase_path, "PHMAP")
+            amplitude = (1.0 if self.amplitude_path is None
+                         else pio.read_map(self.amplitude_path, "AMMAP"))
+            return field_from_phase_map(phase, amplitude)
         except ShapeError as exc:
             raise ShapeError(f"{self.phase_path}, {self.amplitude_path}: "
                              f"{exc}") from None
@@ -256,17 +252,26 @@ def _get(entries, section, key, default):
         raise ConfigError(f"bad value {text!r}: {exc}", key=key, line=line) from None
 
 
+def _given(entries, path):
+    """The fields of the object at value path `path` (see _Key) that the
+    config gives, converted, by name: the rest take its class's defaults."""
+    return {row.value.rpartition(".")[2]: _get(entries, section, key, None)
+            for (section, key), row in _KEYS.items()
+            if (section, key) in entries and isinstance(row.value, str)
+            and row.value.rpartition(".")[0] == path}
+
+
 def _fail(entries, section, key, message):
     _, line = entries.get((section, key), (None, None))
     raise ConfigError(message, key=key, line=line)
 
 
-def _build(fail, blame, label, model, **fields):
-    """`model(**fields)`, whose errors become a ConfigError blamed on the
-    (section, key) `blame`: the converters have checked each field on its
-    own, so these are the checks across fields."""
+def _build(fail, blame, label, model, *args, **fields):
+    """`model(*args, **fields)`, whose errors become a ConfigError blamed on
+    the (section, key) `blame`: the converters have checked each field on
+    its own, so these are the checks across fields."""
     try:
-        return model(**fields)
+        return model(*args, **fields)
     except PdisimError as exc:
         fail(*blame, f"invalid {label}: {exc}")
 
@@ -274,11 +279,13 @@ def _build(fail, blame, label, model, **fields):
 def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
     """Parse and fully validate a config; every default is resolved.
 
-    With a subcommand, a key it does not read is a ConfigError, and a check
-    across keys runs only if the subcommand reads the key it blames.
+    Each object is built from the keys the config gives (_given). With a
+    subcommand, a key it does not read is a ConfigError, and a check across
+    keys runs only if the subcommand reads the key it blames.
     """
     entries, sections = _tokenize(text, subcommand)
     get = functools.partial(_get, entries)
+    given = functools.partial(_given, entries)
     fail = functools.partial(_fail, entries)
     kind = get("scene", "type", "eq6_qudit")
     if kind not in _KEYS["scene", "type"].scenes:
@@ -287,46 +294,29 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
         if kind not in _KEYS[section, key].scenes:
             fail(section, key, f"not a key of scene type {kind}")
 
-    grid = GridSpec(
-        width=get("scene", "grid_width", 128),
-        height=get("scene", "grid_height", 128),
-    )
+    grid_fields = given("scene.grid")
     step = get("scene", "state_step", 2.0 * np.pi / 5.0)
     if kind == "eq6_qudit":
         # SlitLayout has left to reject a slit shorter than it is wide
-        layout = _build(fail, ("scene", "slit_length_px"), "slit layout", SlitLayout,
-                        d=get("scene", "d", 6),
-                        slit_width_px=get("scene", "slit_width_px", 10),
-                        slit_gap_px=get("scene", "slit_gap_px", 4),
-                        slit_length_px=get("scene", "slit_length_px", 10))
+        layout = _build(fail, ("scene", "slit_length_px"), "slit layout", replace,
+                        QuditScene.layout, **given("scene.layout"))
+        grid = replace(QuditScene.grid, **grid_fields)
         for key, needed, size in (("grid_width", layout.bounding_width, grid.width),
                                   ("grid_height", layout.slit_length_px, grid.height)):
             if needed > size:
                 fail("scene", key, f"the slits need {needed} pixels, the grid "
                                    f"has {size}")
-        scene = QuditScene(
-            grid=grid,
-            layout=layout,
-            state=equal_step_state(layout.d, step),
-            background_amplitude=get("scene", "background_amplitude", 1.0),
-            background_phase=get("scene", "background_phase", 0.0),
-        )
+        scene = QuditScene(grid=grid, layout=layout,
+                           state=equal_step_state(layout.d, step), **given("scene"))
     elif kind == "lens":
-        scene = LensScene(
-            grid=grid,
-            curvature=get("scene", "curvature", np.pi / 2048.0),
-            amplitude=get("scene", "amplitude", 1.0),
-        )
+        scene = LensScene(grid=replace(LensScene.grid, **grid_fields), **given("scene"))
     else:
-        phase_path = get("scene", "phase_map", None)
-        if phase_path is None:
+        fields = given("scene")
+        if "phase_path" not in fields:
             fail("scene", "type", "phmap scene requires a phase_map path")
-        scene = PhmapScene(
-            phase_path=phase_path,
-            amplitude_path=get("scene", "amplitude_map", None),
-        )
+        scene = PhmapScene(**fields)
 
-    psi = PsiConfig(n_steps=get("psi", "n_steps", 4))
+    psi = PsiConfig(**given("psi"))
     ref_re = get("psi", "reference_re", None)
     ref_im = get("psi", "reference_im", None)
     if ref_re is not None or ref_im is not None:
@@ -334,28 +324,23 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
         if reference == 0:
             fail("psi", "reference_re" if ref_re is not None else "reference_im",
                  "the reference amplitude must not be zero")
-        psi = PsiConfig(n_steps=psi.n_steps, reference_override=reference)
+        psi = replace(psi, reference_override=reference)
     illumination = get("psi", "illumination", 3.0)
 
-    nsamp = get("noise", "nsamp", None)
-    sigma = get("noise", "readout_sigma", 0.2 if nsamp is None else None)
+    fields = given("noise")
+    if "nsamp" not in fields:
+        fields.setdefault("readout_sigma", 0.2)
     # all NoiseParams has left to reject is a sigma that disagrees with nsamp
-    noise = _build(fail, ("noise", "readout_sigma"), "[noise]", NoiseParams,
-                   readout_sigma=sigma, nsamp=nsamp,
-                   quantize=get("noise", "quantize", False),
-                   seed=get("noise", "seed", 0))
+    noise = _build(fail, ("noise", "readout_sigma"), "[noise]", NoiseParams, **fields)
 
-    lens = kind == "lens"
-    default_illums = (1.9, 4.0, 12.7) if lens else (1.7, 3.0, 11.3)
-    # continuous-experiment compares the worst and the best readout
-    default_sigmas = (3.0, 0.2) if lens and ("sweep", "nsamps") not in entries else None
+    fields = given("sweep")
+    if kind == "lens":
+        fields.setdefault("illuminations", (1.9, 4.0, 12.7))
+        # continuous-experiment compares the worst and the best readout
+        if "nsamps" not in fields:
+            fields.setdefault("sigmas", (3.0, 0.2))
     # all SweepGrid has left to reject is sigmas that disagree with nsamps
-    sweep = _build(fail, ("sweep", "sigmas"), "[sweep]", SweepGrid,
-                   illuminations=get("sweep", "illuminations", default_illums),
-                   sigmas=get("sweep", "sigmas", default_sigmas),
-                   nsamps=get("sweep", "nsamps", None),
-                   n_bins=get("sweep", "n_bins", (1, 2, 4, 8)),
-                   repetitions=get("sweep", "repetitions", 2000))
+    sweep = _build(fail, ("sweep", "sigmas"), "[sweep]", SweepGrid, **fields)
     reference_illumination = get("sweep", "reference_illumination", 500.0)
     if (_KEYS["sweep", "reference_illumination"].read_by(subcommand)
             and reference_illumination < max(sweep.illuminations)):

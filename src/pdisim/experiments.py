@@ -55,9 +55,8 @@ from .forward import PsiConfig, frame_rates, simulate_interferograms
 from .model import SkellamTable
 from .qudit import FidelityStats, sample_fidelity
 from .reconstruct import c0_analytic, extract_phase, harmonic_sums, unit_phasors
-from .sensor import (MAX_POISSON_RATE, check_poisson_rates, photon_counts,
-                     read_out, readout_sigmas, rng_stream, rng_streams,
-                     sample_noise)
+from .sensor import (check_poisson_rates, photon_counts, read_out,
+                     readout_sigmas, rng_stream, rng_streams, sample_noise)
 
 #: Fixed vectorization chunk (repetitions per draw from a cell's stream):
 #: part of the determinism contract, so it must not depend on worker count.
@@ -261,28 +260,18 @@ def _skellam_sums(table, shape, sigmas, rngs, tables=0):
 
 def _checked_frames(slits, reference, illums, n_bins, pixels, n_steps):
     """The frames (k, N, d, 1) of the slits at the k illuminations `illums`
-    (one frame_rates call), C0s and mus. The checks run once for all, and
-    raise what checking the illuminations one at a time, in order, would:
-    each one's frames (float range, then Poisson range), then the n_bins
-    against the `pixels` per slit (read without replacement), then its C0."""
-    try:
-        rates, refs = frame_rates(slits, reference, n_steps, illums, slits)
-    except DomainError:
-        # frames overflow, but an earlier illumination's check comes first
-        for illum in illums[:-1]:
-            _checked_frames(slits, reference, (illum,), n_bins, pixels, n_steps)
-        raise
-    flat = rates.reshape(len(illums), -1)
-    # the first illumination past numpy's Poisson range, or k
-    fits = (flat.min(axis=1) >= 0) & (flat.max(axis=1) <= MAX_POISSON_RATE)
-    first = len(illums) if fits.all() else int(np.argmin(fits))
+    (one frame_rates call), C0s and mus. Each check runs once over all the
+    illuminations: first the n_bins against the `pixels` per slit (read
+    without replacement), as the config checks them, then the file path's
+    own, in its order: the frames' float range (frame_rates), their Poisson
+    range (check_poisson_rates) and each C0 (c0_analytic)."""
     wide = [n_bin for n_bin in n_bins if n_bin > pixels]
-    if wide and first:
+    if wide:
         raise SamplingError(f"n_bin = {wide[0]} exceeds the {pixels} pixels "
                             "per slit")
-    c0 = np.array([c0_analytic(ref, n_steps) for ref in refs[:first].tolist()])
-    if first < len(illums):
-        check_poisson_rates(rates[first])
+    rates, refs = frame_rates(slits, reference, n_steps, illums, slits)
+    check_poisson_rates(rates)
+    c0 = np.array([c0_analytic(ref, n_steps) for ref in refs.tolist()])
     return rates, c0, np.angle(refs)
 
 
@@ -293,7 +282,7 @@ def _prepare(scene: QuditScene, grid: SweepGrid, psi: PsiConfig,
     illumination i among the k distinct ones, which have frames rates (k,
     N, d, 1), C0s, mus and in tables the index of their table in `table`,
     the sweep's one SkellamTable (None if unused), or -1 to draw frames.
-    The checks run first (_checked_frames)."""
+    The checks run first, each once over the k (_checked_frames)."""
     distinct = {}
     lits = np.array([distinct.setdefault(illum, len(distinct))
                      for illum in grid.illuminations])
@@ -421,7 +410,8 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
     Each task is a block of cells that share the n_bin (grid._blocks) and
     the draw path: a block whose illuminations take both paths runs as two
     tasks, its tabled cells first. Each distinct illumination is prepared
-    once before any block runs, in the calling thread (_prepare), so a
+    once before any block runs, in the calling thread (_prepare), each
+    check once over them all in a fixed order (_checked_frames), so a
     failing check raises the same error whatever `jobs` is. The tasks run
     on sweep_threads(scene, grid, jobs) threads, in order in the calling
     thread when that is one: numpy's draws release the GIL, but a task's

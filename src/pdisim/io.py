@@ -19,6 +19,10 @@ from .reconstruct import c0_analytic
 
 _MAP_MAGIC = {"PHMAP", "AMMAP"}
 
+#: The keys of an interferogram manifest but `frame`, which it repeats.
+_MANIFEST_KEYS = {"n_steps", "alphas", "reference_re", "reference_im",
+                  "illumination"}
+
 
 def write_map(path, data: np.ndarray, kind: str):
     """Write a 2D float map. kind is 'PHMAP' or 'AMMAP'."""
@@ -101,7 +105,8 @@ def read_interferogram_set(manifest_path):
     """Load an InterferogramSet from its manifest file. Its `alphas` must be
     the equal steps `step_phases(n_steps)` within 1e-12, the only steps that
     the reconstruction inverts, and its reference must give a finite C0.
-    A key but `frame` given twice is an error."""
+    A line that is not `key = value`, an unknown key, or a key but `frame`
+    given twice is an error."""
     directory = os.path.dirname(os.path.abspath(manifest_path))
     keys = {}
     frames = []
@@ -113,10 +118,14 @@ def read_interferogram_set(manifest_path):
             line = line.strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
+            key, equals, value = line.partition("=")
             key, value = key.strip(), value.strip()
+            if not equals:
+                raise ShapeError(f"{manifest_path}: not a 'key = value' line {line!r}")
             if key == "frame":
                 frames.append(read_map(os.path.join(directory, value), "AMMAP"))
+            elif key not in _MANIFEST_KEYS:
+                raise ShapeError(f"{manifest_path}: unknown key {key!r}")
             elif key in keys:
                 raise ShapeError(f"{manifest_path}: repeated key {key!r}")
             else:

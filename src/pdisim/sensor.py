@@ -187,10 +187,9 @@ def sample_noise(frames: np.ndarray, sigma: float, rng: np.random.Generator,
     """Noisy realization of non-negative photon-rate maps.
 
     Each value lambda is replaced by Poisson(lambda) + Normal(0, sigma^2),
-    optionally rounded to integer electrons: read_out of photon_counts, the
-    sigma checked first.
+    optionally rounded to integer electrons: read_out of photon_counts,
+    which check the sigma and the rates.
     """
-    readout_sigmas((sigma,))
     return read_out(photon_counts(frames, rng), sigma, rng, quantize)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import os
 import re
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -155,6 +156,55 @@ def test_parsed_configs_compare_by_value():
     assert parse_config(serialize_config(parse_config(text))) == parse_config(text)
     assert parse_config(text) != parse_config(text.replace("1.0", "1.5"))
     assert parse_config(MINIMAL) != parse_config(text)
+
+
+#: A value other than the default for each key whose value sits at an
+#: attribute path of the RunConfig: the scene type that has the key, the
+#: value's text and the resolved value it gives.
+KEY_VALUES = {
+    "d": ("eq6_qudit", "5", 5), "slit_width_px": ("eq6_qudit", "3", 3),
+    "slit_gap_px": ("eq6_qudit", "2", 2),
+    "slit_length_px": ("eq6_qudit", "12", 12),
+    "curvature": ("lens", "0.01", 0.01), "amplitude": ("lens", "2.0", 2.0),
+    "grid_width": ("lens", "100", 100), "grid_height": ("eq6_qudit", "90", 90),
+    "background_amplitude": ("eq6_qudit", "0.5", 0.5),
+    "background_phase": ("eq6_qudit", "0.25", 0.25),
+    "state_step": ("eq6_qudit", "0.5", 0.5),
+    "phase_map": ("phmap", "other.phmap", "other.phmap"),
+    "amplitude_map": ("phmap", "other.ammap", "other.ammap"),
+    "n_steps": ("eq6_qudit", "5", 5), "illumination": ("eq6_qudit", "7.0", 7.0),
+    "readout_sigma": ("eq6_qudit", "1.5", 1.5), "nsamp": ("eq6_qudit", "9", 9),
+    "quantize": ("eq6_qudit", "true", True), "seed": ("eq6_qudit", "7", 7),
+    "illuminations": ("lens", "2.0,5.0", (2.0, 5.0)),
+    "sigmas": ("eq6_qudit", "0.5", (0.5,)), "nsamps": ("lens", "4", (4,)),
+    "n_bins": ("eq6_qudit", "1,3", (1, 3)),
+    "repetitions": ("eq6_qudit", "10", 10),
+    "reference_illumination": ("lens", "600.0", 600.0),
+}
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for (section, key), row in pdisim.config._KEYS.items()
+    if isinstance(row.value, str)])
+def test_each_key_sets_its_value_path(tmp_path, monkeypatch, section, key):
+    # the key, given a value other than its default, sets the value at its
+    # path, so the config routes every key to the field it names
+    monkeypatch.chdir(tmp_path)
+    for name in ("default", "other"):
+        pio.write_phase_map(f"{name}.phmap", np.zeros((8, 8)))
+    pio.write_amplitude_map("other.ammap", np.ones((8, 8)))
+    kind, text, expected = KEY_VALUES[key]
+    base = {("scene", "type"): kind}
+    if kind == "phmap":
+        base["scene", "phase_map"] = "default.phmap"
+
+    def parse(keys):
+        return parse_config("".join(f"[{s}]\n{k} = {v}\n"
+                                    for (s, k), v in keys.items()))
+
+    read = attrgetter(pdisim.config._KEYS[section, key].value)
+    assert read(parse(base)) != expected
+    assert read(parse({**base, (section, key): text})) == expected
 
 
 def test_phmap_scene_requires_existing_file(tmp_path):
@@ -834,6 +884,46 @@ def test_cli_manifest_with_a_repeated_key_is_an_error(tmp_path, capsys, key,
     assert main(["reconstruct", str(manifest), "--out", str(rec),
                  "--quiet"]) == 1
     assert_one_line_error(capsys, f"error: {manifest}: ", f"repeated key '{key}'")
+    assert not rec.exists()
+
+
+@pytest.mark.parametrize("line, fragment", [
+    pytest.param("bogus = 1", "unknown key 'bogus'", id="unknown-key"),
+    pytest.param("not a key line", "not a 'key = value' line 'not a key line'",
+                 id="no-equals")])
+def test_cli_manifest_with_an_unknown_line_is_an_error(tmp_path, capsys, line,
+                                                       fragment):
+    # a line the reader cannot place is not silently skipped
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"),
+                 "--quiet"]) == 0
+    manifest = tmp_path / "sim" / "frames" / "manifest.txt"
+    pio.read_interferogram_set(manifest)  # the manifest as written reads back
+    manifest.write_text(manifest.read_text() + line + "\n")
+    with pytest.raises(ShapeError):
+        pio.read_interferogram_set(manifest)
+    capsys.readouterr()
+    rec = tmp_path / "rec"
+    assert main(["reconstruct", str(manifest), "--out", str(rec),
+                 "--quiet"]) == 1
+    assert_one_line_error(capsys, f"error: {manifest}: ", fragment)
+    assert not rec.exists()
+
+
+def test_cli_manifest_with_two_steps_is_an_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"),
+                 "--quiet"]) == 0
+    manifest = tmp_path / "sim" / "frames" / "manifest.txt"
+    text = manifest.read_text()
+    assert "n_steps = 4\n" in text
+    manifest.write_text(text.replace("n_steps = 4\n", "n_steps = 2\n"))
+    capsys.readouterr()
+    rec = tmp_path / "rec"
+    assert main(["reconstruct", str(manifest), "--out", str(rec),
+                 "--quiet"]) == 1
+    assert_one_line_error(capsys, f"error: {manifest}: ",
+                          "phase retrieval needs >= 3 steps, got 2")
     assert not rec.exists()
 
 

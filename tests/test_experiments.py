@@ -438,12 +438,13 @@ def test_sweep_raises_the_first_failing_blocks_error(jobs, block_threads):
     pytest.param(1e9, (1.0, 3.0), (1, 500), SamplingError,
                  r"^n_bin = 500 exceeds the 100 pixels per slit$",
                  id="fine-then-past-the-limit"),
-    pytest.param(1e9, (3.0, 1.0), (1, 500), DomainError,
-                 r"^Poisson rates must be in \[0, ", id="past-the-limit-then-fine"),
+    pytest.param(1e9, (3.0, 1.0), (1, 500), SamplingError,
+                 r"^n_bin = 500 exceeds", id="past-the-limit-then-fine"),
     # at reference 1e150, 1e-300 phot/px is fine, 1 phot/px past the limit
     # and the frames of 1e12 phot/px overflow the float range
     pytest.param(1e150, (1.0, 1e12), (1,), DomainError,
-                 r"^Poisson rates must be in \[0, ", id="past-the-limit-then-overflow"),
+                 r"^frame rates at illumination 1e\+12 overflow",
+                 id="past-the-limit-checked-after-overflow"),
     pytest.param(1e150, (1e12, 1.0), (1,), DomainError,
                  r"^frame rates at illumination 1e\+12 overflow",
                  id="overflow-then-past-the-limit"),
@@ -452,9 +453,9 @@ def test_sweep_raises_the_first_failing_blocks_error(jobs, block_threads):
 ])
 def test_sweep_checks_run_once_and_raise_the_first_error_in_grid_order(
         reference, illums, n_bins, error, match, block_threads):
-    # the checks of all the illuminations run at once, and raise what
-    # checking them one at a time would: each illumination's frames
-    # (overflow, then Poisson range), then the n_bins, in grid order
+    # each check runs once over all the illuminations, in a fixed order:
+    # the n_bins, then the frames' float range (naming the first
+    # illumination in grid order that overflows), then the Poisson range
     grid = SweepGrid(illuminations=illums, sigmas=(0.2,), n_bins=n_bins,
                      repetitions=5)
     with pytest.raises(error, match=match):
@@ -462,11 +463,11 @@ def test_sweep_checks_run_once_and_raise_the_first_error_in_grid_order(
     assert block_threads == []
 
 
-def test_sweep_checks_n_bin_after_the_poisson_range():
-    # one block, failing both checks: the Poisson range is checked first
+def test_sweep_checks_n_bin_before_the_poisson_range():
+    # one block, failing both checks: the n_bin is checked first
     grid = SweepGrid(illuminations=(3.0,), sigmas=(0.2,), n_bins=(500,),
                      repetitions=5)
-    with pytest.raises(DomainError, match=r"^Poisson rates must be in"):
+    with pytest.raises(SamplingError, match=r"^n_bin = 500 exceeds"):
         fidelity_sweep(SCENE, grid, psi=PsiConfig(reference_override=1e9))
 
 

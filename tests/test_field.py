@@ -54,6 +54,15 @@ def test_qudit_state_rejects_unnormalized():
         QuditState.from_coeffs([0.0, 0.0])
 
 
+def test_qudit_state_equals_only_a_state():
+    # __eq__ returns NotImplemented for a non-state, so Python falls back to
+    # identity: a state is never equal to a number
+    state = equal_step_state()
+    assert state.__eq__(1) is NotImplemented
+    assert state != 1 and not state == 1
+    assert state == equal_step_state()
+
+
 def test_equal_step_state_phases():
     state = equal_step_state()
     expected = wrap(2 * np.pi * np.arange(6) / 5)
