@@ -126,8 +126,8 @@ def _on(threads: int) -> str:
 
 def cmd_sweep(args, subcommand: str, csv_name: str) -> str:
     """Sweep the configured grid into `csv_name`, one row per cell, from the
-    sweep's columns. A failing sweep raises its first failing block's
-    error, and no table is written."""
+    sweep's columns. A failing sweep raises its set-up's error, or its
+    first failing illumination's, and no table is written."""
     cfg = _load_config(args)
     if not isinstance(cfg.scene, QuditScene):
         raise ConfigError("this subcommand requires a qudit scene")
@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "sweep runs on one per "
                             f"{READS_PER_THREAD} pixel reads (repetitions x "
                             "sigmas x illuminations x slits x sum of n_bins), "
-                            "at most one per block, and continuous-experiment "
+                            "at most one per distinct illumination, and "
+                            "continuous-experiment "
                             f"on one per {READS_PER_THREAD} frame values "
                             "(reconstructions x steps x pixels), at most one "
                             "per exposure (the reference's and one per "

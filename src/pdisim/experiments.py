@@ -2,43 +2,47 @@
 
 Covers the standard studies: mean reconstruction fidelity of the slit
 qudit over illumination x readout noise x pixel binning, and continuous-phase
-error statistics of a lens wavefront against a high-flux reference.
+error statistics of a lens wavefront against a high-flux reference. Both
+take one exposure per illumination, draw its photon counts once and read
+them out at every sigma, as a Skipper-CCD reads a pixel's charge
+non-destructively: the cases at one illumination share their shot noise
+and differ by readout noise alone.
 
-Every cell of a sweep is fed by its own random stream (seed, cell index),
-all seeded in one pass before any block runs (sensor.rng_streams), after
-the set-up's array passes (_prepare).
-The pixels of a slit all carry the slit's value, so a cell draws the noisy
-readings of its n_bin pixels per slit straight from the slit's rates: which
-pixels are read changes no number. The phase needs only the harmonic sums
-(C, S) of a read pixel. At N = 4 their photon counts n_0 - n_2 and
-n_1 - n_3 are Skellam variates, so a cell draws each from an exact
-inverse-CDF table of its slit (model.SkellamTable), one uniform apiece, and
-adds one normal of sd sigma sqrt(2) for the readout noise of two frames.
-The tables of all a sweep's illuminations are built in one pass, once.
-It does so whatever the grid's size, so a cell's numbers do not depend on
-the other cells of its grid. It draws the N frames of each read pixel
-instead (Poisson, then normal), and takes their harmonic sums, only at
+The sweep's tasks are its distinct illuminations, all prepared in one pass
+before any task runs (_prepare). The pixels of a slit all carry the slit's
+value, so a task reads max(n_bins) pixels per slit straight off the slit's
+rates: which pixels are read changes no number. Read j of the illumination
+whose first grid index is i draws its counts from the stream with key
+(i, 0, j), and its readout noise at sigma k from the stream with key
+(i, 1 + k, j) (sensor.rng_streams). The cell at n_bin b scores the first b
+reads of each slit. So a cell's numbers depend only on the seed, its
+illumination and sigma indices and its n_bin, and, as numpy draws the same
+values however a stream's range is split into calls, not on the chunk,
+the thread count or the scheduling order either. The cells at one
+illumination are correlated (common random numbers): their differences are
+more precise than the hypot of their standard errors suggests.
+
+The phase needs only the harmonic sums (C, S) of a read pixel. At N = 4
+their photon counts n_0 - n_2 and n_1 - n_3 are Skellam variates, so a task
+looks up one uniform per sum in an exact inverse-CDF table of its slits
+(model.SkellamTable), and adds at each sigma one normal of sd sigma sqrt(2)
+per sum, the readout noise of two frames. The tables of all a sweep's
+illuminations are built in one pass, once, whatever the grid's size. A
+task draws the N frames of each read pixel instead (sensor.photon_counts,
+then sensor.read_out at each sigma), and takes their harmonic sums, only at
 N != 4, with quantize (rounded frames make C and S no sum of counts and one
 normal), or at frame rates above _TABLE_MAX_RATE (a large table). Either
 way each read pixel is scored as the unit phasor of its phase
 (reconstruct.unit_phasors), with no arctan2, and each state by the
-direction of its slits' phasor sums (qudit.sample_fidelity).
-
-The sweep's tasks are blocks of cells that share an n_bin and a draw path,
-across illuminations (see SweepGrid._blocks and fidelity_sweep). A block
-batches its cells' table draw, arithmetic and statistics, not their
-streams: each cell draws into the block's arrays from its own stream, so
-results are bit-identical for a fixed seed regardless of blocking, thread
-count or scheduling order. The cells' statistics come back as columns.
+direction of its slits' phasor sums (qudit.sample_fidelity). The cells'
+statistics come back as columns.
 
 The continuous study's tasks are exposures: the reference's, from stream
-(seed, 0), then one per illumination i, from stream (seed, 1 + i). An
-exposure draws its Poisson counts once and reads them out at every sigma
-(sensor.photon_counts, then sensor.read_out per sigma), as a Skipper-CCD
-reads a pixel's charge non-destructively, so the cases at one illumination
-differ by readout noise alone. The exposures too run on threads
-(continuous_threads) with results independent of the thread count, and
-then each case is scored against the reference the same way.
+(seed, 0), then one per illumination i, from stream (seed, 1 + i), whose
+counts (sensor.photon_counts) are read out at every sigma in turn
+(sensor.read_out). The exposures too run on threads (continuous_threads)
+with results independent of the thread count, and then each case is scored
+against the reference the same way.
 """
 
 import functools
@@ -56,20 +60,14 @@ from .model import SkellamTable
 from .qudit import FidelityStats, sample_fidelity
 from .reconstruct import c0_analytic, extract_phase, harmonic_sums, unit_phasors
 from .sensor import (check_poisson_rates, photon_counts, read_out,
-                     readout_sigmas, rng_stream, rng_streams, sample_noise)
+                     readout_sigmas, rng_stream, rng_streams)
 
-#: Fixed vectorization chunk (repetitions per draw from a cell's stream):
-#: part of the determinism contract, so it must not depend on worker count.
-#: Chunks of 128 to 2048 ran within about 10 % of each other on the default
-#: grid (2 cores) when every cell drew its frames.
-_CHUNK = 256
-
-#: Most pixel reads per slit in one chunk of a block: those of one cell's
-#: chunk at n_bin 8, so no block's chunk is larger than such a cell's (on
-#: the 6-slit table path, 256 x 2 x 6 x 8 uniforms, 0.2 MB). Below _CHUNK
-#: repetitions a block stacks max(1, _BLOCK_READS // (repetitions x n_bin))
-#: cells of one n_bin, across illuminations; from _CHUNK up it is one cell.
-_BLOCK_READS = 8 * _CHUNK
+#: Most pixel reads per slit in one chunk of a sweep task: a chunk of m
+#: repetitions reads m x sigmas x max(n_bins) pixels per slit, so m is
+#: max(1, _BLOCK_READS // (sigmas x max(n_bins))) (64 on the default grid;
+#: on the 6-slit table path 2048 x 2 x 6 normals, 0.2 MB). It bounds memory
+#: only: no number depends on it.
+_BLOCK_READS = 2048
 
 #: Largest frame rate (photons) of an illumination drawn from a Skellam
 #: table: it bounds a table's memory and build time, whose rows grow as the
@@ -84,12 +82,15 @@ _TABLE_MAX_RATE = 1024.0
 #: Work per thread: pixel reads (repetitions x sigmas x illuminations x d x
 #: sum of n_bins) of a sweep, or frame values (reconstructions x N x
 #: pixels) of the continuous study. Measured on 2 cores, 21 alternating
-#: pairs each, 2 threads won against 1 in 0 pairs on the 20 x 20 map
+#: pairs each, when a sweep's tasks were blocks of cells that each drew
+#: their own counts, 2 threads won against 1 in 0 pairs on the 20 x 20 map
 #: preview at 16 repetitions (38 400 reads; medians 85 and 64 ms), and on
 #: the default grid in 11 pairs at 128 repetitions (138 240 reads), 8 at
 #: 192, 14 at 256 (276 480), 18 at 384 and 19 at 2000 (2 160 000 reads; 321
 #: and 370 ms).
-#: So 2 threads from 262 144 reads. The continuous study (40 pairs each),
+#: So 2 threads from 262 144 reads. With one task per illumination, 2
+#: threads won 10 of 20 pairs on the default grid at 2000 repetitions (113
+#: and 110 ms). The continuous study (40 pairs each),
 #: when each reconstruction drew its own exposure, won on 2 threads in 40
 #: pairs on the default 128 x 128 lens (458 752 values; 42 and 69 ms), 39
 #: on 64 x 64 (114 688; 12 and 15 ms), which this runs inline, and 8 on
@@ -196,24 +197,6 @@ class SweepGrid:
                 for n_bin in self.n_bins:
                     yield illum, sigma, n_bin
 
-    @functools.cached_property
-    def _blocks(self) -> tuple:
-        """The sweep's blocks in submission order, (cell indices, n_bin): the
-        indices (an array, in grid order) of the cells that share an n_bin,
-        across illuminations, split evenly into blocks of at most as many
-        as fill one chunk of _BLOCK_READS reads per slit below _CHUNK
-        repetitions, of one cell from _CHUNK up. Built once per grid."""
-        bins = np.tile(self.n_bins, len(self.illuminations) * len(self.sigmas))
-        blocks = []
-        for n_bin in dict.fromkeys(self.n_bins):
-            group = np.flatnonzero(bins == n_bin)
-            per_block = (1 if self.repetitions >= _CHUNK else
-                         max(1, _BLOCK_READS // (self.repetitions * n_bin)))
-            n = -(-len(group) // per_block)
-            blocks += [(group[len(group) * i // n:len(group) * (i + 1) // n],
-                        n_bin) for i in range(n)]
-        return tuple(blocks)
-
 
 @dataclass(frozen=True)
 class PhaseErrorStats:
@@ -235,27 +218,42 @@ class ContinuousCase:
     phase_map: np.ndarray
 
 
-def _skellam_sums(table, shape, sigmas, rngs, tables=0):
-    """The harmonic sums C, S, each (cells, m, d, n_bin), of the read pixels
-    of a block's cells at N = 4, shape being (m, 2, d, n_bin): the uniforms
-    of each cell from its stream, looked up in one draw from `table` (cell
-    i's in its table tables[i], or all in table `tables`), then, where
-    sigma > 0, its readout noise e_0 - e_2 and e_1 - e_3 from its stream,
-    normal with sd sigma sqrt(2). Each cell draws its uniforms, then its
-    standard normals, straight into the block's arrays; the noise is scaled
-    and added once for the block, as sigma sqrt(2) x standard_normal is
-    normal(0, sigma sqrt(2)) bit for bit."""
-    u, noise = np.empty((2, len(rngs)) + shape)
-    for sigma, rng, cell_u, cell_noise in zip(sigmas, rngs, u, noise):
-        rng.random(out=cell_u)
+def _table_sums(table, t, shape, sigmas, count_rngs, noise_rngs):
+    """The harmonic sums C, S, each (sigmas, m, d, reads), of one chunk of
+    an illumination's reads at N = 4, shape being (m, 2, d): each read's
+    uniforms from its count stream count_rngs[j], looked up in one draw
+    from table t of `table`, then, at each sigma > 0, that sigma's readout
+    noise e_0 - e_2 and e_1 - e_3 of each read from its noise stream
+    noise_rngs[k][j], normal with sd sigma sqrt(2): standard normals,
+    scaled and added once for all the sigmas, as sigma sqrt(2) x
+    standard_normal is normal(0, sigma sqrt(2)) bit for bit."""
+    u = np.empty((len(count_rngs),) + shape)
+    for rng, read in zip(count_rngs, u):
+        rng.random(out=read)
+    noise = np.zeros((len(sigmas),) + u.shape)
+    for sigma, rngs, sigma_noise in zip(sigmas, noise_rngs, noise):
         if sigma > 0:
-            rng.standard_normal(out=cell_noise)
-        else:
-            cell_noise[...] = 0.0
-    sums = table.draw(u, np.reshape(tables, (-1, 1)))
+            for rng, read in zip(rngs, sigma_noise):
+                rng.standard_normal(out=read)
     noise *= (np.array(sigmas) * np.sqrt(2.0)).reshape(-1, 1, 1, 1, 1)
-    sums += noise
+    # the reads go last, where sample_fidelity sums them
+    sums = noise.transpose(0, 2, 3, 4, 1)
+    sums += table.draw(u.transpose(1, 2, 3, 0), t)
     return sums[:, :, 0], sums[:, :, 1]
+
+
+def _frame_sums(rates, shape, sigmas, count_rngs, noise_rngs, quantize):
+    """The harmonic sums C, S, each (sigmas, m, d, reads), of one chunk of
+    an illumination's reads of the frame rates `rates` (N, d), shape being
+    (m, N, d): each read's photon counts from its count stream
+    count_rngs[j], then at each sigma their readout from its noise stream
+    noise_rngs[k][j] (rounded if `quantize`)."""
+    frames = np.empty((len(sigmas),) + shape + (len(count_rngs),))
+    for j, rng in enumerate(count_rngs):
+        counts = photon_counts(np.broadcast_to(rates, shape), rng)
+        for sigma, rngs, sigma_frames in zip(sigmas, noise_rngs, frames):
+            sigma_frames[..., j] = read_out(counts, sigma, rngs[j], quantize)
+    return harmonic_sums(frames)
 
 
 def _checked_frames(slits, reference, illums, n_bins, pixels, n_steps):
@@ -277,7 +275,7 @@ def _checked_frames(slits, reference, illums, n_bins, pixels, n_steps):
 
 def _prepare(scene: QuditScene, grid: SweepGrid, psi: PsiConfig,
              quantize: bool) -> tuple[np.ndarray, tuple, SkellamTable | None]:
-    """A sweep's illuminations, prepared in one pass before any block runs:
+    """A sweep's illuminations, prepared in one pass before any task runs:
     (lits, (rates, c0, mu, tables), table). lits[i] indexes grid
     illumination i among the k distinct ones, which have frames rates (k,
     N, d, 1), C0s, mus and in tables the index of their table in `table`,
@@ -300,43 +298,40 @@ def _prepare(scene: QuditScene, grid: SweepGrid, psi: PsiConfig,
     return lits, (rates, c0, mu, tables), table
 
 
-def _run_block(indices, n_bin, *, lits, sigmas, prepared, streams, target,
-               repetitions, quantize, table):
-    """Monte-Carlo fidelity of the sweep cells `indices` (an array), all at
-    `n_bin` and on one draw path: arrays of each cell's mean, sample std (0
-    at one repetition) and standard error. Cell i has readout sigma
-    sigmas[i] and illumination lits[i] of `prepared` (see _prepare).
+def _run_illumination(rates, c0, mu, t, count_rngs, noise_rngs, *, table,
+                      sigmas, n_bins, target, repetitions, quantize):
+    """Monte-Carlo fidelity of the sweep cells at one illumination, of frame
+    rates `rates` (N, d, 1), C0 `c0` and mu `mu`, drawn from table t of the
+    sweep's `table`, or from frames where t is -1 (see _prepare): an array
+    (3, sigmas, n_bins) of each cell's mean, sample std (0 at one
+    repetition) and standard error.
 
-    Per chunk of repetitions each cell draws from its own stream,
-    streams[i], what it would draw alone: on the table path, the (C, S) of
-    its read pixels (_skellam_sums: one draw from the sweep's `table` for
-    the block); otherwise their noisy frames (sample_noise), whose
-    harmonic_sums give (C, S). unit_phasors and sample_fidelity score them,
-    and the statistics run, over all the cells, each with its own C0 and mu;
-    each cell's numbers are those of its own fidelities alone.
+    Per chunk of repetitions it draws the counts of its reads, max(n_bins)
+    per slit, once, and reads them out at every sigma: on the table path
+    the (C, S) of each read (_table_sums), otherwise its frames, whose
+    harmonic_sums give (C, S) (_frame_sums), read j from count stream
+    count_rngs[j] and at sigma k from noise stream noise_rngs[k][j].
+    unit_phasors scores every read, and sample_fidelity the cell at n_bin b
+    from the first b reads of each slit.
     """
-    rates, c0, mu, tables = prepared
-    lit, cell_sigmas = lits[indices], sigmas[indices].tolist()
-    # each cell's C0 and mu, broadcast over its (m, d, n_bin) read pixels
-    c0, mu = c0[lit].reshape(-1, 1, 1, 1), mu[lit].reshape(-1, 1, 1, 1)
-    frames = rates.shape[1:-1]
-    rngs = [streams[index] for index in indices.tolist()]
-    fids = np.empty((len(indices), repetitions))
-    for start in range(0, repetitions, _CHUNK):
-        m = min(_CHUNK, repetitions - start)
-        if tables[lit[0]] < 0:
-            c, s = harmonic_sums(np.stack([
-                sample_noise(np.broadcast_to(rates[i], (m,) + frames + (n_bin,)),
-                             sigma, rng, quantize=quantize)
-                for i, sigma, rng in zip(lit.tolist(), cell_sigmas, rngs)]))
+    reads = len(count_rngs)
+    step = max(1, _BLOCK_READS // (len(sigmas) * reads))
+    fids = np.empty((len(sigmas), len(n_bins), repetitions))
+    for start in range(0, repetitions, step):
+        m = min(step, repetitions - start)
+        if t < 0:
+            c, s = _frame_sums(rates[..., 0], (m,) + rates.shape[:2], sigmas,
+                               count_rngs, noise_rngs, quantize)
         else:
-            c, s = _skellam_sums(table, (m, 2) + frames[1:] + (n_bin,),
-                                 cell_sigmas, rngs, tables[lit])
-        fids[:, start:start + m] = sample_fidelity(
-            target, unit_phasors(c, s, c0, mu))
-    std = (fids.std(axis=1, ddof=1) if repetitions > 1
-           else np.zeros(len(indices)))
-    return fids.mean(axis=1), std, std / np.sqrt(repetitions)
+            c, s = _table_sums(table, t, (m, 2, rates.shape[1]), sigmas,
+                               count_rngs, noise_rngs)
+        phasors = unit_phasors(c, s, c0, mu)
+        for i, n_bin in enumerate(n_bins):
+            fids[:, i, start:start + m] = sample_fidelity(target,
+                                                          phasors[..., :n_bin])
+    std = (fids.std(axis=-1, ddof=1) if repetitions > 1
+           else np.zeros(fids.shape[:2]))
+    return np.stack((fids.mean(axis=-1), std, std / np.sqrt(repetitions)))
 
 
 def _threads(work: int, tasks: int, jobs: int) -> int:
@@ -351,16 +346,16 @@ def _threads(work: int, tasks: int, jobs: int) -> int:
 def sweep_threads(scene: QuditScene, grid: SweepGrid, jobs: int) -> int:
     """The number of threads `fidelity_sweep(scene, grid, jobs=jobs)` runs
     on: one per READS_PER_THREAD pixel reads of the whole sweep, at least
-    one, and at most `jobs` and the sweep's number of blocks (a block that
-    spans both draw paths runs as two tasks, so there may be more tasks)."""
+    one, and at most `jobs` and the sweep's number of tasks, its distinct
+    illuminations."""
     reads = (grid.repetitions * len(grid.illuminations) * len(grid.sigmas)
              * scene.layout.d * sum(grid.n_bins))
-    return _threads(reads, len(grid._blocks), jobs)
+    return _threads(reads, len(set(grid.illuminations)), jobs)
 
 
 def _run_tasks(run, tasks, threads):
-    """run(*task) of every task (a sweep's blocks, the continuous study's
-    exposures), in order, on `threads` threads: the calling thread and
+    """run(*task) of every task (a sweep's illuminations, the continuous
+    study's exposures), in order, on `threads` threads: the calling thread and
     threads - 1 workers, each taking the next task not yet started; inline
     in the calling thread when that is one. On glibc each worker thread
     allocates from a malloc arena of its own, which keeps the memory it
@@ -407,42 +402,42 @@ def fidelity_sweep(scene: QuditScene, grid: SweepGrid, seed: int = 0,
     mean, std and stderr arrays in the order of `grid.cells()`, over
     `grid.repetitions` runs each.
 
-    Each task is a block of cells that share the n_bin (grid._blocks) and
-    the draw path: a block whose illuminations take both paths runs as two
-    tasks, its tabled cells first. Each distinct illumination is prepared
-    once before any block runs, in the calling thread (_prepare), each
-    check once over them all in a fixed order (_checked_frames), so a
-    failing check raises the same error whatever `jobs` is. The tasks run
-    on sweep_threads(scene, grid, jobs) threads, in order in the calling
+    Each task is one distinct illumination (_run_illumination), whose cells
+    at every sigma and n_bin share its exposure; an illumination listed
+    twice is one task, and its cells are equal. Each is prepared once
+    before any task runs, in the calling thread (_prepare), each check once
+    over them all in a fixed order (_checked_frames), so a failing check
+    raises the same error whatever `jobs` is. The tasks run on
+    sweep_threads(scene, grid, jobs) threads, in order in the calling
     thread when that is one: numpy's draws release the GIL, but a task's
-    Python work holds it. The cells' streams are seeded together, in the
-    calling thread, and each task draws from its own cells' streams only.
-    An exception in a task, or an interrupt, stops the tasks not yet
-    started and propagates: the error raised is the first failing task's in
-    submission order.
+    Python work holds it. The streams are seeded together, in the calling
+    thread, and each task draws from its own streams only. An exception in
+    a task, or an interrupt, stops the tasks not yet started and
+    propagates: the error raised is the first failing task's in submission
+    order.
     """
     threads = sweep_threads(scene, grid, jobs)
-    lits, prepared, table = _prepare(scene, grid, psi, quantize)
-    # each cell's prepared illumination and readout sigma, in grid order
-    lits = np.repeat(lits, len(grid.sigmas) * len(grid.n_bins))
-    sigmas = np.tile(np.repeat(grid.sigmas, len(grid.n_bins)),
-                     len(grid.illuminations))
-    *_, tables = prepared
-    tasks = []
-    for indices, n_bin in grid._blocks:
-        tabled = tables[lits[indices]] >= 0
-        tasks += [(cells, n_bin) for cells in (indices[tabled], indices[~tabled])
-                  if cells.size]
+    lits, (rates, c0, mu, tables), table = _prepare(scene, grid, psi, quantize)
+    # the stream keys of each illumination's reads, its first grid index i
+    # leading: (i, 0, read) for its counts, (i, 1 + k, read) for its noise
+    # at sigma k
+    reads, width = max(grid.n_bins), 1 + len(grid.sigmas)
+    streams = rng_streams(seed, [
+        (first, tag, read) for first in np.unique(lits, return_index=True)[1]
+        for tag in range(width) for read in range(reads)])
+    rows = [streams[start:start + reads]
+            for start in range(0, len(streams), reads)]
+    tasks = [(rates[t], c0[t], mu[t], tables[t], rows[t * width],
+              rows[t * width + 1:(t + 1) * width]) for t in range(len(rates))]
     # bound per call, not at import, so that a wrapper put on
-    # experiments._run_block (a tracer) is the one that runs
+    # experiments._run_illumination (a tracer) is the one that runs
     run = functools.partial(
-        _run_block, lits=lits, sigmas=sigmas, prepared=prepared,
-        streams=rng_streams(seed, range(len(lits))), target=scene.state,
-        repetitions=grid.repetitions, quantize=quantize, table=table)
-    columns = np.empty((3, len(lits)))
-    for (indices, _), stats in zip(tasks, _run_tasks(run, tasks, threads)):
-        columns[:, indices] = stats
-    return FidelityStats(*columns, n_runs=grid.repetitions)
+        _run_illumination, table=table, sigmas=grid.sigmas,
+        n_bins=grid.n_bins, target=scene.state, repetitions=grid.repetitions,
+        quantize=quantize)
+    stats = np.array(_run_tasks(run, tasks, threads))[lits]
+    return FidelityStats(*np.moveaxis(stats, 1, 0).reshape(3, -1),
+                         n_runs=grid.repetitions)
 
 
 def phase_error_stats(phase: np.ndarray, reference_phase: np.ndarray,

@@ -142,30 +142,28 @@ class SkellamTable:
         # is exact), up to the row's last entry, whose CDF is 1. Over all
         # rows these places g[r] + ceil(cdf M) ascend, so the guide counts
         # the places <= its own: the rows before r add starts[r]
-        self._m_rows = np.repeat(self.m, 2 * self.d)
-        self._guide_starts = np.cumsum(self._m_rows + 1) - (self._m_rows + 1)
+        m_rows = np.repeat(self.m, 2 * self.d)
+        self._guide_starts = np.cumsum(m_rows + 1) - (m_rows + 1)
         self.guide = np.cumsum(np.bincount(
-            np.ceil(self.cdf * np.repeat(self._m_rows, lens)).astype(np.intp)
+            np.ceil(self.cdf * np.repeat(m_rows, lens)).astype(np.intp)
             + np.repeat(self._guide_starts, lens),
-            minlength=(self._m_rows + 1).sum()))
+            minlength=(m_rows + 1).sum()))
         # guide M, which counts the whole row, points at its last entry
-        self.guide[self._guide_starts + self._m_rows] = self.starts[1:] - 1
+        self.guide[self._guide_starts + m_rows] = self.starts[1:] - 1
         # row + i CDF, in lexicographic (row, CDF) order, as complex sorts
         self._keys = np.empty(self.starts[-1], dtype=complex)
         self._keys.real = np.repeat(np.arange(len(lens)), lens)
         self._keys.imag = self.cdf
 
-    def draw(self, u: np.ndarray, tables=0) -> np.ndarray:
+    def draw(self, u: np.ndarray, table: int = 0) -> np.ndarray:
         """The values (..., 2, d, k) that the uniforms u (..., 2, d, k) in
-        [0, 1) select from table `tables`, an index, or indices (...) over
-        u's leading axes: u[..., 0, s, :] draws C of slit s, u[..., 1, s, :]
-        its S."""
+        [0, 1) select from table `table`: u[..., 0, s, :] draws C of slit
+        s, u[..., 1, s, :] its S."""
         u = np.asarray(u, dtype=float)
-        rows = (np.asarray(tables)[..., None, None, None] * (2 * self.d)
-                + np.arange(2 * self.d).reshape(2, self.d, 1))
+        rows = np.arange(2 * self.d).reshape(2, self.d, 1) + table * 2 * self.d
         # u * M is exact (M is a power of two), so u = j / M reads guide j
         cell = (self._guide_starts[rows]
-                + (u * self._m_rows[rows]).astype(np.intp)).ravel()
+                + (u * self.m[table]).astype(np.intp)).ravel()
         pos, flat = self.guide[cell], u.ravel()
         # past a CDF step inside the guide cell, the answer is the next
         # entry, unless guide j + 1 is further on: then the row's first

@@ -60,16 +60,21 @@ class _HashedSeed(ISeedSequence):
         return self.words
 
 
-def rng_streams(seed: int, stream_ids) -> list[np.random.Generator]:
-    """The streams rng_stream(seed, i) of the ids `stream_ids` (each in
-    [0, 2^32)), the same bit for bit, hashed in one pass: numpy's
-    SeedSequence algorithm, on Python ints for the seed's words, which every
-    id shares, then vectorized over the ids for the id word and the state
-    words (the hash constants run alike for every id), each PCG64 then
-    seeded from its 4 state words, as from its SeedSequence."""
-    seed, ids = operator.index(seed), np.asarray(stream_ids, dtype=np.uint32)
+def rng_streams(seed: int, keys) -> list[np.random.Generator]:
+    """The streams of the stream keys `keys`, each a word in [0, 2^32) or a
+    tuple of such words, all of one length: the generators
+    Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key))) bit for bit
+    (a word w is the key (w,), as in rng_stream(seed, w)), hashed in one
+    pass: numpy's SeedSequence algorithm, on Python ints for the seed's
+    words, which every key shares, then vectorized over the keys for their
+    words and the state words (the hash constants run alike for every key),
+    each PCG64 then seeded from its 4 state words, as from its
+    SeedSequence."""
+    seed, keys = operator.index(seed), np.asarray(keys, dtype=np.uint32)
     if seed < 0:
         raise ValueError("expected non-negative integer")
+    if keys.ndim == 1:
+        keys = keys[:, None]
     const = _INIT_A
 
     def hashmix(value):
@@ -84,7 +89,8 @@ def rng_streams(seed: int, stream_ids) -> list[np.random.Generator]:
         return result ^ result >> 16
 
     # the pool of 4 words: the seed's 32-bit words (at least 4, 0-padded),
-    # mixed together, then each later word, the id last, mixed into each
+    # mixed together, then each later word, the key's words last, mixed
+    # into each
     words = [seed >> shift & _MASK32
              for shift in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (4 - len(words))
@@ -93,11 +99,11 @@ def rng_streams(seed: int, stream_ids) -> list[np.random.Generator]:
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:] + [ids.astype(np.uint64)]:
+    for word in words[4:] + list(keys.T.astype(np.uint64)):
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(word))
     # generate_state(4, uint64): 8 words off the cycled pool
-    state, const = np.empty((len(ids), 8), dtype=np.uint64), _INIT_B
+    state, const = np.empty((len(keys), 8), dtype=np.uint64), _INIT_B
     for i in range(8):
         value = pool[i % 4] ^ const
         const = const * _MULT_B & _MASK32

@@ -25,9 +25,10 @@ def _record_threads(monkeypatch, task):
 
 
 @pytest.fixture
-def block_threads(monkeypatch):
-    """Idents of the threads that ran a sweep block, one per block."""
-    return _record_threads(monkeypatch, "_run_block")
+def task_threads(monkeypatch):
+    """Idents of the threads that ran a sweep task (one illumination, read
+    at every sigma and binned at every n_bin), one per task."""
+    return _record_threads(monkeypatch, "_run_illumination")
 
 
 @pytest.fixture

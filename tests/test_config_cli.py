@@ -372,21 +372,21 @@ def all_output_bytes(directory):
     return blobs
 
 
-def test_cli_byte_identical_across_runs_and_jobs(tmp_path, block_threads):
+def test_cli_byte_identical_across_runs_and_jobs(tmp_path, task_threads):
     cfg = write_cfg(tmp_path, MINIMAL +
                     "[sweep]\nilluminations = 1.7,3.0\nsigmas = 0.2,3.0\n"
                     "n_bins = 1,2\nrepetitions = 25\n")
     outs = []
     for name, jobs in (("a", "1"), ("b", "1"), ("c", "4")):
         out = tmp_path / name
-        block_threads.clear()
+        task_threads.clear()
         rc = main(["qudit-experiment", "--config", cfg, "--seed", "31",
                    "--out", str(out), "--jobs", jobs, "--quiet"])
         assert rc == 0
         outs.append(all_output_bytes(out))
     assert outs[0] == outs[1] == outs[2]
-    # the last run's 4 blocks ran on more than one thread
-    assert len(set(block_threads)) > 1
+    # the last run's 2 illuminations ran on more than one thread
+    assert len(set(task_threads)) > 1
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -584,8 +584,8 @@ def test_cli_run_ends_with_its_count_and_wall_time_unless_quiet(
 
 def test_cli_sweep_line_names_the_threads_it_ran_on(tmp_path, capsys,
                                                      monkeypatch):
-    # 2 blocks of one cell each (256 repetitions, 1 536 pixel reads), at
-    # --jobs 4
+    # 2 illuminations of one cell each (256 repetitions, 1 536 pixel
+    # reads), at --jobs 4
     cfg = write_cfg(tmp_path, MINIMAL + "[sweep]\nilluminations = 1.7,3.0\n"
                     "sigmas = 0.5\nn_bins = 1\nrepetitions = 256\n")
     for reads_per_thread, threads in ((3072, "1 thread"), (1536, "2 threads")):
@@ -640,23 +640,6 @@ def test_cli_continuous_run_past_the_poisson_limit_fails_alike_at_any_jobs(
         "error: Poisson rates must be in [0, 9.22337e+18]\n")
     assert not out.exists()
     assert (len(set(run_threads)) > 1) == (jobs == "3")
-
-
-def test_cli_sweep_builds_its_block_list_once(tmp_path, monkeypatch):
-    blocks = experiments.SweepGrid.__dict__["_blocks"]
-    build, builds = blocks.func, []
-
-    def counting(grid):
-        builds.append(grid)
-        return build(grid)
-
-    monkeypatch.setattr(blocks, "func", counting)
-    cfg = write_cfg(tmp_path, MINIMAL + SMALL_SWEEP)
-    for subcommand in ("sweep-map", "qudit-experiment"):
-        builds.clear()
-        assert main([subcommand, "--config", cfg, "--jobs", "2",
-                     "--out", str(tmp_path / subcommand)]) == 0
-        assert len(builds) == 1
 
 
 @pytest.mark.parametrize("subcommand, text", [

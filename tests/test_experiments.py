@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import time
@@ -18,7 +19,7 @@ from pdisim.forward import frame_rates
 from pdisim.model import SkellamTable
 from pdisim.qudit import sample_fidelity
 from pdisim.reconstruct import harmonic_sums, unit_phasors
-from pdisim.sensor import MAX_POISSON_RATE, photon_counts
+from pdisim.sensor import MAX_POISSON_RATE, photon_counts, read_out
 
 SCENE = QuditScene()
 
@@ -99,28 +100,31 @@ def test_sweep_fast_path_matches_modular_pipeline(n_bin, quantize, illum,
 
 
 @pytest.fixture
-def noise_draws(monkeypatch):
-    """Sizes of the rate arrays the sweep passes to sample_noise."""
+def count_draws(monkeypatch):
+    """Sizes of the rate arrays the sweep passes to photon_counts."""
     drawn = []
 
-    def counting(frames, *args, **kwargs):
+    def counting(frames, rng):
         drawn.append(frames.size)
-        return sample_noise(frames, *args, **kwargs)
+        return photon_counts(frames, rng)
 
-    monkeypatch.setattr(experiments, "sample_noise", counting)
+    monkeypatch.setattr(experiments, "photon_counts", counting)
     return drawn
 
 
-def test_sweep_draws_noise_for_the_read_pixels_only(noise_draws):
-    reps, n_bin, psi = experiments._CHUNK + 3, 4, PsiConfig(n_steps=5)
-    grid = SweepGrid(illuminations=(3.0,), sigmas=(0.5,), n_bins=(n_bin,),
+def test_sweep_draws_noise_for_the_read_pixels_only(count_draws):
+    # the counts of the 4 reads per slit of the largest n_bin, once for
+    # both sigmas and both n_bins, in two chunks of at most 2048 // 8 = 256
+    reps, psi = 259, PsiConfig(n_steps=5)
+    grid = SweepGrid(illuminations=(3.0,), sigmas=(0.5, 1.0), n_bins=(1, 4),
                      repetitions=reps)
-    assert fidelity_sweep(SCENE, grid, seed=3, psi=psi).mean.size == 1
-    assert sum(noise_draws) == reps * psi.n_steps * SCENE.layout.d * n_bin
+    assert fidelity_sweep(SCENE, grid, seed=3, psi=psi).mean.size == 4
+    assert sum(count_draws) == reps * psi.n_steps * SCENE.layout.d * 4
+    assert len(count_draws) == 2 * 4
 
 
 @pytest.mark.parametrize("seed", [0, 8])
-def test_sweep_poisson_range_error_raises_before_any_draw(seed, noise_draws):
+def test_sweep_poisson_range_error_raises_before_any_draw(seed, count_draws):
     # a reference this large puts the brightest frames of illumination 3
     # beyond numpy's Poisson limit, and leaves illumination 1 within it
     psi = PsiConfig(reference_override=1e9)
@@ -134,48 +138,64 @@ def test_sweep_poisson_range_error_raises_before_any_draw(seed, noise_draws):
                      n_bins=(1, 2), repetitions=5)
     with pytest.raises(DomainError, match=r"^Poisson rates must be in \[0, "):
         fidelity_sweep(SCENE, grid, seed=seed, psi=psi)
-    # checked per illumination, before any block runs: not even the blocks
-    # at illumination 1, which pass, draw
-    assert len(noise_draws) == 0
+    # checked for every illumination before any task runs: not even the
+    # task of illumination 1, which passes, draws
+    assert len(count_draws) == 0
+
+
+def _stream(seed, key):
+    """The generator of the stream key `key` (a tuple of words) at `seed`,
+    straight from numpy's SeedSequence."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def _per_cell_sweep(grid, seed, psi=PsiConfig(), quantize=False):
     """The per-run fidelities (cells, repetitions) of the sweep run one cell
-    at a time, each from its own stream in chunks of _CHUNK repetitions,
-    reading n_bin pixels of each uniform slit off the slit's rates: what the
-    blocked sweep must reproduce exactly. At N = 4, not quantized and with
-    rates within _TABLE_MAX_RATE, each cell draws its (C, S) from a Skellam
-    table of its own rates, built alone, then normals of sd sigma sqrt(2);
-    otherwise it draws the N frames, and takes their harmonic sums. Each
-    read pixel is scored as a unit phasor."""
+    at a time, all its repetitions in one draw per stream, reading n_bin
+    pixels of each uniform slit off the slit's rates: what the sweep must
+    reproduce exactly. Read j of the cell at illumination index i (the
+    first grid index of its illumination) and sigma index k draws its
+    counts from stream (i, 0, j) and its readout noise from stream
+    (i, 1 + k, j). At N = 4, not quantized and with rates within
+    _TABLE_MAX_RATE, the counts are (C, S) from a Skellam table of the
+    cell's own rates, built alone, and the noise normals of sd sigma
+    sqrt(2); otherwise the counts are Poisson frames, read out by read_out,
+    and (C, S) the harmonic sums of the n_bin reads' frames. Each read
+    pixel is scored as a unit phasor."""
     fld = SCENE.field()
     # the first pixel of each slit, taken from the full field
     slit_values = fld.values[SCENE.layout.slit_pixels(SCENE.grid)][:, :1]
+    shape = (grid.repetitions, 2, SCENE.layout.d, 1)
     results = []
-    for index, (illum, sigma, n_bin) in enumerate(grid.cells()):
+    for illum, k, n_bin in itertools.product(
+            grid.illuminations, range(len(grid.sigmas)), grid.n_bins):
+        i, sigma = grid.illuminations.index(illum), grid.sigmas[k]
         rates, ref = frame_rates(slit_values, psi.reference_for(fld),
                                  psi.n_steps, illum, slit_values)
         c0, mu = c0_analytic(ref, psi.n_steps), float(np.angle(ref))
         table = (psi.n_steps == 4 and not quantize
                  and rates.max() <= experiments._TABLE_MAX_RATE)
-        rng = rng_stream(seed, index)
-        fids = np.empty(grid.repetitions)
-        for start in range(0, grid.repetitions, experiments._CHUNK):
-            m = min(experiments._CHUNK, grid.repetitions - start)
+        reads = []
+        for j in range(n_bin):
+            counts = _stream(seed, (i, 0, j))
+            noise = _stream(seed, (i, 1 + k, j))
             if table:
-                shape = (m, 2, SCENE.layout.d, n_bin)
-                sums = SkellamTable(rates[:, :, 0]).draw(rng.random(shape))
+                sums = SkellamTable(rates[:, :, 0]).draw(counts.random(shape))
                 if sigma > 0:
-                    sums += rng.normal(0.0, sigma * np.sqrt(2.0), size=shape)
-                c, s = sums[:, 0], sums[:, 1]
+                    sums += noise.normal(0.0, sigma * np.sqrt(2.0), size=shape)
+                reads.append(sums)
             else:
-                noisy = sample_noise(np.repeat(rates[None], m, axis=0)
-                                     .repeat(n_bin, axis=-1), sigma, rng,
-                                     quantize=quantize)
-                c, s = harmonic_sums(noisy)
-            fids[start:start + m] = sample_fidelity(
-                SCENE.state, unit_phasors(c, s, c0, mu))
-        results.append(fids)
+                reads.append(read_out(photon_counts(
+                    np.repeat(rates[None], grid.repetitions, axis=0), counts),
+                    sigma, noise, quantize))
+        if table:
+            sums = np.concatenate(reads, axis=-1)
+            c, s = sums[:, 0], sums[:, 1]
+        else:
+            c, s = harmonic_sums(np.concatenate(reads, axis=-1))
+        results.append(sample_fidelity(SCENE.state,
+                                       unit_phasors(c, s, c0, mu)))
     return np.array(results)
 
 
@@ -202,37 +222,37 @@ MAP_ILLUMINATIONS_8 = tuple(float(x) for x in np.geomspace(1.0, 20.0, 8))
 
 
 @pytest.mark.parametrize("illums, sigmas, n_bins, reps, n_steps, quantize", [
-    # a block of 40 cells over both illuminations per n_bin, on the tables
-    # and, at N = 5, on the frames
+    # 40 cells per illumination, on the tables and, at N = 5, on the frames
     pytest.param((1.7, 3.0), SIGMAS_20, (1, 2), 16, 4, False,
                  id="sigmas0-n_bins0-16"),
     pytest.param((1.7, 3.0), SIGMAS_20, (1, 2), 16, 5, False,
                  id="sigmas0-n_bins0-16-n_steps-5"),
-    # map-like: 160 cells in 2 blocks of 80, each over 4 illuminations
+    # map-like: 160 cells, 20 per illumination
     pytest.param(MAP_ILLUMINATIONS_8, SIGMAS_20, (1,), 16, 4, False,
                  id="map-like-16"),
-    # 400 phot/px has rates up to 3 159, past _TABLE_MAX_RATE, so its cells
-    # draw frames, beside the tabled cells of 1.7 and 3.0 at the same n_bin
+    # 400 phot/px has rates up to 3 159, past _TABLE_MAX_RATE, so it draws
+    # frames, beside the tabled illuminations 1.7 and 3.0
     pytest.param((1.7, 3.0, 400.0), (0.2, 0.5, 3.0), (1, 4), 16, 4, False,
                  id="mixed-path-16"),
     pytest.param((1.7, 3.0), SIGMAS_20, (1, 2), 16, 4, True,
                  id="quantize-16"),
-    # one cell per block, two chunks
+    # chunks of 2048 // (3 x 4) = 170 repetitions: two
     pytest.param((1.7, 3.0), (0.2, 0.5, 3.0), (1, 4), 300, 4, False,
                  id="sigmas1-n_bins1-300"),
+    # chunks of 2048 // (20 x 2) = 51 repetitions: three
     pytest.param((1.7, 3.0), SIGMAS_20, (1, 2), 128, 4, False,
                  id="blocks-of-2"),
     pytest.param((1.7, 3.0), (0.0, 1.0), (1, 8), 300, 4, False, id="sigma-0"),
     # a single repetition: every std is 0
     pytest.param((1.7, 3.0), (0.2, 3.0), (1, 2), 1, 4, False,
                  id="one-repetition"),
-    # an illumination listed twice shares its table and its blocks
+    # an illumination listed twice is one exposure, of its first index
     pytest.param((1.7, 3.0, 1.7), (0.2, 0.5, 3.0), (1, 4), 300, 4, False,
                  id="repeated-illumination"),
 ])
 def test_sweep_blocks_equal_the_per_cell_sweep(illums, sigmas, n_bins, reps,
                                                n_steps, quantize,
-                                               block_threads):
+                                               task_threads):
     grid = SweepGrid(illuminations=illums, sigmas=sigmas, n_bins=n_bins,
                      repetitions=reps)
     psi = PsiConfig(n_steps=n_steps)
@@ -241,7 +261,7 @@ def test_sweep_blocks_equal_the_per_cell_sweep(illums, sigmas, n_bins, reps,
     assert columns(stats) == cell_columns(_per_cell_sweep(grid, 5, psi, quantize))
     if reps == 1:
         assert not stats.std.any() and not stats.stderr.any()
-    assert len(set(block_threads)) == 2
+    assert len(set(task_threads)) == 2
 
 
 def test_sweep_cell_does_not_depend_on_the_rest_of_its_grid():
@@ -255,76 +275,106 @@ def test_sweep_cell_does_not_depend_on_the_rest_of_its_grid():
     assert [column[:1] for column in first[:3]] == list(cell[:3])
 
 
-def test_sweep_block_rows_stay_within_one_chunk(monkeypatch):
-    rows, tabled, draws = [], [], []
-    skellam_sums, draw = experiments._skellam_sums, SkellamTable.draw
+@pytest.mark.parametrize("n_steps", [4, 3])
+def test_sweep_chunks_stay_within_the_block_reads(monkeypatch, n_steps):
+    shapes = []
 
     def scoring(target, phasors):
-        rows.append(phasors.shape[:2])
+        shapes.append(phasors.shape)
         return sample_fidelity(target, phasors)
 
-    def table_sums(table, shape, sigmas, rngs, tables):
-        tabled.append((len(rngs), shape[0]))
-        return skellam_sums(table, shape, sigmas, rngs, tables)
-
-    def table_draw(table, u, tables):
-        draws.append(u.shape[:2])
-        return draw(table, u, tables)
-
     monkeypatch.setattr(experiments, "sample_fidelity", scoring)
-    monkeypatch.setattr(experiments, "_skellam_sums", table_sums)
-    monkeypatch.setattr(SkellamTable, "draw", table_draw)
-    for reps, n_bin in ((16, 1), (100, 1), (300, 1), (128, 2)):
-        grid = SweepGrid(illuminations=(1.7, 3.0, 11.3), sigmas=SIGMAS_20,
-                         n_bins=(n_bin,), repetitions=reps)
-        fidelity_sweep(SCENE, grid, seed=1)
-    # the 60 cells, over all three illuminations, split evenly into blocks
-    # of at most 2048 // 16 = 128 cells (2048 reads per slit in a chunk),
-    # then of 2048 // 100 = 20; at 300 repetitions each cell is its own
-    # block, in two chunks; at 128 repetitions and n_bin 2 a block holds at
-    # most 8 cells. Every block draws the (C, S) of all its cells in one
-    # table draw per chunk
-    expected = ([(60, 16)] + [(20, 100)] * 3 + [(1, 256), (1, 44)] * 60
-                + [(7, 128), (8, 128)] * 4)
-    assert rows == tabled == draws == expected
-    assert all(cells * m * n_bin <= experiments._BLOCK_READS
-               for (cells, m), n_bin in zip(expected, [1] * 124 + [2] * 8))
+    psi = PsiConfig(n_steps=n_steps)
+    for sigmas, n_bins, reps, chunks in (
+            # 2048 // 20 = 102 repetitions per chunk
+            (SIGMAS_20, (1,), 16, [16]),
+            (SIGMAS_20, (1,), 250, [102, 102, 46]),
+            # the default grid: 2048 // (4 x 8) = 64
+            ((3.0, 1.0, 0.5, 0.2), (1, 2, 4, 8), 130, [64, 64, 2]),
+            # 20 x 100 reads per slit in one repetition, and 21 x 100 past
+            # the bound: still one repetition per chunk
+            (SIGMAS_20, (100, 1), 2, [1, 1]),
+            (SIGMAS_20 + (0.5,), (100,), 2, [1, 1])):
+        shapes.clear()
+        grid = SweepGrid(illuminations=(3.0,), sigmas=sigmas, n_bins=n_bins,
+                         repetitions=reps)
+        fidelity_sweep(SCENE, grid, seed=1, psi=psi)
+        # each chunk scores the cell at n_bin b on the first b reads of the
+        # chunk's reads, at every sigma
+        assert shapes == [(len(sigmas), m, SCENE.layout.d, n_bin)
+                          for m in chunks for n_bin in n_bins]
+        assert all(len(sigmas) * m * max(n_bins) <= experiments._BLOCK_READS
+                   for m in chunks if m > 1)
+
+
+@pytest.mark.parametrize("n_steps", [4, 3])
+def test_sweep_columns_do_not_depend_on_the_chunk(monkeypatch, n_steps):
+    # one chunk of 30 repetitions, then chunks of 7 (7 x 2 sigmas x 4 reads)
+    grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=(0.2, 3.0),
+                     n_bins=(1, 4), repetitions=30)
+    psi = PsiConfig(n_steps=n_steps)
+    whole = columns(fidelity_sweep(SCENE, grid, seed=8, psi=psi))
+    monkeypatch.setattr(experiments, "_BLOCK_READS", 7 * 2 * 4)
+    assert columns(fidelity_sweep(SCENE, grid, seed=8, psi=psi)) == whole
+
+
+@pytest.mark.parametrize("n_steps", [4, 3])
+def test_sweep_reads_one_exposure_at_every_sigma(n_steps):
+    # without readout noise the two sigmas read the same counts: equal
+    # columns; the two illuminations are two exposures
+    grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=(0.0, 0.0),
+                     n_bins=(1, 4), repetitions=50)
+    stats = fidelity_sweep(SCENE, grid, seed=3, psi=PsiConfig(n_steps=n_steps))
+    for column in columns(stats)[:3]:
+        cells = np.reshape(column, (2, 2, 2))
+        assert cells[:, 0].tolist() == cells[:, 1].tolist()
+        assert cells[0].tolist() != cells[1].tolist()
 
 
 def test_skellam_sums_have_the_moments_of_the_frame_sums():
     # C = I_0 - I_2 and S = I_1 - I_3 of noisy frames: mean rate difference,
-    # variance rate sum + 2 sigma^2, for each cell of a block
+    # variance rate sum + 2 sigma^2, for each read at each sigma; the two
+    # sigmas read one exposure, so they differ by readout noise alone
     sigmas, n = (1.5, 0.0), 40000
     slit_values = SCENE.slit_values()
     rates = frame_rates(slit_values, np.mean(SCENE.field().values), 4, 3.0,
                         slit_values)[0][..., 0]
-    block = experiments._skellam_sums(SkellamTable(rates), (n, 2, 6, 1),
-                                      sigmas, [rng_stream(8), rng_stream(9)])
-    for (a, b), sums in zip(((0, 2), (1, 3)), block):
-        assert sums.shape == (2, n, 6, 1)
-        for sigma, cell in zip(sigmas, sums[..., 0]):
+    sums = experiments._table_sums(
+        SkellamTable(rates), 0, (n, 2, 6), sigmas,
+        [rng_stream(8, 0), rng_stream(8, 1)],
+        [[rng_stream(9, 0), rng_stream(9, 1)],
+         [rng_stream(9, 2), rng_stream(9, 3)]])
+    for (a, b), sum_ in zip(((0, 2), (1, 3)), sums):
+        assert sum_.shape == (2, n, 6, 2)
+        for sigma, cell in zip(sigmas, sum_):
             var = rates[a] + rates[b] + 2 * sigma ** 2
             mean_se, var_se = np.sqrt(var / n), var * np.sqrt(2 / (n - 1))
-            assert np.all(abs(cell.mean(axis=0) - (rates[a] - rates[b]))
-                          < 4 * mean_se)
-            assert np.all(abs(cell.var(axis=0, ddof=1) - var) < 4 * var_se)
+            for read in np.moveaxis(cell, -1, 0):
+                assert np.all(abs(read.mean(axis=0) - (rates[a] - rates[b]))
+                              < 4 * mean_se)
+                assert np.all(abs(read.var(axis=0, ddof=1) - var) < 4 * var_se)
         # at sigma 0 the sums are the table's integer counts
-        assert np.array_equal(sums[1], np.round(sums[1]))
+        assert np.array_equal(sum_[1], np.round(sum_[1]))
+        noise = sum_[0] - sum_[1]
+        var = 2 * sigmas[0] ** 2
+        assert np.all(abs(noise.mean(axis=0)) < 4 * np.sqrt(var / n))
+        assert np.all(abs(noise.var(axis=0, ddof=1) - var)
+                      < 4 * var * np.sqrt(2 / (n - 1)))
 
 
 @pytest.mark.parametrize("shape", [(37, 2, 6, 3), (256, 2, 6, 8)])
 @pytest.mark.parametrize("sigma", [3.0, 1.0, 0.5, 0.2])
 def test_scaled_standard_normals_are_the_normals_bit_for_bit(sigma, shape):
-    # a block draws each cell's standard normals into its own arrays and
+    # a task draws each sigma's standard normals into its own arrays and
     # scales them by sigma sqrt(2) at once: the numbers of normal(0, sd)
     scale = sigma * np.sqrt(2.0)
     expected = rng_stream(7, 3).normal(0.0, scale, size=shape)
-    block = np.zeros((2,) + shape)
-    rng_stream(7, 3).standard_normal(out=block[1])
+    noise = np.zeros((2,) + shape)
+    rng_stream(7, 3).standard_normal(out=noise[1])
     assert np.array_equal(rng_stream(7, 3).standard_normal(shape) * scale,
                           expected)
-    block *= np.array([0.0, scale]).reshape(2, 1, 1, 1, 1)
-    assert np.array_equal(block[1], expected)
+    noise *= np.array([0.0, scale]).reshape(2, 1, 1, 1, 1)
+    assert np.array_equal(noise[1], expected)
 
 
 @pytest.fixture
@@ -354,13 +404,13 @@ TABLE_GRID = dict(sigmas=(0.5, 1.0), n_bins=(1, 2, 4, 8), repetitions=128)
     pytest.param(200.0, {}, False, 4, False, id="rate-cap"),
 ])
 def test_sweep_takes_the_tables_at_n_steps_4_unquantized_within_the_cap(
-        illum, grid_size, quantize, n_steps, tabled, noise_draws,
+        illum, grid_size, quantize, n_steps, tabled, count_draws,
         table_builds):
     grid = SweepGrid(illuminations=(illum,), **dict(TABLE_GRID, **grid_size))
     fidelity_sweep(SCENE, grid, seed=2, quantize=quantize,
                    psi=PsiConfig(n_steps=n_steps))
     assert len(table_builds) == int(tabled)
-    assert (len(noise_draws) == 0) == tabled
+    assert (len(count_draws) == 0) == tabled
 
 
 @pytest.mark.parametrize("jobs, illums", [
@@ -368,8 +418,8 @@ def test_sweep_takes_the_tables_at_n_steps_4_unquantized_within_the_cap(
     *(pytest.param(jobs, (1.7, 3.0, 1.7), id=f"{jobs}-repeated-illumination")
       for jobs in (1, 2, 8))])
 def test_sweep_builds_one_table_per_illumination(jobs, illums, table_builds,
-                                                 block_threads):
-    # the blocks share the tables, all built in one pass before any block
+                                                 task_threads):
+    # the tasks share the tables, all built in one pass before any task
     # runs, while the interpreter switches threads as often as it can; an
     # illumination listed twice is prepared once
     grid = SweepGrid(illuminations=illums, **TABLE_GRID)
@@ -381,7 +431,7 @@ def test_sweep_builds_one_table_per_illumination(jobs, illums, table_builds,
         sys.setswitchinterval(interval)
     (rates,) = table_builds
     assert len(rates) == len(set(illums))
-    assert (len(set(block_threads)) > 1) == (jobs > 1)
+    assert (len(set(task_threads)) > 1) == (jobs > 1)
 
 
 def test_sweep_builds_no_table_for_a_block_that_fails_its_checks(
@@ -395,41 +445,41 @@ def test_sweep_builds_no_table_for_a_block_that_fails_its_checks(
     assert table_builds == []
 
 
-def test_sweep_jobs_independent_when_blocks_split_unevenly(block_threads):
-    # 7 blocks on 3 threads: one of the 40 cells at n_bin 1, one at 2, two
-    # of 20 at 4 and three of 13 or 14 at 8
-    grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=SIGMAS_20,
+def test_sweep_jobs_independent_when_blocks_split_unevenly(task_threads):
+    # 3 illumination tasks on 2 threads
+    grid = SweepGrid(illuminations=(1.7, 3.0, 11.3), sigmas=SIGMAS_20,
                      n_bins=(1, 2, 4, 8), repetitions=16)
-    assert len(grid._blocks) == 7
     serial = columns(fidelity_sweep(SCENE, grid, seed=6, jobs=1))
-    block_threads.clear()
-    assert columns(fidelity_sweep(SCENE, grid, seed=6, jobs=3)) == serial
-    assert len(set(block_threads)) > 1
+    assert len(task_threads) == 3
+    task_threads.clear()
+    assert columns(fidelity_sweep(SCENE, grid, seed=6, jobs=2)) == serial
+    assert len(set(task_threads)) == 2
 
 
-def test_sweep_deterministic_and_jobs_independent(block_threads):
+def test_sweep_deterministic_and_jobs_independent(task_threads):
     grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=(0.2, 3.0),
                      n_bins=(1, 2), repetitions=50)
     a = columns(fidelity_sweep(SCENE, grid, seed=9, jobs=1))
     b = columns(fidelity_sweep(SCENE, grid, seed=9, jobs=1))
-    block_threads.clear()
+    task_threads.clear()
     c = columns(fidelity_sweep(SCENE, grid, seed=9, jobs=4))
     assert a == b == c
-    assert len(set(block_threads)) > 1
+    assert len(set(task_threads)) > 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_sweep_raises_the_first_failing_blocks_error(jobs, block_threads):
-    # checked in preparation order, before any block runs: illumination 1
-    # is in the Poisson range, then n_bin 500 reads more pixels than a slit
-    # has; illumination 3 would fail the Poisson range check
+def test_sweep_raises_its_set_up_error_before_any_illumination_task(
+        jobs, task_threads):
+    # the set-up checks the n_bins first: n_bin 500 reads more pixels than
+    # a slit has, so that is the error, though illumination 3 would fail
+    # the Poisson range check after it; no illumination's task runs
     grid = SweepGrid(illuminations=(1.0, 3.0), sigmas=(0.2,), n_bins=(1, 500),
                      repetitions=5)
     with pytest.raises(SamplingError) as swept:
         fidelity_sweep(SCENE, grid, seed=4, jobs=jobs,
                        psi=PsiConfig(reference_override=1e9))
     assert str(swept.value) == "n_bin = 500 exceeds the 100 pixels per slit"
-    assert block_threads == []
+    assert task_threads == []
 
 
 @pytest.mark.parametrize("reference, illums, n_bins, error, match", [
@@ -452,7 +502,7 @@ def test_sweep_raises_the_first_failing_blocks_error(jobs, block_threads):
                  r"^n_bin = 500 exceeds", id="fine-then-overflow"),
 ])
 def test_sweep_checks_run_once_and_raise_the_first_error_in_grid_order(
-        reference, illums, n_bins, error, match, block_threads):
+        reference, illums, n_bins, error, match, task_threads):
     # each check runs once over all the illuminations, in a fixed order:
     # the n_bins, then the frames' float range (naming the first
     # illumination in grid order that overflows), then the Poisson range
@@ -460,11 +510,11 @@ def test_sweep_checks_run_once_and_raise_the_first_error_in_grid_order(
                      repetitions=5)
     with pytest.raises(error, match=match):
         fidelity_sweep(SCENE, grid, psi=PsiConfig(reference_override=reference))
-    assert block_threads == []
+    assert task_threads == []
 
 
 def test_sweep_checks_n_bin_before_the_poisson_range():
-    # one block, failing both checks: the n_bin is checked first
+    # one illumination, failing both checks: the n_bin is checked first
     grid = SweepGrid(illuminations=(3.0,), sigmas=(0.2,), n_bins=(500,),
                      repetitions=5)
     with pytest.raises(SamplingError, match=r"^n_bin = 500 exceeds"):
@@ -505,23 +555,26 @@ def test_prepared_illuminations_equal_one_frame_rates_call_each():
     assert table.m.size == 21
 
 
-@pytest.mark.parametrize("grid, blocks, threads", [
-    # 38 400 pixel reads in 4 blocks of 100 cells
-    pytest.param(MAP_PREVIEW, 4, {2: 1, 8: 1}, id="map-preview"),
-    # 138 240 reads in 12 blocks: at n_bin 1, 2, 4 and 8, 1, 2, 3 and 6
-    pytest.param(SweepGrid(repetitions=128), 12, {2: 1, 8: 1}, id="default-128"),
-    # 2 160 000 reads in 48 blocks
-    pytest.param(SweepGrid(), 48, {2: 2, 3: 3, 64: 16}, id="default-2000"),
-    # 4 800 000 reads in 2 blocks
-    pytest.param(SweepGrid(illuminations=(3.0,), sigmas=(0.2, 0.5),
+@pytest.mark.parametrize("grid, tasks, threads", [
+    # 38 400 pixel reads in 20 tasks, one per illumination
+    pytest.param(MAP_PREVIEW, 20, {2: 1, 8: 1}, id="map-preview"),
+    # 138 240 reads in 3 tasks
+    pytest.param(SweepGrid(repetitions=128), 3, {2: 1, 8: 1}, id="default-128"),
+    # 2 160 000 reads in 3 tasks
+    pytest.param(SweepGrid(), 3, {2: 2, 3: 3, 64: 3}, id="default-2000"),
+    # 9 600 000 reads in 2 tasks
+    pytest.param(SweepGrid(illuminations=(3.0, 1.7), sigmas=(0.2, 0.5),
                            n_bins=(4,), repetitions=100000), 2,
                  {2: 2, 8: 2}, id="two-blocks"),
 ])
-def test_sweep_threads_follow_the_reads_up_to_jobs_and_blocks(grid, blocks,
+def test_sweep_threads_follow_the_reads_up_to_jobs_and_blocks(grid, tasks,
                                                               threads):
-    assert len(grid._blocks) == blocks
+    assert len(set(grid.illuminations)) == tasks
     assert {jobs: sweep_threads(SCENE, grid, jobs) for jobs in threads} == threads
     assert sweep_threads(SCENE, grid, 1) == 1
+    # an illumination listed twice is one task
+    repeated = replace(grid, illuminations=grid.illuminations[:1] * 4)
+    assert sweep_threads(SCENE, repeated, 64) == 1
 
 
 def test_sweep_runs_its_blocks_inline_on_one_thread(monkeypatch):
@@ -529,25 +582,25 @@ def test_sweep_runs_its_blocks_inline_on_one_thread(monkeypatch):
         raise AssertionError("a worker thread was created")
 
     callers = []
-    run_block = experiments._run_block
+    run_illumination = experiments._run_illumination
 
     def recording(*args, **kwargs):
         callers.append(threading.get_ident())
-        return run_block(*args, **kwargs)
+        return run_illumination(*args, **kwargs)
 
     monkeypatch.setattr(experiments.threading, "Thread", no_thread)
-    monkeypatch.setattr(experiments, "_run_block", recording)
+    monkeypatch.setattr(experiments, "_run_illumination", recording)
     assert fidelity_sweep(SCENE, MAP_PREVIEW, seed=1, jobs=2).mean.size == 400
-    assert set(callers) == {threading.get_ident()} and len(callers) == 4
+    assert set(callers) == {threading.get_ident()} and len(callers) == 20
 
 
-def test_sweep_threads_under_fast_switching_match_serial(block_threads):
+def test_sweep_threads_under_fast_switching_match_serial(task_threads):
     # 8 threads on a small grid, with the interpreter switching threads as
     # often as it can: cells must not interfere through shared state.
     grid = SweepGrid(illuminations=(1.7, 3.0), sigmas=(0.2, 3.0),
                      n_bins=(1, 4), repetitions=300)
     serial = columns(fidelity_sweep(SCENE, grid, seed=5, jobs=1))
-    block_threads.clear()
+    task_threads.clear()
     threaded = []
     sweep = threading.Thread(
         target=lambda: threaded.append(columns(
@@ -562,7 +615,7 @@ def test_sweep_threads_under_fast_switching_match_serial(block_threads):
         sys.setswitchinterval(interval)
     assert not sweep.is_alive()
     assert threaded == [serial]
-    assert len(set(block_threads)) > 1
+    assert len(set(task_threads)) > 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -570,25 +623,25 @@ def test_sweep_threads_under_fast_switching_match_serial(block_threads):
 def test_uncaught_cell_error_cancels_queued_cells(monkeypatch, exc_type, jobs):
     started, idents = [], set()
 
-    def block(indices, *args, **kwargs):
-        started.append(indices[0])
+    def task(rates, c0, mu, t, *args, **kwargs):
+        started.append(int(t))
         idents.add(threading.get_ident())
-        # the block of cell 0 fails after the other workers took up a block
-        time.sleep(0.05 if indices[0] == 0 else 0.2)
-        if indices[0] == 0:
+        # the task of table 0 fails after the other workers took up a task
+        time.sleep(0.05 if t == 0 else 0.2)
+        if t == 0:
             raise exc_type("stop")
 
     monkeypatch.setattr(experiments, "READS_PER_THREAD", 1)
-    monkeypatch.setattr(experiments, "_run_block", block)
+    monkeypatch.setattr(experiments, "_run_illumination", task)
     grid = SweepGrid(illuminations=(1.0, 2.0, 3.0, 4.0), sigmas=(0.2, 0.5),
-                     n_bins=(1, 2), repetitions=experiments._CHUNK)
+                     n_bins=(1, 2), repetitions=5)
     with pytest.raises(exc_type):
         fidelity_sweep(SCENE, grid, jobs=jobs)
     assert len(idents) == jobs
-    # of the 16 blocks (one per cell at _CHUNK repetitions): inline, the
-    # block of cell 0 alone; on threads, also the blocks running beside it
-    # and at most one block that its worker took up before the cancel, and
-    # none of those queued after them
+    # of the 4 tasks (one per illumination, each with its own table):
+    # inline, the task of illumination 1.0 alone; on threads, also the
+    # tasks running beside it and at most one task that its worker took up
+    # before the cancel, and none of those queued after them
     if jobs == 1:
         assert started == [0]
     else:

@@ -149,6 +149,27 @@ def test_rng_streams_are_rng_stream_bit_for_bit(seed):
                           reference.standard_normal(5))
 
 
+@pytest.mark.parametrize("seed", [0, 2**128 + 9])
+@pytest.mark.parametrize("keys", [
+    pytest.param([(0,), (7,), (2**32 - 1,)], id="1-word"),
+    pytest.param([(0, 0), (3, 1), (2**32 - 1, 5)], id="2-words"),
+    pytest.param([(0, 0, 0), (2, 1, 7), (2, 7, 1), (2**32 - 1, 0, 3)],
+                 id="3-words")])
+def test_rng_streams_of_multi_word_keys_are_numpys_bit_for_bit(seed, keys):
+    streams = rng_streams(seed, keys)
+    assert len(streams) == len(keys)
+    for stream, key in zip(streams, keys):
+        reference = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=key)))
+        assert stream.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(stream.random(5), reference.random(5))
+    # a one-word key is its word, as rng_stream takes it
+    if len(keys[0]) == 1:
+        assert ([s.bit_generator.state for s in rng_streams(seed, keys)]
+                == [rng_stream(seed, word).bit_generator.state
+                    for word, in keys])
+
+
 def test_rng_streams_reject_what_rng_stream_rejects():
     assert rng_streams(3, []) == []
     with pytest.raises(ValueError, match="non-negative"):
@@ -160,6 +181,8 @@ def test_rng_streams_reject_what_rng_stream_rejects():
     # ids past 32 bits take more than the one word hashed here
     with pytest.raises(OverflowError):
         rng_streams(0, [2**32])
+    with pytest.raises(OverflowError):
+        rng_streams(0, [(1, 2**32, 0)])
 
 
 def test_apply_noise_bit_identical():
